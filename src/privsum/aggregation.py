@@ -9,6 +9,7 @@ sum the accepted shares so verifier 0 can release the total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -30,6 +31,8 @@ from .transcript import (
     MessageBus,
     Transcript,
     client_party,
+    decode_quantized,
+    decode_vector,
     encode_id_set,
     encode_matrix,
     encode_quantized,
@@ -38,13 +41,14 @@ from .transcript import (
     verifier_party,
 )
 from .verification import (
-    ProjectionReply,
     VerificationOutcome,
     W_MODE_SHARED,
-    project_reply,
+    decide_norms,
+    project_replies,
     session_matrix,
-    verifier0_decide,
 )
+# the per-client forms stay bound here, where perfbench/tracing.py counts their calls
+from .verification import project_reply, verifier0_decide  # noqa: F401
 
 BEHAVIOR_HONEST = "honest"
 BEHAVIOR_NORM_INFLATING = "norm-inflating"
@@ -107,6 +111,11 @@ def robustness_delta(result_with: AggregateResult,
     return float(np.linalg.norm(result_with.sum - result_without.sum))
 
 
+def _rows(M: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Rows `index` (ascending) of M, without a copy when that is every row."""
+    return M if index.size == M.shape[0] else M[index]
+
+
 def run_aggregation(submissions, params: ProtocolParams,
                     validity: ValidityPredicate | None = None, seed: int = 0,
                     w_mode: str = W_MODE_SHARED,
@@ -124,21 +133,29 @@ def run_aggregation(submissions, params: ProtocolParams,
     Every verifier's noise is drawn from a substream keyed by its index
     and the client id, so adding or removing one client never perturbs
     the randomness applied to the others.
+
+    submissions may be any iterable and is consumed once, in order;
+    verifiers keep only the payloads they received, so a lazy iterable
+    lets each client's own arrays go as soon as they are delivered.
     """
-    submissions = list(submissions)
-    ids = [s.client_id for s in submissions]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise DuplicateClientId(f"duplicate client ids: {dupes}")
     if sigma_out is not None and sigma_out <= 0:
         raise ParameterError("sigma_out must be > 0 when set")
 
-    S, d, k = params.S, params.d, params.k
+    S, d = params.S, params.d
     bus = MessageBus()
 
-    # round 0: share delivery; verifiers keep what they actually received
-    received: list[dict[str, np.ndarray]] = [dict() for _ in range(S)]
+    # round 0: share delivery; verifiers keep the payloads they received
+    if params.trunc_b is not None:
+        encode = partial(encode_quantized, step=params.quant_step)
+        decode = partial(decode_quantized, step=params.quant_step)
+    else:
+        encode, decode = encode_vector, decode_vector
+    received: list[dict[str, bytes]] = [dict() for _ in range(S)]
+    seen: set[str] = set()
     for sub in submissions:
+        if sub.client_id in seen:
+            raise DuplicateClientId(f"duplicate client id {sub.client_id!r}")
+        seen.add(sub.client_id)
         for i in sorted(sub.payloads):
             share = sub.payloads[i]
             if share is None:
@@ -149,13 +166,17 @@ def run_aggregation(submissions, params: ProtocolParams,
                     f"client {sub.client_id} sent dimension {share.shape[0]}, "
                     f"expected d={d}"
                 )
-            if params.trunc_b is not None:
-                payload = encode_quantized(share, params.quant_step)
-            else:
-                payload = encode_vector(share)
+            payload = encode(share)
             bus.send(client_party(sub.client_id), verifier_party(i), 0,
                      KIND_SHARE, payload)
-            received[i][sub.client_id] = share
+            received[i][sub.client_id] = payload
+
+    # each verifier decodes what it received into one matrix, rows in id order
+    ids = [sorted(received[i]) for i in range(S)]
+    R = [np.empty((len(ids[i]), d)) for i in range(S)]
+    for i in range(S):
+        for row, cid in zip(R[i], ids[i]):
+            row[:] = decode(received[i][cid])
 
     # round 1: matrix broadcast
     W = session_matrix(params, seed, w_mode)
@@ -164,34 +185,27 @@ def run_aggregation(submissions, params: ProtocolParams,
         bus.send(verifier_party(0), verifier_party(i), 1, KIND_MATRIX, w_payload)
 
     # round 2: per-verifier reply batches for every client they heard from
-    replies: list[dict[str, ProjectionReply]] = [dict() for _ in range(S)]
+    Y = [None] * S
     for i in range(1, S):
-        batch = []
-        for cid in sorted(received[i]):
-            rng_i = substream(seed, "verifier", i, "reply", cid)
-            reply = project_reply(received[i][cid], W, params.sigma_v, rng_i,
-                                  verifier_index=i, client_id=cid)
-            replies[i][cid] = reply
-            batch.append((cid, reply.y))
+        rngs = (substream(seed, "verifier", i, "reply", cid) for cid in ids[i])
+        Y[i] = project_replies(R[i], W, params.sigma_v, rngs)
         bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
-                 encode_reply_batch(batch))
+                 encode_reply_batch(list(zip(ids[i], Y[i]))))
 
     # verifier 0 decides for clients that reached everyone
-    J = set(received[0])
-    for i in range(1, S):
-        J &= set(replies[i])
-    outcomes: dict[str, VerificationOutcome] = {}
-    J_star: set[str] = set()
-    for cid in sorted(J):
-        rng_0 = substream(seed, "verifier", 0, "decide", cid)
-        outcome = verifier0_decide(
-            received[0][cid], [replies[i][cid] for i in range(1, S)], W,
-            params.sigma_v, params.tau, rng_0, client_id=cid,
-            expected_verifiers=S,
-        )
-        outcomes[cid] = outcome
-        if outcome.accept:
-            J_star.add(cid)
+    position = [dict(zip(ids[i], range(len(ids[i])))) for i in range(S)]
+    J = sorted(set(ids[0]).intersection(*ids[1:]))
+    J_rows = [np.array([position[i][cid] for cid in J], dtype=np.intp) for i in range(S)]
+    rngs = (substream(seed, "verifier", 0, "decide", cid) for cid in J)
+    v_norms = decide_norms(_rows(R[0], J_rows[0]),
+                           [_rows(Y[i], J_rows[i]) for i in range(1, S)],
+                           W, params.sigma_v, rngs)
+    accept = v_norms < params.tau
+    outcomes = {
+        cid: VerificationOutcome(client_id=cid, accept=a, v_norm=v, tau=params.tau)
+        for cid, a, v in zip(J, accept.tolist(), v_norms.tolist())
+    }
+    J_star = [cid for cid, a in zip(J, accept) if a]
 
     # round 3: accepted-set broadcast
     set_payload = encode_id_set(J_star)
@@ -207,13 +221,12 @@ def run_aggregation(submissions, params: ProtocolParams,
                                  per_client_outcomes=outcomes)
         return result, transcript
 
-    # round 4: partial sums in a fixed (sorted) order for reproducibility
+    # round 4: partial sums of the accepted rows, added in sorted-id order
     partials = []
     for i in range(S):
         s_i = np.zeros(d)
-        for cid in sorted(J_star):
-            if cid in received[i]:
-                s_i = s_i + received[i][cid]
+        for r in J_rows[i][accept]:
+            s_i += R[i][r]
         if sigma_out is not None:
             rng_out = substream(seed, "verifier", i, "sum-noise")
             s_i = s_i + rng_out.normal(0.0, sigma_out, size=d)

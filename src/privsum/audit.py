@@ -18,7 +18,7 @@ from scipy import stats
 from .core import ProtocolParams, as_vector, c_delta, sample_projection
 from .errors import DimensionMismatch, ParameterError
 from .harness import Scenario, run_scenario
-from .rng import seed_int, substream
+from .rng import as_generator, seed_int, substream
 from .sharing import share_vector
 from .verification import project_reply, verifier0_decide
 
@@ -78,7 +78,7 @@ def privacy_loss_mc(shift_norm: float, sigma: float, k: int, eps: float,
         raise ParameterError(f"need at least 1000 samples, got {samples}")
     if k < 1:
         raise ParameterError("k must be >= 1")
-    rng = substream(seed) if isinstance(seed, int) else seed
+    rng = as_generator(seed)
     if shift_norm == 0.0:
         exceed = 0
     else:
@@ -130,7 +130,7 @@ def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
     k, d = params.k, params.d
     cd = c_delta(k, params.delta)
     sigma = params.sigma_v  # (S - |T|) = 1 at the worst case
-    rng = substream(seed) if isinstance(seed, int) else seed
+    rng = as_generator(seed)
 
     bad = 0
     exceed = 0
@@ -247,7 +247,7 @@ def norm_verification_rate(params: ProtocolParams, target_norm: float,
     if target_norm < 0:
         raise ParameterError("target_norm must be >= 0")
     S, d, k = params.S, params.d, params.k
-    rng = substream(seed) if isinstance(seed, int) else seed
+    rng = as_generator(seed)
     accepts = 0
     for _ in range(trials):
         x = _target_vector(pattern, target_norm, d, rng)

@@ -32,7 +32,7 @@ def as_vector(x, *, name: str = "x") -> np.ndarray:
         raise DimensionMismatch(
             f"{name} must be a 1-d vector of dimension >= 1, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ParameterError(f"{name} must contain only finite values")
     return arr
 

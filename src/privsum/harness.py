@@ -34,6 +34,7 @@ from .transcript import (
     KIND_PARTIAL_SUM,
     KIND_REPLY,
     KIND_SHARE,
+    MAX_ID_BYTES,
     Transcript,
     id_set_bytes,
     matrix_bytes,
@@ -108,6 +109,12 @@ class Scenario:
                 raise ScenarioError(f"unknown behavior {c.kind!r}")
             if any(i < 0 or i >= self.S for i in c.skip):
                 raise ScenarioError(f"skip indices {c.skip} outside 0..{self.S - 1}")
+            if c.client_id is not None and (
+                    not isinstance(c.client_id, str)
+                    or len(c.client_id.encode("utf-8")) > MAX_ID_BYTES):
+                raise ScenarioError(
+                    f"client ids must be strings of at most {MAX_ID_BYTES} UTF-8 bytes"
+                )
         coalition = set(self.coalition)
         if coalition and not coalition < set(range(self.S)):
             raise ScenarioError(
@@ -242,10 +249,11 @@ def run_scenario(scenario: Scenario, params: ProtocolParams,
             f"(S={params.S}, d={params.d})"
         )
     ids = scenario_client_ids(scenario, master_seed)
-    submissions = []
-    for behavior, cid in zip(scenario.clients, ids):
-        rng = substream(master_seed, "client", cid)
-        submissions.append(build_submission(behavior, cid, scenario, params, rng))
+    submissions = (
+        build_submission(behavior, cid, scenario, params,
+                         substream(master_seed, "client", cid))
+        for behavior, cid in zip(scenario.clients, ids)
+    )
     validity = None
     if scenario.validity_threshold is not None:
         validity = fraction_validity(scenario.n, scenario.validity_threshold)

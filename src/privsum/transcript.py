@@ -9,6 +9,9 @@ fixed so traffic totals admit closed-form predictions:
   accept bit    one byte, 0 or 1
   id set        u32 count, then per id: u16 byte length + UTF-8 bytes
   reply batch   u32 count, then per entry: u16 id length + id + u32 k + k float64
+
+The u16 length prefix limits client ids to 65,535 UTF-8 bytes; the id
+codecs raise ParameterError beyond that.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProtocolParams
-from .errors import UnknownParty
+from .errors import ParameterError, UnknownParty
 
 KIND_SHARE = "share"
 KIND_MATRIX = "matrix"
@@ -67,50 +70,46 @@ def decode_matrix(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8", count=k * d, offset=8).reshape(k, d).copy()
 
 
-def _zigzag(n: int) -> int:
-    return (n << 1) if n >= 0 else ((-n << 1) - 1)
-
-
-def _unzigzag(z: int) -> int:
-    return (z >> 1) if (z & 1) == 0 else -((z + 1) >> 1)
-
-
-def _write_varint(out: bytearray, z: int) -> None:
-    while True:
-        byte = z & 0x7F
-        z >>= 7
-        if z:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
 def encode_quantized(v: np.ndarray, step: float) -> bytes:
     """Variable-width integer encoding of a grid-valued vector."""
-    v = np.asarray(v, dtype=np.float64)
-    out = bytearray(struct.pack("<I", v.shape[0]))
-    for q in np.round(v / step).astype(np.int64):
-        _write_varint(out, _zigzag(int(q)))
-    return bytes(out)
+    q = np.round(np.asarray(v, dtype=np.float64) / step).astype(np.int64)
+    header = struct.pack("<I", q.shape[0])
+    if q.size == 0:
+        return header
+    z = (q.view(np.uint64) << np.uint64(1)) ^ (q >> 63).view(np.uint64)  # zigzag
+    # a value takes one byte per 7-bit group up to its highest non-zero one,
+    # least significant first; all of its bytes but the last carry 0x80
+    width = np.ones(z.shape, dtype=np.intp)
+    rest = z >> 7
+    while rest.any():
+        width += rest != 0
+        rest >>= 7
+    end = np.cumsum(width)
+    value = np.repeat(np.arange(z.size), width)
+    group = np.arange(end[-1]) - np.repeat(end - width, width)
+    out = ((z[value] >> (7 * group).astype(np.uint64)) & 0x7F).astype(np.uint8)
+    out[group < width[value] - 1] |= 0x80
+    return header + out.tobytes()
 
 
 def decode_quantized(data: bytes, step: float) -> np.ndarray:
     (count,) = struct.unpack_from("<I", data, 0)
-    values = np.empty(count, dtype=np.float64)
-    pos = 4
-    for i in range(count):
-        z = 0
-        shift = 0
-        while True:
-            byte = data[pos]
-            pos += 1
-            z |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        values[i] = _unzigzag(z) * step
-    return values
+    if count == 0:
+        return np.empty(0)
+    raw = np.frombuffer(data, dtype=np.uint8, offset=4)
+    ends = np.flatnonzero(raw < 0x80)[:count] + 1  # one past each value's last byte
+    if ends.size < count:
+        raise ParameterError(f"quantized payload holds fewer than {count} values")
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1]
+    lengths = ends - starts
+    if lengths.max() > 10:
+        raise ParameterError("quantized payload has a varint longer than 64 bits")
+    shift = 7 * (np.arange(ends[-1]) - np.repeat(starts, lengths))
+    parts = (raw[:ends[-1]] & 0x7F).astype(np.uint64) << shift.astype(np.uint64)
+    z = np.bitwise_or.reduceat(parts, starts)
+    q = (z >> 1).view(np.int64) ^ -(z & 1).view(np.int64)  # inverse zigzag
+    return q * step
 
 
 def encode_accept(accept: bool) -> bytes:
@@ -121,13 +120,24 @@ def decode_accept(data: bytes) -> bool:
     return data[0] == 1
 
 
+MAX_ID_BYTES = 0xFFFF  # ids carry a u16 length prefix
+
+
+def _encode_id(cid: str) -> bytes:
+    raw = cid.encode("utf-8")
+    if len(raw) > MAX_ID_BYTES:
+        raise ParameterError(
+            f"client id of {len(raw)} UTF-8 bytes exceeds the {MAX_ID_BYTES}-byte limit"
+        )
+    return struct.pack("<H", len(raw)) + raw
+
+
 def encode_id_set(ids) -> bytes:
     out = bytearray()
     ids = sorted(ids)
     out += struct.pack("<I", len(ids))
     for cid in ids:
-        raw = cid.encode("utf-8")
-        out += struct.pack("<H", len(raw)) + raw
+        out += _encode_id(cid)
     return bytes(out)
 
 
@@ -146,8 +156,7 @@ def decode_id_set(data: bytes) -> list[str]:
 def encode_reply_batch(entries: list[tuple[str, np.ndarray]]) -> bytes:
     out = bytearray(struct.pack("<I", len(entries)))
     for cid, y in entries:
-        raw = cid.encode("utf-8")
-        out += struct.pack("<H", len(raw)) + raw + encode_vector(y)
+        out += _encode_id(cid) + encode_vector(y)
     return bytes(out)
 
 

@@ -34,6 +34,7 @@ from .transcript import (
     MessageBus,
     Transcript,
     client_party,
+    decode_quantized,
     encode_accept,
     encode_matrix,
     encode_quantized,
@@ -75,6 +76,49 @@ class SimulatedNormRun:
     accept: bool
 
 
+def _noise_rows(rngs, sigma: float, shape: tuple[int, int]) -> np.ndarray:
+    """An array of the given shape whose row r is N(0, sigma^2 I) drawn from rngs[r].
+
+    rngs may be any iterable; a lazy one keeps only one generator alive.
+    """
+    out = np.empty(shape)
+    for row, rng in zip(out, rngs, strict=True):
+        rng.standard_normal(out=row)
+    out *= sigma
+    return out
+
+
+def project_replies(Z: np.ndarray, W: ProjectionMatrix, sigma_v: float,
+                    rngs) -> np.ndarray:
+    """Reply rows Y = Z W^T + noise, one noise row per share row of Z."""
+    Y = Z @ W.entries.T
+    Y += _noise_rows(rngs, sigma_v, Y.shape)
+    return Y
+
+
+def decide_norms(Z0: np.ndarray, replies, W: ProjectionMatrix, sigma_v: float,
+                 rngs) -> np.ndarray:
+    """Row norms of v = Z0 W^T + sum_i Y_i + noise, replies in verifier order.
+
+    Z0 holds verifier 0's share rows; every reply matrix and generator
+    is aligned with them row by row.
+    """
+    v = Z0 @ W.entries.T
+    for Y in replies:
+        v += Y
+    v += _noise_rows(rngs, sigma_v, v.shape)
+    return np.linalg.norm(v, axis=1)
+
+
+def _share_row(z, W: ProjectionMatrix, name: str) -> np.ndarray:
+    z = as_vector(z, name=name)
+    if z.shape[0] != W.d:
+        raise DimensionMismatch(
+            f"cannot project dimension {z.shape[0]} with a {W.k}x{W.d} matrix"
+        )
+    return z[None, :]
+
+
 def project_reply(z_i, W: ProjectionMatrix, sigma_v: float, seed, *,
                   verifier_index: int = 1, client_id: str = "") -> ProjectionReply:
     """Compute y = W z_i + N(0, sigma_v^2 I_k), deterministic in seed."""
@@ -82,8 +126,7 @@ def project_reply(z_i, W: ProjectionMatrix, sigma_v: float, seed, *,
         raise ParameterError(f"sigma_v must be > 0, got {sigma_v}")
     if verifier_index < 1:
         raise ParameterError("replies come from verifier indices >= 1")
-    rng = as_generator(seed)
-    y = W.project(as_vector(z_i, name="z_i")) + rng.normal(0.0, sigma_v, size=W.k)
+    y = project_replies(_share_row(z_i, W, "z_i"), W, sigma_v, [as_generator(seed)])[0]
     return ProjectionReply(client_id=client_id, verifier_index=verifier_index, y=y)
 
 
@@ -107,16 +150,16 @@ def verifier0_decide(z_0, replies, W: ProjectionMatrix, sigma_v: float,
             f"need one reply per verifier index {sorted(expected)}, got {sorted(seen)}"
         )
     rng = as_generator(seed)
-    v = W.project(as_vector(z_0, name="z_0"))
+    z_0 = _share_row(z_0, W, "z_0")
+    ys = []
     for r in sorted(replies, key=lambda r: r.verifier_index):
         if r.y.shape[0] != W.k:
             raise DimensionMismatch(
                 f"reply from verifier {r.verifier_index} has dimension "
                 f"{r.y.shape[0]}, expected k={W.k}"
             )
-        v = v + r.y
-    v = v + rng.normal(0.0, sigma_v, size=W.k)
-    v_norm = float(np.linalg.norm(v))
+        ys.append(r.y[None, :])
+    v_norm = float(decide_norms(z_0, ys, W, sigma_v, [rng])[0])
     return VerificationOutcome(client_id=client_id, accept=v_norm < tau,
                                v_norm=v_norm, tau=tau)
 
@@ -161,6 +204,7 @@ def run_norm_verification(bundle: ShareBundle, params: ProtocolParams,
         if params.trunc_b is not None:
             share = truncate_share(share, params.trunc_b, params.quant_step)
             payload = encode_quantized(share, params.quant_step)
+            share = decode_quantized(payload, params.quant_step)
         else:
             payload = encode_vector(share)
         bus.send(prover, verifier_party(i), 0, KIND_SHARE, payload)

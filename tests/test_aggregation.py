@@ -27,6 +27,7 @@ from privsum.aggregation import (
     fraction_validity,
 )
 from privsum.audit import binomial_se
+from privsum.transcript import KIND_SHARE, decode_quantized
 
 
 def small_params(**overrides):
@@ -105,6 +106,25 @@ class TestRunAggregation:
         assert result.aborted and result.sum is None
         kinds = [m.kind for m in transcript.messages]
         assert "partial-sum" not in kinds
+
+    def test_quantized_sum_is_sum_of_transmitted_shares(self):
+        # shares off the quantization grid: verifiers must sum what they
+        # received (the decoded payloads), not the raw shares
+        params = small_params(trunc_b=4.0, quant_step=0.5)
+        subs = [s for _, s in honest_submissions(6, params, 29)]
+        result, transcript = run_aggregation(subs, params, seed=2)
+        assert not result.aborted
+        transmitted = np.zeros(params.d)
+        raw = np.zeros(params.d)
+        for m in transcript.messages:
+            cid = m.sender.split(":", 1)[1]
+            if m.kind == KIND_SHARE and cid in result.accepted:
+                transmitted += decode_quantized(m.payload, params.quant_step)
+        for sub in subs:
+            if sub.client_id in result.accepted:
+                raw += sum(sub.payloads.values())
+        assert np.max(np.abs(result.sum - transmitted)) <= 1e-12
+        assert np.max(np.abs(result.sum - raw)) > 1e-3
 
     def test_fraction_validity_binding(self):
         pred = fraction_validity(10, 0.5)

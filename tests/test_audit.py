@@ -11,6 +11,7 @@ from privsum import (
     conditioned_projection_privacy,
     gaussian_sigma,
     honest_scenario,
+    norm_verification_rate,
     privacy_loss_mc,
     privacy_loss_tail,
     rate_estimate,
@@ -136,6 +137,21 @@ class TestTwoSampleCloseness:
 
         with pytest.raises(Exception):
             two_sample_closeness(p, q, 2, 100, 0)
+
+
+class TestNumpyIntegerSeeds:
+    def test_numpy_seed_matches_int_seed(self):
+        params = calibrate(eps=1, delta=1e-2, eps_ss=1, delta_ss=1e-2,
+                           beta=0.05, S=2, k=16, d=8).params
+        x = np.zeros(8)
+        x[0] = 1.0
+        for seed in (np.int64(5), np.uint32(5)):
+            assert (norm_verification_rate(params, 1.0, 100, seed)
+                    == norm_verification_rate(params, 1.0, 100, 5))
+            assert (privacy_loss_mc(1.0, 2.0, 4, 0.5, 1000, seed)
+                    == privacy_loss_mc(1.0, 2.0, 4, 0.5, 1000, 5))
+            assert (conditioned_projection_privacy(params, x, 1000, seed)
+                    == conditioned_projection_privacy(params, x, 1000, 5))
 
 
 class TestRateEstimate:

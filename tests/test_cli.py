@@ -120,6 +120,16 @@ class TestAggregateCommand:
                              str(tmp_path / "nope.json"), *self.flags())
         assert code == EXIT_USAGE
 
+    def test_overlong_client_id_is_usage_error(self, capsys, tmp_path):
+        config = self.write_scenario(tmp_path, clients=[
+            {"behavior": "honest", "count": 3},
+            {"behavior": "honest", "id": "x" * 70_000},
+        ])
+        code, _, err = run_cli(capsys, "aggregate", "--config", str(config),
+                               *self.flags())
+        assert code == EXIT_USAGE
+        assert "65535" in err
+
     def test_same_seed_same_transcript_hash(self, capsys, tmp_path):
         config = self.write_scenario(tmp_path)
 

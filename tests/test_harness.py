@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from privsum import (
     ClientBehavior,
+    ParameterError,
     Scenario,
     ScenarioError,
     UnknownParty,
@@ -24,6 +25,7 @@ from privsum import (
 from privsum.harness import scenario_client_ids
 from privsum.transcript import (
     KIND_SHARE,
+    MAX_ID_BYTES,
     decode_accept,
     decode_id_set,
     decode_matrix,
@@ -42,6 +44,9 @@ from privsum.transcript import (
     vector_bytes,
     verifier_party,
 )
+
+
+GOLDEN_SHA256 = "0cc4d22a3b2e29e73b5199495b9172cdd8a299e1415884a3f4a8e6ba81b1b0dc"
 
 
 def small_params(**overrides):
@@ -71,6 +76,49 @@ class TestCodecs:
         v = np.array(grid_points, dtype=np.float64) * step
         out = decode_quantized(encode_quantized(v, step), step)
         np.testing.assert_allclose(out, v, rtol=1e-12, atol=1e-12)
+
+    def test_quantized_bytes_are_pinned(self):
+        # zigzag-LEB128 bytes of 0, +-1, +-63, +-64, +-8191, +-8192, +-2^40
+        values = [0, 1, -1, 63, -63, 64, -64, 8191, -8191, 8192, -8192,
+                  2 ** 40, -2 ** 40]
+        data = encode_quantized(np.array(values, dtype=np.float64), 1.0)
+        assert data == bytes.fromhex(
+            "0d000000" "00" "02" "01" "7e" "7d" "8001" "7f" "fe7f" "fd7f"
+            "808001" "ff7f" "808080808040" "ffffffffff3f"
+        )
+        assert decode_quantized(data, 1.0).tolist() == values
+        # off-grid values round to the nearest grid point
+        assert encode_quantized(np.array([0.3, -0.74, 2.6]), 0.25) == bytes.fromhex(
+            "03000000" "02" "05" "14")
+        assert decode_quantized(encode_quantized(np.empty(0), 1.0), 1.0).size == 0
+
+    @given(st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=40))
+    def test_quantized_matches_reference_loop(self, values):
+        v = np.array(values, dtype=np.float64)
+        grid = [int(x) for x in v]  # the integers float64 holds
+        expected = bytearray(len(grid).to_bytes(4, "little"))
+        for q in grid:
+            z = 2 * q if q >= 0 else -2 * q - 1
+            while z >= 0x80:
+                expected.append(z & 0x7F | 0x80)
+                z >>= 7
+            expected.append(z)
+        assert encode_quantized(v, 1.0) == bytes(expected)
+        assert decode_quantized(bytes(expected), 1.0).tolist() == [float(q) for q in grid]
+
+    def test_truncated_quantized_payload_rejected(self):
+        data = encode_quantized(np.array([8192.0, 1.0]), 1.0)
+        with pytest.raises(ParameterError):
+            decode_quantized(data[:-2], 1.0)
+
+    def test_long_ids_rejected(self):
+        longest = "x" * MAX_ID_BYTES
+        assert decode_id_set(encode_id_set([longest])) == [longest]
+        too_long = "\u00e9" * (MAX_ID_BYTES // 2 + 1)  # 2 UTF-8 bytes each
+        with pytest.raises(ParameterError):
+            encode_id_set([too_long])
+        with pytest.raises(ParameterError):
+            encode_reply_batch([(too_long, np.zeros(2))])
 
     def test_accept_bit(self):
         assert decode_accept(encode_accept(True)) is True
@@ -127,6 +175,9 @@ class TestScenarioConfig:
                      coalition=(0, 1)).validate()
         with pytest.raises(ScenarioError):
             Scenario.from_json("not-json{")
+        with pytest.raises(ScenarioError):
+            Scenario(n=1, S=2, d=4, clients=(
+                ClientBehavior(client_id="x" * (MAX_ID_BYTES + 1)),)).validate()
 
     def test_client_ids_stable_and_distinct(self):
         scenario = honest_scenario(20, 2, 4)
@@ -147,6 +198,27 @@ class TestDeterminism:
         assert t1.to_jsonl(include_payload=True) == t2.to_jsonl(include_payload=True)
         assert t1.sha256() == t2.sha256()
         assert np.array_equal(r1.sum, r2.sum)
+
+    def test_golden_transcript_hash(self):
+        # pins every stream and codec a session touches; a deliberate change
+        # updates this hash and says so in CHANGES.md
+        params = small_params()
+        _, transcript = run_scenario(honest_scenario(5, params.S, params.d),
+                                     params, 99)
+        assert transcript.sha256() == GOLDEN_SHA256
+
+    def test_substream_draws_are_pinned(self):
+        assert substream(0, "pin").integers(0, 2 ** 32, size=4).tolist() == [
+            1145484931, 947896885, 1072200758, 2354250787]
+
+    def test_substream_labels_keep_types_apart(self):
+        for seed in (0, 7, 2 ** 70):
+            a = substream(seed, 1).integers(0, 2 ** 62, size=4)
+            b = substream(seed, "1").integers(0, 2 ** 62, size=4)
+            assert not np.array_equal(a, b)
+        # the master seed enters modulo 2^128
+        assert np.array_equal(substream(2 ** 128 + 3, "x").standard_normal(4),
+                              substream(3, "x").standard_normal(4))
 
     def test_different_seed_different_transcript(self):
         params = small_params()

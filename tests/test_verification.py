@@ -27,7 +27,7 @@ from privsum.transcript import (
     KIND_REPLY,
     KIND_SHARE,
 )
-from privsum.verification import W_MODE_VERIFIER0
+from privsum.verification import W_MODE_VERIFIER0, decide_norms, project_replies
 
 
 def small_params(**overrides):
@@ -127,6 +127,31 @@ class TestVerifier0Decide:
         a = decide(1)
         b = decide(2)
         assert a.v_norm == pytest.approx(b.v_norm, rel=1e-9)
+
+
+class TestBatchedKernels:
+    def test_rows_match_per_client_calls(self):
+        # the session kernels and the per-client functions share one code
+        # path; a batch row differs from its single-row call by BLAS rounding
+        params = small_params(k=16, d=8, S=3)
+        W = sample_projection(params.k, params.d, 5)
+        Z = substream(6, "Z").normal(0.0, 3.0, size=(3, 5, params.d))
+        sv = params.sigma_v
+        Y = [None] + [project_replies(Z[i], W, sv, [substream(7, i, j) for j in range(5)])
+                      for i in (1, 2)]
+        norms = decide_norms(Z[0], Y[1:], W, sv, [substream(8, j) for j in range(5)])
+        for j in range(5):
+            replies = [project_reply(Z[i, j], W, sv, substream(7, i, j), verifier_index=i)
+                       for i in (1, 2)]
+            for i in (1, 2):
+                np.testing.assert_allclose(replies[i - 1].y, Y[i][j], rtol=0, atol=1e-12)
+            out = verifier0_decide(Z[0, j], replies, W, sv, params.tau, substream(8, j))
+            assert out.v_norm == pytest.approx(norms[j], rel=1e-12)
+
+    def test_empty_batch(self):
+        W = sample_projection(4, 6, 0)
+        assert project_replies(np.empty((0, 6)), W, 1.0, []).shape == (0, 4)
+        assert decide_norms(np.empty((0, 6)), [np.empty((0, 4))], W, 1.0, []).shape == (0,)
 
 
 class TestRunNormVerification:
