@@ -15,12 +15,23 @@ from typing import Callable
 import numpy as np
 from scipy import stats
 
-from .core import ProtocolParams, as_vector, c_delta, sample_projection
+from .core import (
+    ProtocolParams,
+    as_vector,
+    c_delta,
+    calibrate,
+    chi2_thresholds,
+    gaussian_sigma,
+    sample_projection,
+)
 from .errors import DimensionMismatch, ParameterError
 from .harness import Scenario, run_scenario
 from .rng import as_generator, seed_int, substream
-from .sharing import share_vector
-from .verification import project_reply, verifier0_decide
+from .sharing import clamp_probability, share_vector, simulate_share_view
+from .verification import decide_norms, project_replies
+
+# the per-client forms stay bound here, where perfbench/tracing.py counts their calls
+from .verification import project_reply, verifier0_decide  # noqa: F401
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_REJECTED = "rejected"
@@ -238,9 +249,9 @@ def norm_verification_rate(params: ProtocolParams, target_norm: float,
     """Accept rate of the norm-verification decision at a given share-sum norm.
 
     Each trial shares a fresh vector of the requested norm and pattern,
-    samples a fresh session projection, and runs the real reply/decide
-    operations. This is the Monte Carlo driver behind the completeness
-    and soundness checks.
+    samples a fresh session projection, and runs the session's reply and
+    decide kernels on its one share row. This is the Monte Carlo driver
+    behind the completeness and soundness checks.
     """
     if trials < 100:
         raise ParameterError(f"need at least 100 trials, got {trials}")
@@ -251,16 +262,122 @@ def norm_verification_rate(params: ProtocolParams, target_norm: float,
     accepts = 0
     for _ in range(trials):
         x = _target_vector(pattern, target_norm, d, rng)
-        bundle = share_vector(x, S, params.sigma_ss, rng)
+        Z = share_vector(x, S, params.sigma_ss, rng).shares
         W = sample_projection(k, d, rng)
-        replies = [
-            project_reply(bundle.shares[i], W, params.sigma_v, rng,
-                          verifier_index=i)
-            for i in range(1, S)
-        ]
-        outcome = verifier0_decide(bundle.shares[0], replies, W, params.sigma_v,
-                                   params.tau, rng, expected_verifiers=S)
-        if outcome.accept:
+        Y = [project_replies(Z[i:i + 1], W, params.sigma_v, [rng]) for i in range(1, S)]
+        if decide_norms(Z[:1], Y, W, params.sigma_v, [rng])[0] < params.tau:
             accepts += 1
     rate = accepts / trials
     return RateEstimate(rate=rate, ci95=_normal_ci95(rate, trials), trials=trials)
+
+
+# -- the audit battery ---------------------------------------------------------
+# `privsum audit` and the acceptance tests run these same checks, each with
+# its own seed and sample count.
+
+# where the projection-privacy check and `privsum audit`'s rate checks calibrate
+AUDIT_POINT = dict(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2, beta=0.05, S=2, k=64, d=64)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One audit row; the statistic is consistent iff it is <= threshold."""
+
+    check: str
+    params: str
+    statistic: float
+    threshold: float
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_CONSISTENT if self.statistic <= self.threshold else VERDICT_REJECTED
+
+
+def chi2_tail_checks(k: int, x: float, samples: int,
+                     seed) -> tuple[CheckResult, CheckResult]:
+    """Sampled chi^2_k rates below and above the thresholds, each against exp(-x)."""
+    lower, upper = chi2_thresholds(k, x)
+    draws = as_generator(seed).chisquare(k, size=samples)
+    bound = math.exp(-x)
+    ceiling = bound + 3 * binomial_se(bound, samples)
+    label = f"k={k},x={x:.3g}"
+    return (CheckResult("chi2-lower-tail", label, float(np.mean(draws <= lower)), ceiling),
+            CheckResult("chi2-upper-tail", label, float(np.mean(draws >= upper)), ceiling))
+
+
+def gaussian_mechanism_mc_check(samples: int, seed) -> CheckResult:
+    """Sampled privacy-loss exceed rate of the Gaussian mechanism at delta = 1e-2."""
+    est = privacy_loss_mc(1.0, gaussian_sigma(1.0, 1e-2), 8, 1.0, samples, seed,
+                          delta_target=1e-2)
+    return CheckResult("gaussian-mech-mc", "eps=1,delta=1e-2", est.empirical_exceed_rate,
+                       1e-2 + 3 * binomial_se(1e-2, est.samples))
+
+
+def gaussian_mechanism_analytic_check() -> CheckResult:
+    """Exact privacy-loss tail of the Gaussian mechanism at delta = 1e-5."""
+    tail = privacy_loss_tail(1.0, gaussian_sigma(1.0, 1e-5), 1.0)
+    return CheckResult("gaussian-mech-analytic", "eps=1,delta=1e-5", tail, 1e-5)
+
+
+def projection_privacy_check(samples: int, seed) -> CheckResult:
+    """Bad-event + loss-exceed rate of the noisy projection against 2 delta.
+
+    Calibrated at AUDIT_POINT, for an input on the first axis.
+    """
+    params = calibrate(**AUDIT_POINT).params
+    x = np.zeros(params.d)
+    x[0] = 1.0
+    est = conditioned_projection_privacy(params, x, samples, seed)
+    return CheckResult("projection-privacy", "eps=1,delta=1e-2,k=64",
+                       est.empirical_exceed_rate,
+                       2 * params.delta + 3 * binomial_se(2 * params.delta, est.samples))
+
+
+def share_simulation_check(S: int, T: tuple[int, ...], sigma_ss: float,
+                           samples: int, seed) -> CheckResult:
+    """Largest per-marginal KS statistic between real and simulated share views.
+
+    The real view is coalition T's shares of a random unit vector in
+    d = 8; the simulated one comes from simulate_share_view.
+    """
+    d = 8
+
+    def real(rng, count):
+        out = np.empty((count, len(T) * d))
+        for i in range(count):
+            u = rng.standard_normal(d)
+            shares = share_vector(u / np.linalg.norm(u), S, sigma_ss, rng).shares
+            out[i] = np.concatenate([shares[t] for t in T])
+        return out
+
+    def sim(rng, count):
+        out = np.empty((count, len(T) * d))
+        for i in range(count):
+            view = simulate_share_view(T, S, sigma_ss, d, rng)
+            out[i] = np.concatenate([view.messages[t] for t in T])
+        return out
+
+    rep = two_sample_closeness(real, sim, len(T) * d, samples, seed)
+    return CheckResult("share-sim-exact", f"S={S},T={T}", max(rep.statistics),
+                       rep.threshold)
+
+
+def completeness_check(params: ProtocolParams, trials: int, seed) -> CheckResult:
+    """Rejection rate of unit-norm random-direction inputs against beta."""
+    est = norm_verification_rate(params, 1.0, trials, seed)
+    return CheckResult("completeness-rate", f"beta={params.beta:g},k={params.k}",
+                       1.0 - est.rate, params.beta + 3 * binomial_se(params.beta, trials))
+
+
+def soundness_check(params: ProtocolParams, pattern: str, trials: int,
+                    seed) -> CheckResult:
+    """Accept rate of inputs at norm rho in the given pattern against beta."""
+    est = norm_verification_rate(params, params.rho, trials, seed, pattern=pattern)
+    return CheckResult("soundness-rate", f"beta={params.beta:g},k={params.k}",
+                       est.rate, params.beta + 3 * binomial_se(params.beta, trials))
+
+
+def truncation_clamp_check() -> CheckResult:
+    """Analytic per-coordinate clamp probability at B = 127, sigma_ss = 20."""
+    return CheckResult("truncation-clamp", "B=127,sigma_ss=20",
+                       clamp_probability(127.0, 20.0), 1e-8)

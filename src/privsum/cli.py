@@ -20,12 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import audit as audit_mod
-from .core import ProtocolParams, calibrate, chi2_thresholds, gaussian_sigma
+from .core import CalibrationReport, ProtocolParams, calibrate
 from .errors import InfeasibleParameters, ProtocolError, ScenarioError
 from .harness import Scenario, measured_traffic, run_scenario
 from .rng import substream
-from .sharing import clamp_probability, reconstruct, share_vector, simulate_share_view
+from .sharing import reconstruct, share_vector
 from .verification import W_MODE_SHARED, W_MODES, run_norm_verification
+
+# stays bound here, where perfbench/tracing.py counts its calls
+from .sharing import simulate_share_view  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -85,30 +88,24 @@ def _add_privacy_flags(p: argparse.ArgumentParser, require: bool = True) -> None
     p.add_argument("--d", type=int, required=require, help="payload dimension")
 
 
-def _calibrate_from_args(args) -> ProtocolParams:
-    report = calibrate(
+def _calibrate_from_args(args) -> CalibrationReport:
+    """Calibrate from the privacy flags plus whichever optional flags the command has."""
+    return calibrate(
         eps=args.eps, delta=args.delta,
         eps_ss=args.eps_ss if args.eps_ss is not None else args.eps,
         delta_ss=args.delta_ss if args.delta_ss is not None else args.delta,
         beta=args.beta, S=args.S, k=args.k, d=args.d,
-        n=getattr(args, "n", 1) or 1,
+        n=getattr(args, "n", 1),
         exact_cdf=getattr(args, "exact_cdf", False),
+        session_calibrated=getattr(args, "session_calibrated", False),
         trunc_b=getattr(args, "trunc_b", None),
         quant_step=getattr(args, "quant_step", 1.0),
     )
-    return report.params
 
 
 def cmd_calibrate(args) -> int:
     try:
-        report = calibrate(
-            eps=args.eps, delta=args.delta,
-            eps_ss=args.eps_ss if args.eps_ss is not None else args.eps,
-            delta_ss=args.delta_ss if args.delta_ss is not None else args.delta,
-            beta=args.beta, S=args.S, k=args.k, d=args.d, n=args.n,
-            exact_cdf=args.exact_cdf, session_calibrated=args.session_calibrated,
-            trunc_b=args.trunc_b, quant_step=args.quant_step,
-        )
+        report = _calibrate_from_args(args)
     except InfeasibleParameters as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -152,7 +149,7 @@ def cmd_share(args) -> int:
 
 def cmd_verify_norm(args) -> int:
     try:
-        params = _calibrate_from_args(args)
+        params = _calibrate_from_args(args).params
     except InfeasibleParameters as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -182,7 +179,7 @@ def _load_params(args) -> ProtocolParams:
         raise ScenarioError(
             f"provide --params or the calibration flags (missing: {missing})"
         )
-    return _calibrate_from_args(args)
+    return _calibrate_from_args(args).params
 
 
 def cmd_aggregate(args) -> int:
@@ -293,109 +290,37 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _audit_rows(samples: int, seed: int) -> list[dict]:
-    """The fixed audit battery: every row is (check, params, statistic, threshold)."""
+def _audit_rows(samples: int, seed: int) -> list[audit_mod.CheckResult]:
+    """The fixed audit battery, each check on its own substream of seed."""
     rows = []
-
-    def add(check: str, params: str, statistic: float, threshold: float):
-        verdict = (audit_mod.VERDICT_CONSISTENT if statistic <= threshold
-                   else audit_mod.VERDICT_REJECTED)
-        rows.append({
-            "check": check, "params": params,
-            "statistic": f"{statistic:.6g}", "threshold": f"{threshold:.6g}",
-            "verdict": verdict,
-        })
-
-    # chi-square tail bounds, Monte Carlo
     for k in (8, 64, 256):
         for x in (1.0, 3.0, math.log(100.0)):
-            lower, upper = chi2_thresholds(k, x)
-            rng = substream(seed, "audit-chi2", k, int(x * 1000))
-            draws = rng.chisquare(k, size=samples)
-            bound = math.exp(-x)
-            lo_rate = float(np.mean(draws <= lower))
-            hi_rate = float(np.mean(draws >= upper))
-            se = audit_mod.binomial_se(bound, samples)
-            add("chi2-lower-tail", f"k={k},x={x:.3g}", lo_rate, bound + 3 * se)
-            add("chi2-upper-tail", f"k={k},x={x:.3g}", hi_rate, bound + 3 * se)
-
-    # Gaussian mechanism at inflated delta (sampling) and tiny delta (analytic)
-    est = audit_mod.privacy_loss_mc(1.0, gaussian_sigma(1.0, 1e-2), 8, 1.0,
-                                    max(samples, 1000),
-                                    substream(seed, "audit-gauss"),
-                                    delta_target=1e-2)
-    add("gaussian-mech-mc", "eps=1,delta=1e-2", est.empirical_exceed_rate,
-        1e-2 + 3 * audit_mod.binomial_se(1e-2, est.samples))
-    tail = audit_mod.privacy_loss_tail(1.0, gaussian_sigma(1.0, 1e-5), 1.0)
-    add("gaussian-mech-analytic", "eps=1,delta=1e-5", tail, 1e-5)
-
-    # noisy projection privacy at audit scale
-    report = calibrate(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2,
-                       beta=0.05, S=2, k=64, d=64)
-    x = np.zeros(64)
-    x[0] = 1.0
-    est = audit_mod.conditioned_projection_privacy(
-        report.params, x, max(samples, 1000), substream(seed, "audit-proj"))
-    add("projection-privacy", "eps=1,delta=1e-2,k=64", est.empirical_exceed_rate,
-        2e-2 + 3 * audit_mod.binomial_se(2e-2, est.samples))
-
+            rows += audit_mod.chi2_tail_checks(
+                k, x, samples, substream(seed, "audit-chi2", k, int(x * 1000)))
+    rows.append(audit_mod.gaussian_mechanism_mc_check(
+        max(samples, 1000), substream(seed, "audit-gauss")))
+    rows.append(audit_mod.gaussian_mechanism_analytic_check())
+    rows.append(audit_mod.projection_privacy_check(
+        max(samples, 1000), substream(seed, "audit-proj")))
     # exact share simulation, coalitions without verifier 0
-    d = 8
-    for S in (2, 3):
-        for size in range(1, S - 1 + 1):
-            T = tuple(range(1, 1 + size))
-            n_samp = min(samples, 10_000)
-
-            def real(rng, count, S=S, T=T):
-                out = np.empty((count, len(T) * d))
-                for i in range(count):
-                    u = rng.standard_normal(d)
-                    bundle = share_vector(u / np.linalg.norm(u), S, 10.0, rng)
-                    out[i] = np.concatenate([bundle.shares[t] for t in T])
-                return out
-
-            def sim(rng, count, S=S, T=T):
-                out = np.empty((count, len(T) * d))
-                for i in range(count):
-                    view = simulate_share_view(T, S, 10.0, d, rng)
-                    out[i] = np.concatenate([view.messages[t] for t in T])
-                return out
-
-            rep = audit_mod.two_sample_closeness(
-                real, sim, len(T) * d, n_samp,
-                substream(seed, "audit-sim", S, size),
-                label_p=f"real-share-view S={S} T={T}",
-                label_q=f"simulated-share-view S={S} T={T}")
-            add("share-sim-exact", f"S={S},T={T}", max(rep.statistics),
-                rep.threshold)
-
-    # completeness / soundness spot rates
+    for S, T in ((2, (1,)), (3, (1,)), (3, (1, 2))):
+        rows.append(audit_mod.share_simulation_check(
+            S, T, 10.0, min(samples, 10_000), substream(seed, "audit-sim", S, len(T))))
     rate_trials = max(1000, min(samples, 10_000))
-    report = calibrate(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2,
-                       beta=0.05, S=2, k=64, d=64)
-    comp = audit_mod.norm_verification_rate(report.params, 1.0, rate_trials,
-                                            substream(seed, "audit-comp"))
-    add("completeness-rate", "beta=0.05,k=64", 1.0 - comp.rate,
-        0.05 + 3 * audit_mod.binomial_se(0.05, rate_trials))
-    sound = audit_mod.norm_verification_rate(
-        report.params, report.params.rho, rate_trials,
-        substream(seed, "audit-sound"), pattern=audit_mod.PATTERN_CONCENTRATED)
-    add("soundness-rate", "beta=0.05,k=64", sound.rate,
-        0.05 + 3 * audit_mod.binomial_se(0.05, rate_trials))
-
-    # truncation distortion example
-    add("truncation-clamp", "B=127,sigma_ss=20", clamp_probability(127.0, 20.0), 1e-8)
+    params = calibrate(**audit_mod.AUDIT_POINT).params
+    rows.append(audit_mod.completeness_check(params, rate_trials,
+                                             substream(seed, "audit-comp")))
+    rows.append(audit_mod.soundness_check(params, audit_mod.PATTERN_CONCENTRATED,
+                                          rate_trials, substream(seed, "audit-sound")))
+    rows.append(audit_mod.truncation_clamp_check())
     return rows
 
 
 def cmd_audit(args) -> int:
     rows = _audit_rows(args.samples, args.seed)
-    lines = [f"# schema: {AUDIT_SCHEMA}"]
-    lines.append("check\tparams\tstatistic\tthreshold\tverdict")
-    for row in rows:
-        lines.append("\t".join(row[c] if isinstance(row[c], str) else str(row[c])
-                               for c in ("check", "params", "statistic",
-                                         "threshold", "verdict")))
+    lines = [f"# schema: {AUDIT_SCHEMA}", "check\tparams\tstatistic\tthreshold\tverdict"]
+    lines += [f"{r.check}\t{r.params}\t{r.statistic:.6g}\t{r.threshold:.6g}\t{r.verdict}"
+              for r in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         path = _output_path(args.out)
@@ -403,8 +328,8 @@ def cmd_audit(args) -> int:
         print(f"wrote {path} ({len(rows)} checks)")
     else:
         print(text, end="")
-    rejected = [r for r in rows if r["verdict"] == audit_mod.VERDICT_REJECTED]
-    print(f"audit: {len(rows) - len(rejected)}/{len(rows)} checks consistent")
+    consistent = sum(r.verdict == audit_mod.VERDICT_CONSISTENT for r in rows)
+    print(f"audit: {consistent}/{len(rows)} checks consistent")
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ derivation_log as (name, formula, value) so runs are self-documenting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -123,14 +123,7 @@ class ProtocolParams:
             raise ParameterError("quant_step must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "S": self.S, "n": self.n, "d": self.d, "k": self.k,
-            "eps": self.eps, "delta": self.delta,
-            "eps_ss": self.eps_ss, "delta_ss": self.delta_ss,
-            "beta": self.beta, "sigma_ss": self.sigma_ss,
-            "sigma_v": self.sigma_v, "tau": self.tau, "rho": self.rho,
-            "trunc_b": self.trunc_b, "quant_step": self.quant_step,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolParams":

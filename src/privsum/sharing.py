@@ -114,17 +114,22 @@ def simulate_share_view(T, S: int, sigma_ss: float, d: int, seed) -> SimulatedSh
 def truncate_share(share, B: float, step: float) -> np.ndarray:
     """Clamp each coordinate to [-B, B], then round to the nearest multiple of step.
 
-    Idempotent; ties round half-to-even. A final clamp keeps off-grid B
-    from rounding outside the interval.
+    Idempotent; ties round half-to-even. Results stay within +-edge, the
+    largest multiple n * step that is <= B, so a quantized payload decodes
+    to at most B even when B is off the grid.
     """
     share = as_vector(share, name="share")
     if B <= 0:
         raise ParameterError(f"B must be > 0, got {B}")
     if step <= 0:
         raise ParameterError(f"step must be > 0, got {step}")
-    clipped = np.clip(share, -B, B)
-    gridded = np.round(clipped / step) * step
-    return np.clip(gridded, -B, B)
+    # B / step may round across a grid point; n * step is what a payload decodes to
+    n = math.floor(B / step) + 1
+    while n * step > B:
+        n -= 1
+    edge = n * step
+    gridded = np.round(np.clip(share, -B, B) / step) * step
+    return np.clip(gridded, -edge, edge)
 
 
 def clamp_probability(B: float, sigma: float) -> float:

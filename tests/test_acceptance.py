@@ -5,7 +5,6 @@ them). Monte Carlo checks run at the stated trial counts and tolerances;
 tiny-probability targets are certified analytically, never by sampling.
 """
 
-import math
 import time
 
 import numpy as np
@@ -15,20 +14,11 @@ from privsum import (
     InfeasibleParameters,
     ProtocolParams,
     calibrate,
-    clamp_probability,
-    conditioned_projection_privacy,
-    gaussian_sigma,
     honest_scenario,
     measured_traffic,
-    norm_verification_rate,
-    privacy_loss_mc,
-    privacy_loss_tail,
     robustness_delta,
     run_scenario,
-    share_vector,
-    simulate_share_view,
     substream,
-    two_sample_closeness,
     with_adversary,
 )
 from privsum.audit import (
@@ -36,9 +26,16 @@ from privsum.audit import (
     PATTERN_SPREAD,
     VERDICT_CONSISTENT,
     binomial_se,
+    chi2_tail_checks,
+    completeness_check,
+    gaussian_mechanism_analytic_check,
+    gaussian_mechanism_mc_check,
+    projection_privacy_check,
+    share_simulation_check,
+    soundness_check,
+    truncation_clamp_check,
 )
 from privsum.core import (
-    chi2_thresholds,
     completeness_tau,
     min_sigma_ss,
     min_sigma_v,
@@ -84,14 +81,12 @@ def test_c01_completeness():
                 for d in (32, 1024):
                     params, _ = grid_params(beta, k, S, d)
                     start = time.monotonic()
-                    est = norm_verification_rate(
-                        params, 1.0, trials,
-                        substream(101, "c1", beta, k, S, d))
+                    row = completeness_check(params, trials,
+                                             substream(101, "c1", beta, k, S, d))
                     elapsed = time.monotonic() - start
-                    floor = 1.0 - beta - 3 * binomial_se(beta, trials)
-                    worst = min(worst, est.rate - floor)
-                    if est.rate < floor or elapsed > 120.0:
-                        failures.append((beta, k, S, d, est.rate, elapsed))
+                    worst = min(worst, row.threshold - row.statistic)
+                    if row.verdict != VERDICT_CONSISTENT or elapsed > 120.0:
+                        failures.append((beta, k, S, d, row, elapsed))
     ok = report("01 completeness", not failures,
                 f"16 grid points x {trials} trials, min margin {worst:.4f}")
     assert ok, failures
@@ -111,14 +106,12 @@ def test_c02_soundness():
                         continue  # no closed-form rho exists at this point
                     points += 1
                     for pattern in (PATTERN_CONCENTRATED, PATTERN_SPREAD):
-                        est = norm_verification_rate(
-                            params, params.rho, trials,
-                            substream(102, "c2", beta, k, S, d, pattern),
-                            pattern=pattern)
-                        ceiling = beta + 3 * binomial_se(beta, trials)
-                        worst = max(worst, est.rate - ceiling)
-                        if est.rate > ceiling:
-                            failures.append((beta, k, S, d, pattern, est.rate))
+                        row = soundness_check(
+                            params, pattern, trials,
+                            substream(102, "c2", beta, k, S, d, pattern))
+                        worst = max(worst, row.statistic - row.threshold)
+                        if row.verdict != VERDICT_CONSISTENT:
+                            failures.append((beta, k, S, d, pattern, row.statistic))
     ok = report("02 soundness", not failures,
                 f"{points} feasible grid points x 2 patterns x {trials} trials, "
                 f"max excess {worst:.4f}")
@@ -190,29 +183,14 @@ def test_c04_correctness():
 
 def test_c05_exact_simulation():
     sigma_ss = min_sigma_ss(EPS, DELTA)
-    d, samples = 8, 10_000
+    samples = 10_000
     coalitions = [(2, (1,)), (3, (1,)), (3, (2,)), (3, (1, 2))]
     failures = []
     for S, T in coalitions:
-        def real(rng, count, S=S, T=T):
-            out = np.empty((count, len(T) * d))
-            for i in range(count):
-                x = random_direction(d, rng)
-                bundle = share_vector(x, S, sigma_ss, rng)
-                out[i] = np.concatenate([bundle.shares[t] for t in T])
-            return out
-
-        def sim(rng, count, S=S, T=T):
-            out = np.empty((count, len(T) * d))
-            for i in range(count):
-                view = simulate_share_view(T, S, sigma_ss, d, rng)
-                out[i] = np.concatenate([view.messages[t] for t in T])
-            return out
-
-        rep = two_sample_closeness(real, sim, len(T) * d, samples,
-                                   substream(105, "c5", S, len(T)))
-        if rep.verdict != VERDICT_CONSISTENT:
-            failures.append((S, T, max(rep.statistics), rep.threshold))
+        row = share_simulation_check(S, T, sigma_ss, samples,
+                                     substream(105, "c5", S, len(T)))
+        if row.verdict != VERDICT_CONSISTENT:
+            failures.append(row)
     ok = report("05 exact-simulation", not failures,
                 f"{len(coalitions)} coalitions, KS at 1e-3 Bonferroni, "
                 f"{samples} samples")
@@ -221,29 +199,21 @@ def test_c05_exact_simulation():
 
 def test_c06_gaussian_mechanism_calibration():
     samples = 100_000
-    est = privacy_loss_mc(1.0, gaussian_sigma(1.0, 1e-2), 8, 1.0, samples,
-                          substream(106, "c6"), delta_target=1e-2)
-    mc_ok = est.empirical_exceed_rate <= 1e-2 + 3 * binomial_se(1e-2, samples)
-    tail = privacy_loss_tail(1.0, gaussian_sigma(1.0, 1e-5), 1.0)
-    analytic_ok = tail <= 1e-5
-    ok = report("06 gaussian-mechanism", mc_ok and analytic_ok,
-                f"MC exceed rate {est.empirical_exceed_rate:.2e} <= 1e-2+3SE; "
-                f"analytic tail {tail:.2e} <= 1e-5")
+    mc = gaussian_mechanism_mc_check(samples, substream(106, "c6"))
+    analytic = gaussian_mechanism_analytic_check()
+    ok = report("06 gaussian-mechanism",
+                mc.verdict == analytic.verdict == VERDICT_CONSISTENT,
+                f"MC exceed rate {mc.statistic:.2e} <= 1e-2+3SE; "
+                f"analytic tail {analytic.statistic:.2e} <= 1e-5")
     assert ok
 
 
 def test_c07_noisy_projection_privacy():
     samples = 100_000
-    params, _ = grid_params(0.05, 64, 2, 64)
-    x = np.zeros(params.d)
-    x[0] = 1.0
-    est = conditioned_projection_privacy(params, x, samples,
-                                         substream(107, "c7"))
-    ceiling = 2 * DELTA + 3 * binomial_se(2 * DELTA, samples)
-    ok = report("07 noisy-projection-privacy",
-                est.empirical_exceed_rate <= ceiling,
-                f"combined bad+exceed rate {est.empirical_exceed_rate:.4f} "
-                f"<= {ceiling:.4f} at delta={DELTA}, k=64")
+    row = projection_privacy_check(samples, substream(107, "c7"))
+    ok = report("07 noisy-projection-privacy", row.verdict == VERDICT_CONSISTENT,
+                f"combined bad+exceed rate {row.statistic:.4f} "
+                f"<= {row.threshold:.4f} at delta={DELTA}, k=64")
     assert ok
 
 
@@ -252,24 +222,17 @@ def test_c08_chi_square_tails():
     failures = []
     for k in (8, 64, 256):
         for x in (1.0, 3.0, 4.6):
-            lower, upper = chi2_thresholds(k, x)
-            rng = substream(108, "c8", k, int(10 * x))
-            draws = rng.chisquare(k, size=samples)
-            bound = math.exp(-x)
-            ceiling = bound + 3 * binomial_se(bound, samples)
-            lo_rate = float(np.mean(draws <= lower))
-            hi_rate = float(np.mean(draws >= upper))
-            if lo_rate > ceiling or hi_rate > ceiling:
-                failures.append((k, x, lo_rate, hi_rate, ceiling))
+            rows = chi2_tail_checks(k, x, samples, substream(108, "c8", k, int(10 * x)))
+            failures += [r for r in rows if r.verdict != VERDICT_CONSISTENT]
     ok = report("08 chi-square-tails", not failures,
                 f"9 (k, x) points x {samples} samples, both tails <= exp(-x)+3SE")
     assert ok, failures
 
 
 def test_c09_truncation_distortion():
-    p = clamp_probability(127.0, 20.0)
-    ok = report("09 truncation-distortion", p <= 1e-8,
-                f"2*Phi(-127/20) = {p:.3e} <= 1e-8, analytic")
+    row = truncation_clamp_check()
+    ok = report("09 truncation-distortion", row.verdict == VERDICT_CONSISTENT,
+                f"2*Phi(-127/20) = {row.statistic:.3e} <= 1e-8, analytic")
     assert ok
 
 

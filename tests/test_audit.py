@@ -152,6 +152,8 @@ class TestNumpyIntegerSeeds:
                     == privacy_loss_mc(1.0, 2.0, 4, 0.5, 1000, 5))
             assert (conditioned_projection_privacy(params, x, 1000, seed)
                     == conditioned_projection_privacy(params, x, 1000, 5))
+        # recorded when each trial still called project_reply and verifier0_decide
+        assert norm_verification_rate(params, 50.0, 400, 5).rate == 0.5125
 
 
 class TestRateEstimate:

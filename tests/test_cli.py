@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output schemas, determinism."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -216,6 +217,13 @@ class TestAuditCommand:
         assert {"chi2-lower-tail", "gaussian-mech-mc", "gaussian-mech-analytic",
                 "projection-privacy", "share-sim-exact", "completeness-rate",
                 "soundness-rate", "truncation-clamp"} <= checks
+
+    def test_report_bytes_are_pinned(self, capsys):
+        # like the golden transcript hash, specific to the platform and numpy build
+        code, out, _ = run_cli(capsys, "audit", "--samples", "2000", "--seed", "0")
+        assert code == EXIT_OK
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "4d0b11e89409e0e117d01d347375f8d3b7f87cc9c4868010e09642e4b7829226")
 
 
 class TestOutputDirOverride:

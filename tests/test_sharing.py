@@ -19,6 +19,7 @@ from privsum import (
     substream,
     truncate_share,
 )
+from privsum.transcript import decode_quantized, encode_quantized
 
 
 class TestShareVector:
@@ -211,6 +212,7 @@ class TestTruncateShare:
         twice = truncate_share(once, B, step)
         np.testing.assert_array_equal(once, twice)
         assert np.all(np.abs(once) <= B)
+        assert np.all(np.abs(decode_quantized(encode_quantized(once, step), step)) <= B)
 
     def test_clamp_probability_example(self):
         # per-coordinate distortion odds for sigma_ss=20 at B=127
