@@ -44,6 +44,7 @@ from .verification import (
     VerificationOutcome,
     W_MODE_SHARED,
     decide_norms,
+    noise_rows,
     project_replies,
     session_matrix,
 )
@@ -188,7 +189,8 @@ def run_aggregation(submissions, params: ProtocolParams,
     Y = [None] * S
     for i in range(1, S):
         rngs = (substream(seed, "verifier", i, "reply", cid) for cid in ids[i])
-        Y[i] = project_replies(R[i], W, params.sigma_v, rngs)
+        Y[i] = project_replies(R[i], W.entries,
+                               noise_rows(rngs, params.sigma_v, (len(ids[i]), W.k)))
         bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
                  encode_reply_batch(list(zip(ids[i], Y[i]))))
 
@@ -199,7 +201,7 @@ def run_aggregation(submissions, params: ProtocolParams,
     rngs = (substream(seed, "verifier", 0, "decide", cid) for cid in J)
     v_norms = decide_norms(_rows(R[0], J_rows[0]),
                            [_rows(Y[i], J_rows[i]) for i in range(1, S)],
-                           W, params.sigma_v, rngs)
+                           W.entries, noise_rows(rngs, params.sigma_v, (len(J), W.k)))
     accept = v_norms < params.tau
     outcomes = {
         cid: VerificationOutcome(client_id=cid, accept=a, v_norm=v, tau=params.tau)

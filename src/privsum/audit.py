@@ -8,6 +8,7 @@ ratio, never from density estimation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -22,15 +23,16 @@ from .core import (
     calibrate,
     chi2_thresholds,
     gaussian_sigma,
-    sample_projection,
 )
 from .errors import DimensionMismatch, ParameterError
 from .harness import Scenario, run_scenario
 from .rng import as_generator, seed_int, substream
-from .sharing import clamp_probability, share_vector, simulate_share_view
+from .sharing import check_shares, clamp_probability, simulated_view, split_shares
 from .verification import decide_norms, project_replies
 
-# the per-client forms stay bound here, where perfbench/tracing.py counts their calls
+# the per-trial forms stay bound here, where perfbench/tracing.py counts their calls
+from .core import sample_projection  # noqa: F401
+from .sharing import share_vector  # noqa: F401
 from .verification import project_reply, verifier0_decide  # noqa: F401
 
 VERDICT_CONSISTENT = "consistent"
@@ -227,20 +229,37 @@ def rate_estimate(scenario: Scenario, params: ProtocolParams,
 PATTERN_RANDOM = "random-direction"
 PATTERN_CONCENTRATED = "concentrated"
 PATTERN_SPREAD = "spread"
+PATTERNS = (PATTERN_RANDOM, PATTERN_CONCENTRATED, PATTERN_SPREAD)
+
+# most bytes of standard normals one Monte Carlo chunk draws (a chunk holds
+# at least one trial); small enough not to raise a run's peak memory
+_CHUNK_BYTES = 1 << 20
 
 
-def _target_vector(pattern: str, norm: float, d: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    if pattern == PATTERN_RANDOM:
-        u = rng.standard_normal(d)
-        return norm * u / np.linalg.norm(u)
-    if pattern == PATTERN_CONCENTRATED:
-        x = np.zeros(d)
-        x[0] = norm
-        return x
-    if pattern == PATTERN_SPREAD:
-        return np.full(d, norm / math.sqrt(d))
-    raise ParameterError(f"unknown pattern {pattern!r}")
+def _normal_chunks(rng: np.random.Generator, trials: int, *shapes: tuple[int, ...]):
+    """Each trial's standard normals for shapes, drawn in that order, chunked.
+
+    Yields, per chunk of m trials, one (m, *shape) array per shape, all
+    sliced from one (m, L) block: row r holds exactly the draws trial r
+    would make on its own, so results do not depend on the chunking.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    ends = list(itertools.accumulate(sizes))
+    per_chunk = max(1, _CHUNK_BYTES // (8 * ends[-1]))
+    for start in range(0, trials, per_chunk):
+        m = min(per_chunk, trials - start)
+        block = rng.standard_normal((m, ends[-1]))
+        yield [block[:, end - size:end].reshape(m, *shape)
+               for shape, size, end in zip(shapes, sizes, ends)]
+
+
+def _unit_rows(u: np.ndarray, norm: float = 1.0) -> np.ndarray:
+    """Rows of u rescaled to the given norm.
+
+    Row norms come from dot products, as np.linalg.norm takes them for one
+    vector, so each row equals its one-vector result bit for bit.
+    """
+    return norm * u / np.sqrt(np.vecdot(u, u))[:, None]
 
 
 def norm_verification_rate(params: ProtocolParams, target_norm: float,
@@ -250,23 +269,43 @@ def norm_verification_rate(params: ProtocolParams, target_norm: float,
 
     Each trial shares a fresh vector of the requested norm and pattern,
     samples a fresh session projection, and runs the session's reply and
-    decide kernels on its one share row. This is the Monte Carlo driver
-    behind the completeness and soundness checks.
+    decide kernels on its shares. Trials run in chunks; a trial draws
+    the direction (random pattern only), the S-1 blinds, W, the replies'
+    noise rows for verifiers 1..S-1 and verifier 0's noise row, in that
+    order. This is the Monte Carlo driver behind the completeness and
+    soundness checks.
     """
     if trials < 100:
         raise ParameterError(f"need at least 100 trials, got {trials}")
     if target_norm < 0:
         raise ParameterError("target_norm must be >= 0")
+    if pattern not in PATTERNS:
+        raise ParameterError(f"unknown pattern {pattern!r}")
     S, d, k = params.S, params.d, params.k
+    shapes = [(S - 1, d), (k, d), (S, k)]
+    if pattern == PATTERN_RANDOM:
+        shapes.insert(0, (d,))
+    elif pattern == PATTERN_CONCENTRATED:
+        x = np.zeros(d)
+        x[0] = target_norm
+    else:
+        x = np.full(d, target_norm / math.sqrt(d))
     rng = as_generator(seed)
     accepts = 0
-    for _ in range(trials):
-        x = _target_vector(pattern, target_norm, d, rng)
-        Z = share_vector(x, S, params.sigma_ss, rng).shares
-        W = sample_projection(k, d, rng)
-        Y = [project_replies(Z[i:i + 1], W, params.sigma_v, [rng]) for i in range(1, S)]
-        if decide_norms(Z[:1], Y, W, params.sigma_v, [rng])[0] < params.tau:
-            accepts += 1
+    for draws in _normal_chunks(rng, trials, *shapes):
+        if pattern == PATTERN_RANDOM:
+            x = _unit_rows(draws.pop(0), target_norm)
+        # scaled in place: the block is this chunk's own, and no copy of it
+        # adds to peak memory
+        blinds, W, noise = draws
+        blinds *= params.sigma_ss
+        W /= math.sqrt(k)
+        noise *= params.sigma_v
+        Z = split_shares(x, blinds)
+        check_shares(Z)
+        Y = [project_replies(Z[:, i], W, noise[:, i - 1]) for i in range(1, S)]
+        v_norms = decide_norms(Z[:, 0], Y, W, noise[:, S - 1])
+        accepts += int(np.count_nonzero(v_norms < params.tau))
     rate = accepts / trials
     return RateEstimate(rate=rate, ci95=_normal_ci95(rate, trials), trials=trials)
 
@@ -338,24 +377,24 @@ def share_simulation_check(S: int, T: tuple[int, ...], sigma_ss: float,
     """Largest per-marginal KS statistic between real and simulated share views.
 
     The real view is coalition T's shares of a random unit vector in
-    d = 8; the simulated one comes from simulate_share_view.
+    d = 8; the simulated one comes from the simulate_share_view kernel.
+    Both samplers draw per sample in the one-sample order, in chunks.
     """
     d = 8
 
     def real(rng, count):
-        out = np.empty((count, len(T) * d))
-        for i in range(count):
-            u = rng.standard_normal(d)
-            shares = share_vector(u / np.linalg.norm(u), S, sigma_ss, rng).shares
-            out[i] = np.concatenate([shares[t] for t in T])
-        return out
+        views = []
+        for u, blinds in _normal_chunks(rng, count, (d,), (S - 1, d)):
+            shares = split_shares(_unit_rows(u), sigma_ss * blinds)
+            views.append(shares[:, list(T)].reshape(len(u), -1))
+        return np.concatenate(views)
 
     def sim(rng, count):
-        out = np.empty((count, len(T) * d))
-        for i in range(count):
-            view = simulate_share_view(T, S, sigma_ss, d, rng)
-            out[i] = np.concatenate([view.messages[t] for t in T])
-        return out
+        views = []
+        for (g,) in _normal_chunks(rng, count, (len(T), d)):
+            view = simulated_view(frozenset(T), S, sigma_ss, g)
+            views.append(np.concatenate([view[t] for t in T], axis=1))
+        return np.concatenate(views)
 
     rep = two_sample_closeness(real, sim, len(T) * d, samples, seed)
     return CheckResult("share-sim-exact", f"S={S},T={T}", max(rep.statistics),

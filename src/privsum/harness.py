@@ -189,6 +189,15 @@ def with_adversary(scenario: Scenario, behavior: ClientBehavior) -> Scenario:
     return out
 
 
+def nonce_hex(rng: np.random.Generator) -> str:
+    """The next 8-byte nonce of a PCG64 stream in hex, equal to rng.bytes(8).hex().
+
+    One raw 64-bit draw, little-endian, is what Generator.bytes(8) returns
+    for PCG64 without its per-call integers() overhead.
+    """
+    return int(rng.bit_generator.random_raw()).to_bytes(NONCE_BYTES, "little").hex()
+
+
 def scenario_client_ids(scenario: Scenario, master_seed: int) -> list[str]:
     """Stable client ids: explicit ones as given, the rest collision-checked nonces."""
     ids: list[str] = []
@@ -198,9 +207,9 @@ def scenario_client_ids(scenario: Scenario, master_seed: int) -> list[str]:
             cid = client.client_id
         else:
             rng = substream(master_seed, "nonce", index)
-            cid = rng.bytes(NONCE_BYTES).hex()
+            cid = nonce_hex(rng)
             while cid in seen:
-                cid = rng.bytes(NONCE_BYTES).hex()
+                cid = nonce_hex(rng)
             seen.add(cid)
         ids.append(cid)
     if len(set(ids)) != len(ids):

@@ -30,12 +30,11 @@ class ShareBundle:
     shares: np.ndarray  # shape (S, d)
 
     def __post_init__(self):
-        if self.shares.ndim != 2 or self.shares.shape[0] < 2 or self.shares.shape[1] < 1:
+        if self.shares.ndim != 2:
             raise DimensionMismatch(
                 f"shares must be a (S>=2, d>=1) array, got shape {self.shares.shape}"
             )
-        if not np.all(np.isfinite(self.shares)):
-            raise ParameterError("shares must be finite")
+        check_shares(self.shares)
 
     @property
     def S(self) -> int:
@@ -66,10 +65,27 @@ def share_vector(x, S: int, sigma_ss: float, seed, *,
         raise ParameterError(f"need at least 2 shares, got S={S}")
     if sigma_ss <= 0:
         raise ParameterError(f"sigma_ss must be > 0, got {sigma_ss}")
-    rng = as_generator(seed)
-    blinds = rng.normal(0.0, sigma_ss, size=(S - 1, x.shape[0]))
-    share0 = x - blinds.sum(axis=0)
-    return ShareBundle(client_id=client_id, shares=np.vstack([share0[None, :], blinds]))
+    blinds = sigma_ss * as_generator(seed).standard_normal((S - 1, x.shape[0]))
+    return ShareBundle(client_id=client_id, shares=split_shares(x, blinds))
+
+
+def split_shares(x: np.ndarray, blinds: np.ndarray) -> np.ndarray:
+    """Shares (..., S, d) of inputs x (..., d) from blinds (..., S-1, d) already drawn.
+
+    Row 0 is x minus the sum of the blinds, rows 1..S-1 are the blinds.
+    """
+    share0 = x - blinds.sum(axis=-2)
+    return np.concatenate([share0[..., None, :], blinds], axis=-2)
+
+
+def check_shares(shares: np.ndarray) -> None:
+    """Raise unless shares is an (..., S>=2, d>=1) array of finite values."""
+    if shares.ndim < 2 or shares.shape[-2] < 2 or shares.shape[-1] < 1:
+        raise DimensionMismatch(
+            f"shares must be a (S>=2, d>=1) array, got shape {shares.shape}"
+        )
+    if not np.isfinite(shares).all():
+        raise ParameterError("shares must be finite")
 
 
 def reconstruct(bundle: ShareBundle) -> np.ndarray:
@@ -100,15 +116,25 @@ def simulate_share_view(T, S: int, sigma_ss: float, d: int, seed) -> SimulatedSh
         raise ParameterError(
             f"T={sorted(subset)} must be a proper subset of verifier indices 0..{S - 1}"
         )
-    rng = as_generator(seed)
-    messages: dict[int, np.ndarray] = {}
-    for i in sorted(subset - {0}):
-        messages[i] = rng.normal(0.0, sigma_ss, size=d)
+    g = as_generator(seed).standard_normal((len(subset), d))
+    return SimulatedShareView(subset=subset,
+                              messages=simulated_view(subset, S, sigma_ss, g))
+
+
+def simulated_view(subset: frozenset[int], S: int, sigma_ss: float,
+                   g: np.ndarray) -> dict[int, np.ndarray]:
+    """Coalition messages (..., d) from standard normals g (..., |T|, d) already drawn.
+
+    Rows of g go to the members other than 0 in ascending order, then to
+    verifier 0 when it is in the subset: its message is a
+    N(0, (S-|T|) sigma_ss^2) row minus the other simulated messages.
+    """
+    others = sorted(subset - {0})
+    messages = {i: sigma_ss * g[..., row, :] for row, i in enumerate(others)}
     if 0 in subset:
-        g = rng.normal(0.0, math.sqrt(S - len(subset)) * sigma_ss, size=d)
-        others = sum(messages.values()) if messages else 0.0
-        messages[0] = g - others
-    return SimulatedShareView(subset=subset, messages=messages)
+        g0 = math.sqrt(S - len(subset)) * sigma_ss * g[..., len(others), :]
+        messages[0] = g0 - sum(messages.values())
+    return messages
 
 
 def truncate_share(share, B: float, step: float) -> np.ndarray:

@@ -76,7 +76,7 @@ class SimulatedNormRun:
     accept: bool
 
 
-def _noise_rows(rngs, sigma: float, shape: tuple[int, int]) -> np.ndarray:
+def noise_rows(rngs, sigma: float, shape: tuple[int, int]) -> np.ndarray:
     """An array of the given shape whose row r is N(0, sigma^2 I) drawn from rngs[r].
 
     rngs may be any iterable; a lazy one keeps only one generator alive.
@@ -88,25 +88,36 @@ def _noise_rows(rngs, sigma: float, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def project_replies(Z: np.ndarray, W: ProjectionMatrix, sigma_v: float,
-                    rngs) -> np.ndarray:
-    """Reply rows Y = Z W^T + noise, one noise row per share row of Z."""
-    Y = Z @ W.entries.T
-    Y += _noise_rows(rngs, sigma_v, Y.shape)
+def _project(Z: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Rows Z W^T, with W one (k, d) matrix or an (m, k, d) stack of one per row."""
+    if W.ndim == 2:
+        return Z @ W.T
+    # each row is its own (1, d) @ (d, k) product, bit-equal to a one-row call
+    return np.matmul(Z[:, None, :], W.swapaxes(1, 2))[:, 0]
+
+
+def project_replies(Z: np.ndarray, W: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Reply rows Y = Z W^T + noise, with the (m, k) noise already drawn.
+
+    W is the session's (k, d) matrix or an (m, k, d) stack of one matrix
+    per share row of Z.
+    """
+    Y = _project(Z, W)
+    Y += noise
     return Y
 
 
-def decide_norms(Z0: np.ndarray, replies, W: ProjectionMatrix, sigma_v: float,
-                 rngs) -> np.ndarray:
+def decide_norms(Z0: np.ndarray, replies, W: np.ndarray,
+                 noise: np.ndarray) -> np.ndarray:
     """Row norms of v = Z0 W^T + sum_i Y_i + noise, replies in verifier order.
 
-    Z0 holds verifier 0's share rows; every reply matrix and generator
-    is aligned with them row by row.
+    Z0 holds verifier 0's share rows; every reply matrix, W stack and
+    noise row is aligned with them row by row.
     """
-    v = Z0 @ W.entries.T
+    v = _project(Z0, W)
     for Y in replies:
         v += Y
-    v += _noise_rows(rngs, sigma_v, v.shape)
+    v += noise
     return np.linalg.norm(v, axis=1)
 
 
@@ -126,7 +137,8 @@ def project_reply(z_i, W: ProjectionMatrix, sigma_v: float, seed, *,
         raise ParameterError(f"sigma_v must be > 0, got {sigma_v}")
     if verifier_index < 1:
         raise ParameterError("replies come from verifier indices >= 1")
-    y = project_replies(_share_row(z_i, W, "z_i"), W, sigma_v, [as_generator(seed)])[0]
+    z_i = _share_row(z_i, W, "z_i")
+    y = project_replies(z_i, W.entries, noise_rows([as_generator(seed)], sigma_v, (1, W.k)))[0]
     return ProjectionReply(client_id=client_id, verifier_index=verifier_index, y=y)
 
 
@@ -159,7 +171,7 @@ def verifier0_decide(z_0, replies, W: ProjectionMatrix, sigma_v: float,
                 f"{r.y.shape[0]}, expected k={W.k}"
             )
         ys.append(r.y[None, :])
-    v_norm = float(decide_norms(z_0, ys, W, sigma_v, [rng])[0])
+    v_norm = float(decide_norms(z_0, ys, W.entries, noise_rows([rng], sigma_v, (1, W.k)))[0])
     return VerificationOutcome(client_id=client_id, accept=v_norm < tau,
                                v_norm=v_norm, tau=tau)
 

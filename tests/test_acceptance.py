@@ -188,7 +188,7 @@ def test_c05_exact_simulation():
     failures = []
     for S, T in coalitions:
         row = share_simulation_check(S, T, sigma_ss, samples,
-                                     substream(105, "c5", S, len(T)))
+                                     substream(105, "c5", S, *T))
         if row.verdict != VERDICT_CONSISTENT:
             failures.append(row)
     ok = report("05 exact-simulation", not failures,

@@ -18,7 +18,16 @@ from privsum import (
     substream,
     two_sample_closeness,
 )
-from privsum.audit import VERDICT_CONSISTENT, VERDICT_REJECTED, binomial_se
+from privsum import audit
+from privsum.audit import (
+    PATTERN_CONCENTRATED,
+    PATTERN_RANDOM,
+    PATTERN_SPREAD,
+    VERDICT_CONSISTENT,
+    VERDICT_REJECTED,
+    binomial_se,
+    share_simulation_check,
+)
 from privsum.core import c_delta
 
 
@@ -154,6 +163,50 @@ class TestNumpyIntegerSeeds:
                     == conditioned_projection_privacy(params, x, 1000, 5))
         # recorded when each trial still called project_reply and verifier0_decide
         assert norm_verification_rate(params, 50.0, 400, 5).rate == 0.5125
+
+
+def pin_params():
+    return calibrate(eps=1, delta=1e-2, eps_ss=1, delta_ss=1e-2,
+                     beta=0.05, S=3, k=16, d=8).params
+
+
+def pinned_rates():
+    # 1,000 trials fill no whole number of 1 MiB chunks at this shape
+    return [norm_verification_rate(pin_params(), 65.0, 1000, substream(4, "pin", pattern),
+                                   pattern=pattern)
+            for pattern in (PATTERN_RANDOM, PATTERN_CONCENTRATED, PATTERN_SPREAD)]
+
+
+def pinned_share_statistics():
+    return [share_simulation_check(3, T, 10.0, 2000, substream(4, "pin-sim", *T)).statistic
+            for T in ((1,), (1, 2))]
+
+
+class TestChunkedDraws:
+    # recorded when each trial still drew its normals in separate calls
+    RATES = [0.492, 0.48, 0.447]
+    SHARE_STATISTICS = [0.038000000000000034, 0.0605]
+
+    def test_rates_are_pinned(self):
+        assert [est.rate for est in pinned_rates()] == self.RATES
+
+    def test_share_simulation_statistics_are_pinned(self):
+        assert pinned_share_statistics() == self.SHARE_STATISTICS
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40])
+    def test_results_do_not_depend_on_chunking(self, monkeypatch, budget):
+        rates, statistics = pinned_rates(), pinned_share_statistics()
+        # one trial per chunk, then the whole run in one chunk
+        monkeypatch.setattr(audit, "_CHUNK_BYTES", budget)
+        assert pinned_rates() == rates
+        assert pinned_share_statistics() == statistics
+
+    def test_bad_pattern_and_norm_raise(self):
+        with pytest.raises(ParameterError):
+            norm_verification_rate(pin_params(), 1.0, 100, 0, pattern="diagonal")
+        with pytest.raises(ParameterError):
+            norm_verification_rate(pin_params(), math.inf, 100, 0,
+                                   pattern=PATTERN_CONCENTRATED)
 
 
 class TestRateEstimate:

@@ -19,6 +19,7 @@ from privsum import (
     substream,
     truncate_share,
 )
+from privsum.sharing import check_shares, simulated_view, split_shares
 from privsum.transcript import decode_quantized, encode_quantized
 
 
@@ -101,6 +102,33 @@ class TestReconstruct:
     def test_ragged_bundle_rejected(self):
         with pytest.raises(DimensionMismatch):
             ShareBundle(client_id="r", shares=np.zeros((1, 4)))
+
+
+class TestBatchKernels:
+    def test_batch_rows_equal_one_row_calls(self):
+        # a batch drawn as one block of standard normals gives every row
+        # exactly what a one-row call on the same stream gives
+        sigma, d, m = 3.0, 5, 4
+        x = substream(51, "x").standard_normal((m, d))
+        blinds = substream(51, "batch").standard_normal((m, 2, d))
+        shares = split_shares(x, sigma * blinds)
+        rng = substream(51, "batch")
+        for r in range(m):
+            np.testing.assert_array_equal(shares[r], share_vector(x[r], 3, sigma, rng).shares)
+        T = frozenset({0, 2})
+        view = simulated_view(T, 4, sigma, substream(53, "batch").standard_normal((m, 2, d)))
+        rng = substream(53, "batch")
+        for r in range(m):
+            one = simulate_share_view(T, 4, sigma, d, rng).messages
+            for i in T:
+                np.testing.assert_array_equal(view[i][r], one[i])
+
+    def test_check_shares(self):
+        check_shares(np.zeros((3, 2, 4)))
+        with pytest.raises(DimensionMismatch):
+            check_shares(np.zeros((3, 1, 4)))
+        with pytest.raises(ParameterError):
+            check_shares(np.array([[[0.0], [np.inf]]]))
 
 
 class TestSimulateShareView:

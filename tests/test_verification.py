@@ -129,6 +129,10 @@ class TestVerifier0Decide:
         assert a.v_norm == pytest.approx(b.v_norm, rel=1e-9)
 
 
+def noise(sigma, rngs, k):
+    return np.stack([sigma * rng.standard_normal(k) for rng in rngs])
+
+
 class TestBatchedKernels:
     def test_rows_match_per_client_calls(self):
         # the session kernels and the per-client functions share one code
@@ -136,10 +140,12 @@ class TestBatchedKernels:
         params = small_params(k=16, d=8, S=3)
         W = sample_projection(params.k, params.d, 5)
         Z = substream(6, "Z").normal(0.0, 3.0, size=(3, 5, params.d))
-        sv = params.sigma_v
-        Y = [None] + [project_replies(Z[i], W, sv, [substream(7, i, j) for j in range(5)])
+        sv, k = params.sigma_v, params.k
+        Y = [None] + [project_replies(Z[i], W.entries,
+                                      noise(sv, [substream(7, i, j) for j in range(5)], k))
                       for i in (1, 2)]
-        norms = decide_norms(Z[0], Y[1:], W, sv, [substream(8, j) for j in range(5)])
+        norms = decide_norms(Z[0], Y[1:], W.entries,
+                             noise(sv, [substream(8, j) for j in range(5)], k))
         for j in range(5):
             replies = [project_reply(Z[i, j], W, sv, substream(7, i, j), verifier_index=i)
                        for i in (1, 2)]
@@ -148,10 +154,26 @@ class TestBatchedKernels:
             out = verifier0_decide(Z[0, j], replies, W, sv, params.tau, substream(8, j))
             assert out.v_norm == pytest.approx(norms[j], rel=1e-12)
 
+    def test_matrix_stack_rows_equal_single_row_calls(self):
+        # a per-row W stack gives each row exactly its one-row result, which
+        # keeps the chunked Monte Carlo drivers draw- and bit-identical
+        rng = substream(9, "stack")
+        W = rng.standard_normal((4, 16, 8)) / 4.0
+        Z = rng.standard_normal((4, 3, 8))
+        E = rng.standard_normal((4, 3, 16))
+        Y = [project_replies(Z[:, i], W, E[:, i]) for i in (1, 2)]
+        norms = decide_norms(Z[:, 0], Y, W, E[:, 0])
+        for r in range(4):
+            y = [project_replies(Z[r, i:i + 1], W[r], E[r, i:i + 1]) for i in (1, 2)]
+            for i in (1, 2):
+                np.testing.assert_array_equal(Y[i - 1][r], y[i - 1][0])
+            assert norms[r] == decide_norms(Z[r, :1], y, W[r], E[r, :1])[0]
+
     def test_empty_batch(self):
-        W = sample_projection(4, 6, 0)
-        assert project_replies(np.empty((0, 6)), W, 1.0, []).shape == (0, 4)
-        assert decide_norms(np.empty((0, 6)), [np.empty((0, 4))], W, 1.0, []).shape == (0,)
+        W = sample_projection(4, 6, 0).entries
+        assert project_replies(np.empty((0, 6)), W, np.empty((0, 4))).shape == (0, 4)
+        assert decide_norms(np.empty((0, 6)), [np.empty((0, 4))], W,
+                            np.empty((0, 4))).shape == (0,)
 
 
 class TestRunNormVerification:
