@@ -117,6 +117,17 @@ def _rows(M: np.ndarray, index: np.ndarray) -> np.ndarray:
     return M if index.size == M.shape[0] else M[index]
 
 
+def _deliverable(share, d: int) -> np.ndarray | None:
+    """share as a finite length-d vector; None when withheld or malformed."""
+    if share is None:
+        return None
+    try:
+        share = as_vector(share)
+    except (DimensionMismatch, ParameterError):
+        return None
+    return share if share.shape[0] == d else None
+
+
 def run_aggregation(submissions, params: ProtocolParams,
                     validity: ValidityPredicate | None = None, seed: int = 0,
                     w_mode: str = W_MODE_SHARED,
@@ -138,6 +149,11 @@ def run_aggregation(submissions, params: ProtocolParams,
     submissions may be any iterable and is consumed once, in order;
     verifiers keep only the payloads they received, so a lazy iterable
     lets each client's own arrays go as soon as they are delivered.
+
+    A share that is not a finite length-d vector, or that is addressed
+    to no verifier in 0..S-1, is not delivered: its client misses that
+    verifier and is left out of J, as a client that withheld the share
+    would be. A repeated client id raises DuplicateClientId.
     """
     if sigma_out is not None and sigma_out <= 0:
         raise ParameterError("sigma_out must be > 0 when set")
@@ -157,16 +173,10 @@ def run_aggregation(submissions, params: ProtocolParams,
         if sub.client_id in seen:
             raise DuplicateClientId(f"duplicate client id {sub.client_id!r}")
         seen.add(sub.client_id)
-        for i in sorted(sub.payloads):
-            share = sub.payloads[i]
+        for i in range(S):
+            share = _deliverable(sub.payloads.get(i), d)
             if share is None:
                 continue
-            share = as_vector(share, name=f"share for verifier {i}")
-            if share.shape[0] != d:
-                raise DimensionMismatch(
-                    f"client {sub.client_id} sent dimension {share.shape[0]}, "
-                    f"expected d={d}"
-                )
             payload = encode(share)
             bus.send(client_party(sub.client_id), verifier_party(i), 0,
                      KIND_SHARE, payload)

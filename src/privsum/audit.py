@@ -123,6 +123,24 @@ def privacy_loss_tail(shift_norm: float, sigma: float, eps: float) -> float:
     return float(stats.norm.sf((eps - mu) / sd) + stats.norm.sf((eps + mu) / sd))
 
 
+def _projected_norms(rng: np.random.Generator, m: int, x: np.ndarray,
+                     k: int) -> np.ndarray:
+    """||W x|| for m fresh k x d projections W with N(0, 1/k) entries.
+
+    The W matrices come in blocks of at most _CHUNK_BYTES, scaled in
+    place: the same values as one (m, k, d) draw divided out of place.
+    Returning drops the last view of the sampler's buffer, so the next
+    chunk's call does not hold two buffers at once.
+    """
+    norms = np.empty(m)
+    row = 0
+    for (W,) in _normal_chunks(rng, m, (k, x.shape[0])):
+        W /= math.sqrt(k)
+        norms[row:row + len(W)] = np.linalg.norm(W @ x, axis=1)
+        row += len(W)
+    return norms
+
+
 def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
                                    seed, *, chunk: int = 1000,
                                    ) -> PrivacyLossEstimate:
@@ -131,7 +149,9 @@ def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
     Each sample draws a fresh k x d projection W, flags ||Wx|| > c_delta
     as bad, and otherwise draws one privacy-loss sample with shift ||Wx||
     and noise variance (S - |T|) sigma_v^2 at the worst coalition
-    |T| = S - 1. The combined rate is audited against 2 delta.
+    |T| = S - 1. The combined rate is audited against 2 delta. Samples
+    run in chunks of `chunk`, each drawing its W matrices first and then
+    the loss noise for its good samples.
     """
     x = as_vector(x)
     if float(np.linalg.norm(x)) > 1.0 + 1e-12:
@@ -140,18 +160,17 @@ def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
         raise DimensionMismatch(f"x has dimension {x.shape[0]}, params.d={params.d}")
     if samples < 1000:
         raise ParameterError(f"need at least 1000 samples, got {samples}")
-    k, d = params.k, params.d
+    if chunk < 1:
+        raise ParameterError(f"chunk must be >= 1, got {chunk}")
+    k = params.k
     cd = c_delta(k, params.delta)
     sigma = params.sigma_v  # (S - |T|) = 1 at the worst case
     rng = as_generator(seed)
 
     bad = 0
     exceed = 0
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        W = rng.standard_normal((m, k, d)) / math.sqrt(k)
-        shifts = np.linalg.norm(W @ x, axis=1)
+    for start in range(0, samples, chunk):
+        shifts = _projected_norms(rng, min(chunk, samples - start), x, k)
         is_bad = shifts > cd
         bad += int(np.sum(is_bad))
         good = shifts[~is_bad]
@@ -160,7 +179,6 @@ def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
             y1 = good + rng.normal(0.0, sigma, size=good.size)
             loss = (y1 * good - good ** 2 / 2.0) / sigma ** 2
             exceed += int(np.sum(np.abs(loss) > params.eps))
-        done += m
     rate = (bad + exceed) / samples
     return PrivacyLossEstimate(eps_target=params.eps,
                                delta_target=2.0 * params.delta,
@@ -242,13 +260,19 @@ def _normal_chunks(rng: np.random.Generator, trials: int, *shapes: tuple[int, ..
     Yields, per chunk of m trials, one (m, *shape) array per shape, all
     sliced from one (m, L) block: row r holds exactly the draws trial r
     would make on its own, so results do not depend on the chunking.
+
+    The block is allocated once per call and refilled for every chunk, so
+    a caller may scale the yielded arrays in place but must not keep them,
+    or any view of them, past their iteration.
     """
     sizes = [math.prod(shape) for shape in shapes]
     ends = list(itertools.accumulate(sizes))
-    per_chunk = max(1, _CHUNK_BYTES // (8 * ends[-1]))
+    per_chunk = max(1, min(trials, _CHUNK_BYTES // (8 * ends[-1])))
+    buffer = np.empty((per_chunk, ends[-1]))
     for start in range(0, trials, per_chunk):
         m = min(per_chunk, trials - start)
-        block = rng.standard_normal((m, ends[-1]))
+        # filling a view draws the same stream as a fresh (m, L) array
+        block = rng.standard_normal(out=buffer[:m])
         yield [block[:, end - size:end].reshape(m, *shape)
                for shape, size, end in zip(shapes, sizes, ends)]
 
@@ -295,8 +319,8 @@ def norm_verification_rate(params: ProtocolParams, target_norm: float,
     for draws in _normal_chunks(rng, trials, *shapes):
         if pattern == PATTERN_RANDOM:
             x = _unit_rows(draws.pop(0), target_norm)
-        # scaled in place: the block is this chunk's own, and no copy of it
-        # adds to peak memory
+        # scaled in place in the sampler's block, which the next chunk
+        # refills, so no copy of it adds to peak memory
         blinds, W, noise = draws
         blinds *= params.sigma_ss
         W /= math.sqrt(k)

@@ -8,6 +8,7 @@ tiny-probability targets are certified analytically, never by sampling.
 import time
 
 import numpy as np
+import pytest
 
 from privsum import (
     ClientBehavior,
@@ -42,6 +43,8 @@ from privsum.core import (
     soundness_rho,
 )
 from privsum.harness import build_submission, random_direction, scenario_client_ids
+
+pytestmark = pytest.mark.acceptance
 
 EPS, DELTA = 1.0, 1e-2  # audit-scale privacy targets for the Monte Carlo grid
 

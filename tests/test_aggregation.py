@@ -27,7 +27,7 @@ from privsum.aggregation import (
     fraction_validity,
 )
 from privsum.audit import binomial_se
-from privsum.transcript import KIND_SHARE, decode_quantized
+from privsum.transcript import KIND_SHARE, client_party, decode_quantized, verifier_party
 
 
 def small_params(**overrides):
@@ -95,6 +95,34 @@ class TestRunAggregation:
         assert subs[0].client_id not in result.accepted
         assert subs[0].client_id not in result.per_client_outcomes
         assert len(result.accepted) == 3
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "wrong-length", "index -1", "index 3"])
+    def test_malformed_share_excludes_only_its_client(self, fault):
+        params = small_params(S=3)
+        subs = [s for _, s in honest_submissions(5, params, 41)]
+        payloads = dict(subs[2].payloads)
+        if fault == "wrong-length":
+            payloads[1] = payloads[1][:-1]
+        elif fault.startswith("index"):
+            # verifier 1's share addressed to a verifier that does not exist
+            payloads[int(fault.split()[1])] = payloads.pop(1)
+        else:
+            payloads[1] = payloads[1].copy()
+            payloads[1][3] = float(fault)
+        bad = ClientSubmission(client_id=subs[2].client_id, payloads=payloads)
+        result, transcript = run_aggregation(subs[:2] + [bad] + subs[3:], params, seed=12)
+        without, _ = run_aggregation(subs[:2] + subs[3:], params, seed=12)
+        assert not result.aborted
+        assert bad.client_id not in result.accepted
+        assert bad.client_id not in result.per_client_outcomes
+        assert len(result.per_client_outcomes) == 4
+        assert robustness_delta(result, without) == 0.0
+        # the bad share is never delivered; the client's other shares are
+        delivered = {m.receiver for m in transcript.messages
+                     if m.kind == KIND_SHARE and m.sender == client_party(bad.client_id)}
+        assert delivered == {verifier_party(0), verifier_party(2)}
+        with pytest.raises(DuplicateClientId):
+            run_aggregation([bad, subs[2]], params, seed=12)
 
     def test_validity_abort_produces_no_sum(self):
         params = small_params()

@@ -1,6 +1,8 @@
 """Audit machinery: privacy-loss estimators, closeness tests, rate estimation."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +110,13 @@ class TestConditionedProjectionPrivacy:
         with pytest.raises(ParameterError):
             conditioned_projection_privacy(params, np.full(8, 1.0), 2000, 0)
 
+    def test_chunk_below_one_rejected(self):
+        params = calibrate(eps=1, delta=1e-2, eps_ss=1, delta_ss=1e-2,
+                           beta=0.05, S=2, k=16, d=8).params
+        for chunk in (0, -1):
+            with pytest.raises(ParameterError):
+                conditioned_projection_privacy(params, np.zeros(8), 2000, 0, chunk=chunk)
+
 
 class TestTwoSampleCloseness:
     def test_identical_deterministic_samplers_are_consistent(self):
@@ -182,16 +191,33 @@ def pinned_share_statistics():
             for T in ((1,), (1, 2))]
 
 
+def pinned_projection_rates():
+    # at AUDIT_POINT, then with a loose delta and a quarter of its sigma_v,
+    # where both events are frequent and any change in the draws shows;
+    # 2,500 samples end on a partial chunk of the default 1,000
+    params = calibrate(**audit.AUDIT_POINT).params
+    loose = dataclasses.replace(params, delta=0.3, sigma_v=params.sigma_v / 4)
+    x = np.zeros(params.d)
+    x[0] = 1.0
+    return [conditioned_projection_privacy(p, x, samples, seed).empirical_exceed_rate
+            for p in (params, loose) for seed, samples in ((0, 2000), (1, 2500))]
+
+
 class TestChunkedDraws:
     # recorded when each trial still drew its normals in separate calls
     RATES = [0.492, 0.48, 0.447]
     SHARE_STATISTICS = [0.038000000000000034, 0.0605]
+    # recorded when each chunk of samples drew one (1000, k, d) tensor of W
+    PROJECTION_RATES = [0.0005, 0.0004, 0.1695, 0.1616]
 
     def test_rates_are_pinned(self):
         assert [est.rate for est in pinned_rates()] == self.RATES
 
     def test_share_simulation_statistics_are_pinned(self):
         assert pinned_share_statistics() == self.SHARE_STATISTICS
+
+    def test_projection_rates_are_pinned(self):
+        assert pinned_projection_rates() == self.PROJECTION_RATES
 
     @pytest.mark.parametrize("budget", [1, 1 << 40])
     def test_results_do_not_depend_on_chunking(self, monkeypatch, budget):
@@ -200,6 +226,7 @@ class TestChunkedDraws:
         monkeypatch.setattr(audit, "_CHUNK_BYTES", budget)
         assert pinned_rates() == rates
         assert pinned_share_statistics() == statistics
+        assert pinned_projection_rates() == self.PROJECTION_RATES
 
     def test_bad_pattern_and_norm_raise(self):
         with pytest.raises(ParameterError):
@@ -207,6 +234,24 @@ class TestChunkedDraws:
         with pytest.raises(ParameterError):
             norm_verification_rate(pin_params(), math.inf, 100, 0,
                                    pattern=PATTERN_CONCENTRATED)
+
+
+class TestMemoryBound:
+    @pytest.mark.parametrize("driver", ["projection-privacy", "norm-verification"])
+    def test_peak_stays_within_two_chunks(self, driver):
+        # numpy reports its buffers to tracemalloc
+        params = calibrate(**audit.AUDIT_POINT).params
+        run = {
+            "projection-privacy": lambda: audit.projection_privacy_check(2000, 0),
+            "norm-verification": lambda: norm_verification_rate(params, 1.0, 200, 0),
+        }[driver]
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * audit._CHUNK_BYTES + (1 << 20)
 
 
 class TestRateEstimate:
