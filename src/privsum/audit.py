@@ -286,19 +286,9 @@ def _unit_rows(u: np.ndarray, norm: float = 1.0) -> np.ndarray:
     return norm * u / np.sqrt(np.vecdot(u, u))[:, None]
 
 
-def norm_verification_rate(params: ProtocolParams, target_norm: float,
-                           trials: int, seed, *,
-                           pattern: str = PATTERN_RANDOM) -> RateEstimate:
-    """Accept rate of the norm-verification decision at a given share-sum norm.
-
-    Each trial shares a fresh vector of the requested norm and pattern,
-    samples a fresh session projection, and runs the session's reply and
-    decide kernels on its shares. Trials run in chunks; a trial draws
-    the direction (random pattern only), the S-1 blinds, W, the replies'
-    noise rows for verifiers 1..S-1 and verifier 0's noise row, in that
-    order. This is the Monte Carlo driver behind the completeness and
-    soundness checks.
-    """
+def _verification_norms(params: ProtocolParams, target_norm: float, trials: int,
+                        seed, pattern: str):
+    """Verifier 0's ||v|| for each trial of norm_verification_rate, per chunk."""
     if trials < 100:
         raise ParameterError(f"need at least 100 trials, got {trials}")
     if target_norm < 0:
@@ -315,7 +305,6 @@ def norm_verification_rate(params: ProtocolParams, target_norm: float,
     else:
         x = np.full(d, target_norm / math.sqrt(d))
     rng = as_generator(seed)
-    accepts = 0
     for draws in _normal_chunks(rng, trials, *shapes):
         if pattern == PATTERN_RANDOM:
             x = _unit_rows(draws.pop(0), target_norm)
@@ -328,8 +317,25 @@ def norm_verification_rate(params: ProtocolParams, target_norm: float,
         Z = split_shares(x, blinds)
         check_shares(Z)
         Y = [project_replies(Z[:, i], W, noise[:, i - 1]) for i in range(1, S)]
-        v_norms = decide_norms(Z[:, 0], Y, W, noise[:, S - 1])
-        accepts += int(np.count_nonzero(v_norms < params.tau))
+        yield decide_norms(Z[:, 0], Y, W, noise[:, S - 1])
+
+
+def norm_verification_rate(params: ProtocolParams, target_norm: float,
+                           trials: int, seed, *,
+                           pattern: str = PATTERN_RANDOM) -> RateEstimate:
+    """Accept rate of the norm-verification decision at a given share-sum norm.
+
+    Each trial shares a fresh vector of the requested norm and pattern,
+    samples a fresh session projection, and runs the session's reply and
+    decide kernels on its shares. Trials run in chunks; a trial draws
+    the direction (random pattern only), the S-1 blinds, W, the replies'
+    noise rows for verifiers 1..S-1 and verifier 0's noise row, in that
+    order. This is the Monte Carlo driver behind the completeness and
+    soundness checks.
+    """
+    accepts = sum(int(np.count_nonzero(v_norms < params.tau))
+                  for v_norms in _verification_norms(params, target_norm, trials,
+                                                     seed, pattern))
     rate = accepts / trials
     return RateEstimate(rate=rate, ci95=_normal_ci95(rate, trials), trials=trials)
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from privsum import (
     ParameterError,
@@ -17,6 +18,7 @@ from privsum import (
     privacy_loss_mc,
     privacy_loss_tail,
     rate_estimate,
+    run_scenario,
     substream,
     two_sample_closeness,
 )
@@ -234,6 +236,58 @@ class TestChunkedDraws:
         with pytest.raises(ParameterError):
             norm_verification_rate(pin_params(), math.inf, 100, 0,
                                    pattern=PATTERN_CONCENTRATED)
+
+
+def verification_norms(params, target_norm, trials, seed, pattern=PATTERN_RANDOM):
+    return np.concatenate(list(audit._verification_norms(params, target_norm, trials,
+                                                         seed, pattern)))
+
+
+def law_params(beta, S, k, d):
+    return calibrate(eps=1, delta=1e-2, eps_ss=1, delta_ss=1e-2,
+                     beta=beta, S=S, k=k, d=d).params
+
+
+def v_norm_scale(params, target_norm):
+    # v = W x + (S noise rows), so v ~ N(0, scale I_k) whatever the shares are
+    return target_norm ** 2 / params.k + params.S * params.sigma_v ** 2
+
+
+class TestVerificationLaw:
+    # the four grid points of the mc-verify benchmark workload
+    POINTS = [
+        ("completeness", 0.05, 3, 64, 1024, PATTERN_RANDOM),
+        ("completeness", 0.05, 2, 16, 32, PATTERN_RANDOM),
+        ("soundness", 0.01, 2, 64, 1024, PATTERN_CONCENTRATED),
+        ("soundness", 0.05, 2, 64, 32, PATTERN_SPREAD),
+    ]
+
+    @pytest.mark.parametrize("point", POINTS, ids=lambda p: f"{p[0]}-S{p[2]}-k{p[3]}-d{p[4]}")
+    def test_v_norm_follows_scaled_chi2(self, point):
+        kind, beta, S, k, d, pattern = point
+        params = law_params(beta, S, k, d)
+        target = 1.0 if kind == "completeness" else params.rho
+        trials = 10_000
+        v = verification_norms(params, target, trials, substream(6, "law", *point), pattern)
+        scale = v_norm_scale(params, target)
+        assert stats.kstest(v ** 2 / scale, stats.chi2(k).cdf).pvalue > 1e-3
+        exact = stats.chi2.cdf(params.tau ** 2 / scale, k)
+        rate = norm_verification_rate(params, target, trials, substream(6, "law", *point),
+                                      pattern=pattern).rate
+        assert rate == np.mean(v < params.tau)
+        assert abs(rate - exact) <= 3 * binomial_se(exact, trials)
+
+    def test_matches_one_client_sessions(self):
+        # sessions draw the real k x d session matrix, about 2 ms each
+        params = law_params(0.05, 3, 64, 1024)
+        scenario = honest_scenario(1, 3, 1024)
+        sessions = []
+        for seed in range(2000):
+            result, _ = run_scenario(scenario, params, seed)
+            (outcome,) = result.per_client_outcomes.values()
+            sessions.append(outcome.v_norm)
+        driver = verification_norms(params, 1.0, 10_000, substream(6, "law-sessions"))
+        assert stats.ks_2samp(driver, sessions).pvalue > 1e-3
 
 
 class TestMemoryBound:
