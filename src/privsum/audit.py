@@ -127,17 +127,16 @@ def _projected_norms(rng: np.random.Generator, m: int, x: np.ndarray,
                      k: int) -> np.ndarray:
     """||W x|| for m fresh k x d projections W with N(0, 1/k) entries.
 
-    The W matrices come in blocks of at most _CHUNK_BYTES, scaled in
-    place: the same values as one (m, k, d) draw divided out of place.
-    Returning drops the last view of the sampler's buffer, so the next
-    chunk's call does not hold two buffers at once.
+    By rotation invariance W x has the law of ||x|| g / sqrt(k) with
+    g ~ N(0, I_k), so each sample draws only its k normals g, in blocks
+    of at most _CHUNK_BYTES.
     """
     norms = np.empty(m)
     row = 0
-    for (W,) in _normal_chunks(rng, m, (k, x.shape[0])):
-        W /= math.sqrt(k)
-        norms[row:row + len(W)] = np.linalg.norm(W @ x, axis=1)
-        row += len(W)
+    for (g,) in _normal_chunks(rng, m, (k,)):
+        norms[row:row + len(g)] = np.sqrt(np.vecdot(g, g))
+        row += len(g)
+    norms *= float(np.linalg.norm(x)) / math.sqrt(k)
     return norms
 
 
@@ -146,11 +145,12 @@ def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
                                    ) -> PrivacyLossEstimate:
     """Joint bad-event + loss-exceed rate for the noisy-projection mechanism.
 
-    Each sample draws a fresh k x d projection W, flags ||Wx|| > c_delta
+    Each sample draws ||Wx|| for a fresh k x d projection W, as
+    ||x|| ||g|| / sqrt(k) from k standard normals g, flags ||Wx|| > c_delta
     as bad, and otherwise draws one privacy-loss sample with shift ||Wx||
     and noise variance (S - |T|) sigma_v^2 at the worst coalition
     |T| = S - 1. The combined rate is audited against 2 delta. Samples
-    run in chunks of `chunk`, each drawing its W matrices first and then
+    run in chunks of `chunk`, each drawing its samples' g first and then
     the loss noise for its good samples.
     """
     x = as_vector(x)
@@ -254,12 +254,15 @@ PATTERNS = (PATTERN_RANDOM, PATTERN_CONCENTRATED, PATTERN_SPREAD)
 _CHUNK_BYTES = 1 << 20
 
 
-def _normal_chunks(rng: np.random.Generator, trials: int, *shapes: tuple[int, ...]):
+def _normal_chunks(rng: np.random.Generator, trials: int, *shapes: tuple[int, ...],
+                   extra: int = 0):
     """Each trial's standard normals for shapes, drawn in that order, chunked.
 
     Yields, per chunk of m trials, one (m, *shape) array per shape, all
     sliced from one (m, L) block: row r holds exactly the draws trial r
     would make on its own, so results do not depend on the chunking.
+    A chunk's trials fit _CHUNK_BYTES together with the `extra` float64
+    values per trial that the caller allocates while working on them.
 
     The block is allocated once per call and refilled for every chunk, so
     a caller may scale the yielded arrays in place but must not keep them,
@@ -267,7 +270,7 @@ def _normal_chunks(rng: np.random.Generator, trials: int, *shapes: tuple[int, ..
     """
     sizes = [math.prod(shape) for shape in shapes]
     ends = list(itertools.accumulate(sizes))
-    per_chunk = max(1, min(trials, _CHUNK_BYTES // (8 * ends[-1])))
+    per_chunk = max(1, min(trials, _CHUNK_BYTES // (8 * (ends[-1] + extra))))
     buffer = np.empty((per_chunk, ends[-1]))
     for start in range(0, trials, per_chunk):
         m = min(per_chunk, trials - start)
@@ -296,7 +299,8 @@ def _verification_norms(params: ProtocolParams, target_norm: float, trials: int,
     if pattern not in PATTERNS:
         raise ParameterError(f"unknown pattern {pattern!r}")
     S, d, k = params.S, params.d, params.k
-    shapes = [(S - 1, d), (k, d), (S, k)]
+    r = min(S, d)
+    shapes = [(S - 1, d), (k, r), (S, k)]
     if pattern == PATTERN_RANDOM:
         shapes.insert(0, (d,))
     elif pattern == PATTERN_CONCENTRATED:
@@ -305,19 +309,25 @@ def _verification_norms(params: ProtocolParams, target_norm: float, trials: int,
     else:
         x = np.full(d, target_norm / math.sqrt(d))
     rng = as_generator(seed)
-    for draws in _normal_chunks(rng, trials, *shapes):
+    # the (m, S, d) share stack and the QR's copy of it share the chunk budget
+    for draws in _normal_chunks(rng, trials, *shapes, extra=2 * S * d):
         if pattern == PATTERN_RANDOM:
             x = _unit_rows(draws.pop(0), target_norm)
         # scaled in place in the sampler's block, which the next chunk
         # refills, so no copy of it adds to peak memory
-        blinds, W, noise = draws
+        blinds, G, noise = draws
         blinds *= params.sigma_ss
-        W /= math.sqrt(k)
+        G /= math.sqrt(k)
         noise *= params.sigma_v
         Z = split_shares(x, blinds)
         check_shares(Z)
-        Y = [project_replies(Z[:, i], W, noise[:, i - 1]) for i in range(1, S)]
-        yield decide_norms(Z[:, 0], Y, W, noise[:, S - 1])
+        # Z^T = Q R with Q an orthonormal (d, r) basis of the shares' span:
+        # row i of R^T holds share i's coordinates C_i, W z_i = (W Q) C_i,
+        # and W Q has the law of G / sqrt(k) by the rotation invariance of W
+        C = np.linalg.qr(Z.swapaxes(1, 2), mode="r").swapaxes(1, 2)
+        del Z  # so the next chunk's stack does not coexist with this one
+        Y = [project_replies(C[:, i], G, noise[:, i - 1]) for i in range(1, S)]
+        yield decide_norms(C[:, 0], Y, G, noise[:, S - 1])
 
 
 def norm_verification_rate(params: ProtocolParams, target_norm: float,
@@ -325,13 +335,18 @@ def norm_verification_rate(params: ProtocolParams, target_norm: float,
                            pattern: str = PATTERN_RANDOM) -> RateEstimate:
     """Accept rate of the norm-verification decision at a given share-sum norm.
 
-    Each trial shares a fresh vector of the requested norm and pattern,
-    samples a fresh session projection, and runs the session's reply and
-    decide kernels on its shares. Trials run in chunks; a trial draws
-    the direction (random pattern only), the S-1 blinds, W, the replies'
-    noise rows for verifiers 1..S-1 and verifier 0's noise row, in that
-    order. This is the Monte Carlo driver behind the completeness and
-    soundness checks.
+    Each trial shares a fresh vector of the requested norm and pattern and
+    projects its S shares with a fresh N(0, 1/k) projection. The decision
+    depends on W only through W Q, for Q an orthonormal basis of the
+    shares' span (from a thin QR of the shares), and W Q is itself an
+    i.i.d. N(0, 1/k) k x r matrix, r = min(S, d). So a trial draws that
+    k x r matrix G / sqrt(k) in place of the k x d W, and runs the
+    session's reply and decide kernels on the shares' coordinates in Q:
+    the same law of outcomes as a full session projection, at a cost
+    independent of k d. Trials run in chunks; a trial draws the direction
+    (random pattern only), the S-1 blinds, G, the replies' noise rows for
+    verifiers 1..S-1 and verifier 0's noise row, in that order. This is
+    the Monte Carlo driver behind the completeness and soundness checks.
     """
     accepts = sum(int(np.count_nonzero(v_norms < params.tau))
                   for v_norms in _verification_norms(params, target_norm, trials,
@@ -408,23 +423,31 @@ def share_simulation_check(S: int, T: tuple[int, ...], sigma_ss: float,
 
     The real view is coalition T's shares of a random unit vector in
     d = 8; the simulated one comes from the simulate_share_view kernel.
-    Both samplers draw per sample in the one-sample order, in chunks.
+    Both samplers draw per sample in the one-sample order, in chunks, and
+    write each chunk into one preallocated (samples, |T| d) array.
     """
     d = 8
 
     def real(rng, count):
-        views = []
+        out = np.empty((count, len(T) * d))
+        row = 0
         for u, blinds in _normal_chunks(rng, count, (d,), (S - 1, d)):
-            shares = split_shares(_unit_rows(u), sigma_ss * blinds)
-            views.append(shares[:, list(T)].reshape(len(u), -1))
-        return np.concatenate(views)
+            blinds *= sigma_ss
+            out[row:row + len(u)] = (split_shares(_unit_rows(u), blinds)[:, list(T)]
+                                     .reshape(len(u), -1))
+            row += len(u)
+        return out
 
     def sim(rng, count):
-        views = []
+        out = np.empty((count, len(T), d))
+        row = 0
         for (g,) in _normal_chunks(rng, count, (len(T), d)):
             view = simulated_view(frozenset(T), S, sigma_ss, g)
-            views.append(np.concatenate([view[t] for t in T], axis=1))
-        return np.concatenate(views)
+            for j, t in enumerate(T):
+                out[row:row + len(g), j] = view[t]
+            row += len(g)
+            del view  # so the next chunk's view does not coexist with this one
+        return out.reshape(count, -1)
 
     rep = two_sample_closeness(real, sim, len(T) * d, samples, seed)
     return CheckResult("share-sim-exact", f"S={S},T={T}", max(rep.statistics),

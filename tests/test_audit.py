@@ -172,8 +172,9 @@ class TestNumpyIntegerSeeds:
                     == privacy_loss_mc(1.0, 2.0, 4, 0.5, 1000, 5))
             assert (conditioned_projection_privacy(params, x, 1000, seed)
                     == conditioned_projection_privacy(params, x, 1000, 5))
-        # recorded when each trial still called project_reply and verifier0_decide
-        assert norm_verification_rate(params, 50.0, 400, 5).rate == 0.5125
+        # recorded when each trial first drew a k x min(S, d) projection of its
+        # shares' span in place of the k x d W (0.5125 with the full W)
+        assert norm_verification_rate(params, 50.0, 400, 5).rate == 0.5375
 
 
 def pin_params():
@@ -206,11 +207,12 @@ def pinned_projection_rates():
 
 
 class TestChunkedDraws:
-    # recorded when each trial still drew its normals in separate calls
-    RATES = [0.492, 0.48, 0.447]
+    # recorded when each trial first drew a k x min(S, d) projection of its
+    # shares' span in place of the k x d W
+    RATES = [0.489, 0.476, 0.481]
     SHARE_STATISTICS = [0.038000000000000034, 0.0605]
-    # recorded when each chunk of samples drew one (1000, k, d) tensor of W
-    PROJECTION_RATES = [0.0005, 0.0004, 0.1695, 0.1616]
+    # recorded when each sample first drew k normals for ||W x|| in place of W
+    PROJECTION_RATES = [0.0, 0.0, 0.164, 0.1628]
 
     def test_rates_are_pinned(self):
         assert [est.rate for est in pinned_rates()] == self.RATES
@@ -254,25 +256,28 @@ def v_norm_scale(params, target_norm):
 
 
 class TestVerificationLaw:
-    # the four grid points of the mc-verify benchmark workload
-    POINTS = [
-        ("completeness", 0.05, 3, 64, 1024, PATTERN_RANDOM),
-        ("completeness", 0.05, 2, 16, 32, PATTERN_RANDOM),
-        ("soundness", 0.01, 2, 64, 1024, PATTERN_CONCENTRATED),
-        ("soundness", 0.05, 2, 64, 32, PATTERN_SPREAD),
-    ]
+    POINTS = {
+        # the four grid points of the mc-verify benchmark workload
+        "completeness-S3-k64-d1024": (0.05, 3, 64, 1024, 1.0, PATTERN_RANDOM),
+        "completeness-S2-k16-d32": (0.05, 2, 16, 32, 1.0, PATTERN_RANDOM),
+        "soundness-S2-k64-d1024": (0.01, 2, 64, 1024, "rho", PATTERN_CONCENTRATED),
+        "soundness-S2-k64-d32": (0.05, 2, 64, 32, "rho", PATTERN_SPREAD),
+        # shares of rank 1 (z_0 = -z_1), and more shares than dimensions
+        "rank-deficient-S2-d8": (0.05, 2, 16, 8, 0.0, PATTERN_RANDOM),
+        "d-below-S-S3-d2": (0.05, 3, 16, 2, 1.0, PATTERN_RANDOM),
+    }
 
-    @pytest.mark.parametrize("point", POINTS, ids=lambda p: f"{p[0]}-S{p[2]}-k{p[3]}-d{p[4]}")
+    @pytest.mark.parametrize("point", POINTS)
     def test_v_norm_follows_scaled_chi2(self, point):
-        kind, beta, S, k, d, pattern = point
+        beta, S, k, d, target, pattern = self.POINTS[point]
         params = law_params(beta, S, k, d)
-        target = 1.0 if kind == "completeness" else params.rho
+        target = params.rho if target == "rho" else target
         trials = 10_000
-        v = verification_norms(params, target, trials, substream(6, "law", *point), pattern)
+        v = verification_norms(params, target, trials, substream(6, "law", point), pattern)
         scale = v_norm_scale(params, target)
         assert stats.kstest(v ** 2 / scale, stats.chi2(k).cdf).pvalue > 1e-3
         exact = stats.chi2.cdf(params.tau ** 2 / scale, k)
-        rate = norm_verification_rate(params, target, trials, substream(6, "law", *point),
+        rate = norm_verification_rate(params, target, trials, substream(6, "law", point),
                                       pattern=pattern).rate
         assert rate == np.mean(v < params.tau)
         assert abs(rate - exact) <= 3 * binomial_se(exact, trials)
@@ -291,21 +296,41 @@ class TestVerificationLaw:
 
 
 class TestMemoryBound:
-    @pytest.mark.parametrize("driver", ["projection-privacy", "norm-verification"])
-    def test_peak_stays_within_two_chunks(self, driver):
+    @staticmethod
+    def traced_peak(run):
         # numpy reports its buffers to tracemalloc
-        params = calibrate(**audit.AUDIT_POINT).params
-        run = {
-            "projection-privacy": lambda: audit.projection_privacy_check(2000, 0),
-            "norm-verification": lambda: norm_verification_rate(params, 1.0, 200, 0),
-        }[driver]
         tracemalloc.start()
         try:
             run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * audit._CHUNK_BYTES + (1 << 20)
+        return peak
+
+    @pytest.mark.parametrize("driver", ["projection-privacy", "norm-verification",
+                                        "norm-verification-S3-d1024-random",
+                                        "norm-verification-S2-d1024-concentrated"])
+    def test_peak_stays_within_two_chunks(self, driver):
+        params = calibrate(**audit.AUDIT_POINT).params
+        wide = law_params(0.05, 3, 64, 1024)
+        concentrated = law_params(0.01, 2, 64, 1024)
+        run = {
+            "projection-privacy": lambda: audit.projection_privacy_check(2000, 0),
+            "norm-verification": lambda: norm_verification_rate(params, 1.0, 200, 0),
+            "norm-verification-S3-d1024-random":
+                lambda: norm_verification_rate(wide, 1.0, 200, 0),
+            "norm-verification-S2-d1024-concentrated":
+                lambda: norm_verification_rate(concentrated, concentrated.rho, 200, 0,
+                                               pattern=PATTERN_CONCENTRATED),
+        }[driver]
+        assert self.traced_peak(run) < 2 * audit._CHUNK_BYTES + (1 << 20)
+
+    def test_share_simulation_holds_each_view_once(self):
+        samples, T = 20_000, (1, 2)
+        # the real and the simulated (samples, |T| d) views, d = 8
+        views = 2 * samples * len(T) * 8 * 8
+        peak = self.traced_peak(lambda: share_simulation_check(3, T, 10.0, samples, 0))
+        assert peak < views + 2 * audit._CHUNK_BYTES + (1 << 20)
 
 
 class TestRateEstimate:
