@@ -173,7 +173,7 @@ class TestNumpyIntegerSeeds:
             assert (conditioned_projection_privacy(params, x, 1000, seed)
                     == conditioned_projection_privacy(params, x, 1000, 5))
         # recorded when each trial first drew a k x min(S, d) projection of its
-        # shares' span in place of the k x d W (0.5125 with the full W)
+        # shares' span in place of the k x d W
         assert norm_verification_rate(params, 50.0, 400, 5).rate == 0.5375
 
 
