@@ -7,17 +7,20 @@ import pytest
 from scipy import stats
 
 from privsum import (
+    ClientSubmission,
     DimensionMismatch,
     MissingReply,
     ParameterError,
     calibrate,
     norm_verification_rate,
     project_reply,
+    run_aggregation,
     run_norm_verification,
     sample_projection,
     share_vector,
     simulate_norm_verification,
     substream,
+    truncate_share,
     verifier0_decide,
 )
 from privsum.audit import PATTERN_CONCENTRATED, binomial_se
@@ -27,7 +30,7 @@ from privsum.transcript import (
     KIND_REPLY,
     KIND_SHARE,
 )
-from privsum.verification import W_MODE_VERIFIER0, decide_norms, project_replies
+from privsum.verification import W_MODE_VERIFIER0, W_MODES, decide_norms, project_replies
 
 
 def small_params(**overrides):
@@ -177,6 +180,45 @@ class TestBatchedKernels:
 
 
 class TestRunNormVerification:
+    # recorded on the per-client round loop, before verify-norm ran on the
+    # session's rounds; (S, trunc_b, quant_step) -> transcript sha256
+    TRANSCRIPT_SHA256 = {
+        (3, None, 1.0): "59485a43f6075662efdd28023633b2ce17eb085a4bf869a38c6a701fd99fc186",
+        (3, 8.0, 0.25): "8671be4bcb779b97a0a32eea2b50cf05c16eeb24eaf939c47772a3e73e47f6ea",
+    }
+
+    @pytest.mark.parametrize("S, trunc_b, quant_step", list(TRANSCRIPT_SHA256))
+    def test_transcript_hash_is_pinned(self, S, trunc_b, quant_step):
+        params = small_params(S=S, trunc_b=trunc_b, quant_step=quant_step)
+        bundle = share_vector(np.ones(params.d) / 4, params.S, params.sigma_ss,
+                              5, client_id="c0")
+        _, tr = run_norm_verification(bundle, params, 42)
+        assert len(tr.messages) == S + 3 * (S - 1)
+        assert tr.sha256() == self.TRANSCRIPT_SHA256[S, trunc_b, quant_step]
+
+    @pytest.mark.parametrize("S", [2, 3])
+    @pytest.mark.parametrize("trunc_b", [None, 8.0])
+    @pytest.mark.parametrize("w_mode", W_MODES)
+    def test_outcome_matches_one_client_aggregation(self, S, trunc_b, w_mode):
+        params = small_params(S=S, trunc_b=trunc_b, quant_step=0.25)
+        for seed in range(6):
+            rng = substream(seed, "equivalence")
+            u = rng.standard_normal(params.d)
+            # alternate honest and norm-inflating inputs so both verdicts occur
+            norm = 1.0 if seed % 2 == 0 else 10.0 * params.rho
+            bundle = share_vector(norm * u / np.linalg.norm(u), params.S,
+                                  params.sigma_ss, rng, client_id="c0")
+            outcome, _ = run_norm_verification(bundle, params, seed, w_mode=w_mode)
+            shares = bundle.shares
+            if trunc_b is not None:
+                shares = [truncate_share(z, trunc_b, params.quant_step) for z in shares]
+            sub = ClientSubmission(client_id="c0", payloads=dict(enumerate(shares)))
+            result, _ = run_aggregation([sub], params, seed=seed, w_mode=w_mode)
+            assert outcome == result.per_client_outcomes["c0"]
+            assert type(outcome.accept) is bool
+            if trunc_b is None:  # clamping at trunc_b can pull an inflated norm under tau
+                assert outcome.accept == (seed % 2 == 0)
+
     def test_transcript_structure(self):
         params = small_params(S=3)
         x = np.zeros(params.d)
