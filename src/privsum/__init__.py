@@ -14,6 +14,7 @@ from .aggregation import (
     ClientSubmission,
     robustness_delta,
     run_aggregation,
+    run_norm_verification,
     validity_check,
 )
 from .audit import (
@@ -24,7 +25,6 @@ from .audit import (
     norm_verification_rate,
     privacy_loss_mc,
     privacy_loss_tail,
-    rate_estimate,
     two_sample_closeness,
 )
 from .core import (
@@ -72,7 +72,6 @@ from .verification import (
     ProjectionReply,
     VerificationOutcome,
     project_reply,
-    run_norm_verification,
     simulate_norm_verification,
     verifier0_decide,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "privacy_loss_mc",
     "privacy_loss_tail",
     "project_reply",
-    "rate_estimate",
     "reconstruct",
     "robustness_delta",
     "run_aggregation",

@@ -3,14 +3,16 @@
 Clients secret-share their vectors across the verifiers; verifiers run
 one norm-verification decision per client that reached all of them,
 broadcast the accepted set J*, optionally check it is large enough, and
-sum the accepted shares so verifier 0 can release the total.
+sum the accepted shares so verifier 0 can release the total. A
+single-client norm check runs on the same rounds and stops after the
+decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,7 +24,9 @@ from .errors import (
     ParameterError,
 )
 from .rng import substream
+from .sharing import ShareBundle, truncate_share
 from .transcript import (
+    KIND_ACCEPT,
     KIND_ACCEPTED_SET,
     KIND_MATRIX,
     KIND_PARTIAL_SUM,
@@ -33,6 +37,7 @@ from .transcript import (
     client_party,
     decode_quantized,
     decode_vector,
+    encode_accept,
     encode_id_set,
     encode_matrix,
     encode_quantized,
@@ -70,9 +75,6 @@ class ClientSubmission:
     client_id: str
     payloads: dict[int, np.ndarray | None]
     behavior: str = BEHAVIOR_HONEST
-
-    def sent_to(self) -> list[int]:
-        return sorted(i for i, p in self.payloads.items() if p is not None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,38 +130,32 @@ def _deliverable(share, d: int) -> np.ndarray | None:
     return share if share.shape[0] == d else None
 
 
-def run_aggregation(submissions, params: ProtocolParams,
-                    validity: ValidityPredicate | None = None, seed: int = 0,
-                    w_mode: str = W_MODE_SHARED,
-                    sigma_out: float | None = None,
-                    ) -> tuple[AggregateResult, Transcript]:
-    """Execute the server protocol over all submissions.
+class _Decided(NamedTuple):
+    """What rounds 0-1 and verifier 0's decision leave each verifier holding.
 
-    J is the set of clients that reached every verifier; each j in J gets
-    one fresh-noise verification decision against the session projection.
-    If the validity predicate rejects J*, everyone aborts and no sums are
-    exchanged. sigma_out, when set, adds N(0, sigma_out^2 I_d) to every
-    verifier's partial sum before release (post-noise for the sum itself;
-    its privacy accounting is up to the caller).
-
-    Every verifier's noise is drawn from a substream keyed by its index
-    and the client id, so adding or removing one client never perturbs
-    the randomness applied to the others.
-
-    submissions may be any iterable and is consumed once, in order;
-    verifiers keep only the payloads they received, so a lazy iterable
-    lets each client's own arrays go as soon as they are delivered.
-
-    A share that is not a finite length-d vector, or that is addressed
-    to no verifier in 0..S-1, is not delivered: its client misses that
-    verifier and is left out of J, as a client that withheld the share
-    would be. A repeated client id raises DuplicateClientId.
+    ids[i] lists the clients verifier i received a share from, sorted;
+    R[i] holds their decoded shares and Y[i] (i >= 1) verifier i's reply
+    rows, both aligned with ids[i]. outcomes covers J, the clients that
+    reached every verifier, in id order; J_rows[i] are their rows in R[i]
+    and accept their verdicts.
     """
-    if sigma_out is not None and sigma_out <= 0:
-        raise ParameterError("sigma_out must be > 0 when set")
 
+    ids: list[list[str]]
+    R: list[np.ndarray]
+    Y: list[np.ndarray | None]
+    J_rows: list[np.ndarray]
+    accept: np.ndarray
+    outcomes: dict[str, VerificationOutcome]
+
+
+def _verify(submissions, params: ProtocolParams, seed: int, w_mode: str,
+            bus: MessageBus) -> _Decided:
+    """Rounds 0 and 1 on bus, then every reply and verifier 0's decisions.
+
+    Sends the share deliveries and the matrix broadcast; the caller sends
+    the round-2 replies in its own wire format.
+    """
     S, d = params.S, params.d
-    bus = MessageBus()
 
     # round 0: share delivery; verifiers keep the payloads they received
     if params.trunc_b is not None:
@@ -195,14 +191,12 @@ def run_aggregation(submissions, params: ProtocolParams,
     for i in range(1, S):
         bus.send(verifier_party(0), verifier_party(i), 1, KIND_MATRIX, w_payload)
 
-    # round 2: per-verifier reply batches for every client they heard from
+    # each verifier's replies for every client it heard from
     Y = [None] * S
     for i in range(1, S):
         rngs = (substream(seed, "verifier", i, "reply", cid) for cid in ids[i])
         Y[i] = project_replies(R[i], W.entries,
                                noise_rows(rngs, params.sigma_v, (len(ids[i]), W.k)))
-        bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
-                 encode_reply_batch(list(zip(ids[i], Y[i]))))
 
     # verifier 0 decides for clients that reached everyone
     position = [dict(zip(ids[i], range(len(ids[i])))) for i in range(S)]
@@ -217,7 +211,48 @@ def run_aggregation(submissions, params: ProtocolParams,
         cid: VerificationOutcome(client_id=cid, accept=a, v_norm=v, tau=params.tau)
         for cid, a, v in zip(J, accept.tolist(), v_norms.tolist())
     }
-    J_star = [cid for cid, a in zip(J, accept) if a]
+    return _Decided(ids=ids, R=R, Y=Y, J_rows=J_rows, accept=accept, outcomes=outcomes)
+
+
+def run_aggregation(submissions, params: ProtocolParams,
+                    validity: ValidityPredicate | None = None, seed: int = 0,
+                    w_mode: str = W_MODE_SHARED,
+                    sigma_out: float | None = None,
+                    ) -> tuple[AggregateResult, Transcript]:
+    """Execute the server protocol over all submissions.
+
+    J is the set of clients that reached every verifier; each j in J gets
+    one fresh-noise verification decision against the session projection.
+    If the validity predicate rejects J*, everyone aborts and no sums are
+    exchanged. sigma_out, when set, adds N(0, sigma_out^2 I_d) to every
+    verifier's partial sum before release (post-noise for the sum itself;
+    its privacy accounting is up to the caller).
+
+    Every verifier's noise is drawn from a substream keyed by its index
+    and the client id, so adding or removing one client never perturbs
+    the randomness applied to the others.
+
+    submissions may be any iterable and is consumed once, in order;
+    verifiers keep only the payloads they received, so a lazy iterable
+    lets each client's own arrays go as soon as they are delivered.
+
+    A share that is not a finite length-d vector, or that is addressed
+    to no verifier in 0..S-1, is not delivered: its client misses that
+    verifier and is left out of J, as a client that withheld the share
+    would be. A repeated client id raises DuplicateClientId.
+    """
+    if sigma_out is not None and sigma_out <= 0:
+        raise ParameterError("sigma_out must be > 0 when set")
+
+    S, d = params.S, params.d
+    bus = MessageBus()
+    ids, R, Y, J_rows, accept, outcomes = _verify(submissions, params, seed, w_mode, bus)
+
+    # round 2: per-verifier reply batches for every client they heard from
+    for i in range(1, S):
+        bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
+                 encode_reply_batch(list(zip(ids[i], Y[i]))))
+    J_star = [cid for cid, o in outcomes.items() if o.accept]
 
     # round 3: accepted-set broadcast
     set_payload = encode_id_set(J_star)
@@ -255,3 +290,40 @@ def run_aggregation(submissions, params: ProtocolParams,
     result = AggregateResult(sum=total, accepted=accepted, aborted=False,
                              per_client_outcomes=outcomes)
     return result, transcript
+
+
+def run_norm_verification(bundle: ShareBundle, params: ProtocolParams,
+                          session_seed: int, w_mode: str = W_MODE_SHARED,
+                          ) -> tuple[VerificationOutcome, Transcript]:
+    """Run the single-client protocol on the session's rounds and record it.
+
+    Rounds: 0 share delivery to each verifier, 1 matrix broadcast,
+    2 one vector reply per verifier, 3 accept-bit broadcast. When
+    params.trunc_b is set the shares are truncated/quantized before
+    transmission and verifiers operate on what they received.
+    """
+    if bundle.S != params.S:
+        raise DimensionMismatch(
+            f"bundle has {bundle.S} shares but params.S={params.S}"
+        )
+    if bundle.d != params.d:
+        raise DimensionMismatch(f"bundle dimension {bundle.d} != params.d={params.d}")
+
+    shares = bundle.shares
+    if params.trunc_b is not None:
+        shares = [truncate_share(z, params.trunc_b, params.quant_step) for z in shares]
+    sub = ClientSubmission(client_id=bundle.client_id, payloads=dict(enumerate(shares)))
+    bus = MessageBus()
+    decided = _verify([sub], params, session_seed, w_mode, bus)
+
+    for i in range(1, params.S):
+        bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
+                 encode_vector(decided.Y[i][0]))
+    outcome = decided.outcomes[bundle.client_id]
+    bit = encode_accept(outcome.accept)
+    for i in range(1, params.S):
+        bus.send(verifier_party(0), verifier_party(i), 3, KIND_ACCEPT, bit)
+
+    transcript = Transcript(messages=bus.messages, master_seed=session_seed,
+                            params=params)
+    return outcome, transcript

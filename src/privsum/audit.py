@@ -25,13 +25,13 @@ from .core import (
     gaussian_sigma,
 )
 from .errors import DimensionMismatch, ParameterError
-from .harness import Scenario, run_scenario
 from .rng import as_generator, seed_int, substream
 from .sharing import check_shares, clamp_probability, simulated_view, split_shares
 from .verification import decide_norms, project_replies
 
 # the per-trial forms stay bound here, where perfbench/tracing.py counts their calls
 from .core import sample_projection  # noqa: F401
+from .harness import run_scenario  # noqa: F401
 from .sharing import share_vector  # noqa: F401
 from .verification import project_reply, verifier0_decide  # noqa: F401
 
@@ -140,9 +140,14 @@ def _projected_norms(rng: np.random.Generator, m: int, x: np.ndarray,
     return norms
 
 
+# samples per round of conditioned_projection_privacy: their ||Wx|| draws,
+# then the loss noise of the good ones; it fixes the stream order, so the
+# pinned results depend on it
+_PRIVACY_CHUNK = 1000
+
+
 def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
-                                   seed, *, chunk: int = 1000,
-                                   ) -> PrivacyLossEstimate:
+                                   seed) -> PrivacyLossEstimate:
     """Joint bad-event + loss-exceed rate for the noisy-projection mechanism.
 
     Each sample draws ||Wx|| for a fresh k x d projection W, as
@@ -150,8 +155,8 @@ def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
     as bad, and otherwise draws one privacy-loss sample with shift ||Wx||
     and noise variance (S - |T|) sigma_v^2 at the worst coalition
     |T| = S - 1. The combined rate is audited against 2 delta. Samples
-    run in chunks of `chunk`, each drawing its samples' g first and then
-    the loss noise for its good samples.
+    run in chunks of _PRIVACY_CHUNK, each drawing its samples' g first and
+    then the loss noise for its good samples.
     """
     x = as_vector(x)
     if float(np.linalg.norm(x)) > 1.0 + 1e-12:
@@ -160,8 +165,6 @@ def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
         raise DimensionMismatch(f"x has dimension {x.shape[0]}, params.d={params.d}")
     if samples < 1000:
         raise ParameterError(f"need at least 1000 samples, got {samples}")
-    if chunk < 1:
-        raise ParameterError(f"chunk must be >= 1, got {chunk}")
     k = params.k
     cd = c_delta(k, params.delta)
     sigma = params.sigma_v  # (S - |T|) = 1 at the worst case
@@ -169,8 +172,8 @@ def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
 
     bad = 0
     exceed = 0
-    for start in range(0, samples, chunk):
-        shifts = _projected_norms(rng, min(chunk, samples - start), x, k)
+    for start in range(0, samples, _PRIVACY_CHUNK):
+        shifts = _projected_norms(rng, min(_PRIVACY_CHUNK, samples - start), x, k)
         is_bad = shifts > cd
         bad += int(np.sum(is_bad))
         good = shifts[~is_bad]
@@ -226,22 +229,6 @@ def two_sample_closeness(view_sampler_p: ViewSampler, view_sampler_q: ViewSample
     return ClosenessReport(label_p=label_p, label_q=label_q,
                            statistics=statistics, threshold=threshold,
                            samples=samples, verdict=verdict)
-
-
-def rate_estimate(scenario: Scenario, params: ProtocolParams,
-                  event: Callable[..., bool], trials: int, seed,
-                  ) -> RateEstimate:
-    """Empirical frequency of an AggregateResult event over independent runs."""
-    if trials < 100:
-        raise ParameterError(f"need at least 100 trials, got {trials}")
-    seeds = substream(seed_int(seed), "rate-trials").integers(0, 2 ** 62, size=trials)
-    hits = 0
-    for t in range(trials):
-        result, _ = run_scenario(scenario, params, int(seeds[t]))
-        if event(result):
-            hits += 1
-    rate = hits / trials
-    return RateEstimate(rate=rate, ci95=_normal_ci95(rate, trials), trials=trials)
 
 
 PATTERN_RANDOM = "random-direction"

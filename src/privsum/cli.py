@@ -20,12 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import audit as audit_mod
+from .aggregation import run_norm_verification
 from .core import CalibrationReport, ProtocolParams, calibrate
 from .errors import InfeasibleParameters, ProtocolError, ScenarioError
 from .harness import Scenario, measured_traffic, run_scenario
 from .rng import substream
 from .sharing import reconstruct, share_vector
-from .verification import W_MODE_SHARED, W_MODES, run_norm_verification
+from .verification import W_MODE_SHARED, W_MODES
 
 # stays bound here, where perfbench/tracing.py counts its calls
 from .sharing import simulate_share_view  # noqa: F401

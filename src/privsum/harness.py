@@ -2,7 +2,7 @@
 
 A Scenario pins everything a run needs besides the calibrated parameters
 and the master seed: population size, verifier count, dimension, the
-behavior of every client, the recorded coalition, and the run options.
+behavior of every client, and the run options.
 Scenarios round-trip losslessly through a versioned JSON schema (see
 README for the field list).
 """
@@ -91,10 +91,8 @@ class Scenario:
     S: int
     d: int
     clients: tuple[ClientBehavior, ...]
-    coalition: tuple[int, ...] = ()
     w_mode: str = W_MODE_SHARED
     validity_threshold: float | None = None
-    trials: int = 1
     sigma_out: float | None = None
 
     def validate(self) -> None:
@@ -115,18 +113,10 @@ class Scenario:
                 raise ScenarioError(
                     f"client ids must be strings of at most {MAX_ID_BYTES} UTF-8 bytes"
                 )
-        coalition = set(self.coalition)
-        if coalition and not coalition < set(range(self.S)):
-            raise ScenarioError(
-                f"coalition {sorted(coalition)} must be a proper subset "
-                f"of verifier indices 0..{self.S - 1}"
-            )
         if self.w_mode not in W_MODES:
             raise ScenarioError(f"w_mode must be one of {W_MODES}")
         if self.validity_threshold is not None and not 0 < self.validity_threshold <= 1:
             raise ScenarioError("validity_threshold must lie in (0, 1]")
-        if self.trials < 1:
-            raise ScenarioError("trials must be >= 1")
         if self.sigma_out is not None and self.sigma_out <= 0:
             raise ScenarioError("sigma_out must be > 0 when set")
 
@@ -136,8 +126,6 @@ class Scenario:
             "n": self.n, "S": self.S, "d": self.d,
             "w_mode": self.w_mode,
             "validity_threshold": self.validity_threshold,
-            "coalition": list(self.coalition),
-            "trials": self.trials,
             "sigma_out": self.sigma_out,
             "clients": [c.to_dict() for c in self.clients],
         }
@@ -157,10 +145,8 @@ class Scenario:
         scenario = cls(
             n=int(data["n"]), S=int(data["S"]), d=int(data["d"]),
             clients=tuple(clients),
-            coalition=tuple(int(i) for i in data.get("coalition", ())),
             w_mode=data.get("w_mode", W_MODE_SHARED),
             validity_threshold=data.get("validity_threshold"),
-            trials=int(data.get("trials", 1)),
             sigma_out=data.get("sigma_out"),
         )
         scenario.validate()

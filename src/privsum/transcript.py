@@ -224,10 +224,6 @@ class MessageBus:
         self._messages.append(msg)
         return msg
 
-    def received_by(self, receiver: str, kind: str | None = None) -> list[Message]:
-        return [m for m in self._messages
-                if m.receiver == receiver and (kind is None or m.kind == kind)]
-
     @property
     def messages(self) -> tuple[Message, ...]:
         return tuple(self._messages)

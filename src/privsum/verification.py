@@ -2,7 +2,8 @@
 
 Verifier 0 broadcasts a random projection, every verifier returns a noisy
 projection of its share, and verifier 0 thresholds the noisy projected
-norm: accept iff ||v|| < tau (rejection on ties). The coalition simulator
+norm: accept iff ||v|| < tau (rejection on ties). The protocol rounds
+that run these kernels live in aggregation. The coalition simulator
 reproduces a coalition's view without the secret.
 """
 
@@ -24,23 +25,22 @@ from .core import (
 )
 from .errors import DimensionMismatch, MissingReply, ParameterError
 from .rng import as_generator, substream
-from .sharing import ShareBundle, truncate_share
 from .transcript import (
     KIND_ACCEPT,
     KIND_MATRIX,
-    KIND_REPLY,
     KIND_SHARE,
     Message,
     MessageBus,
-    Transcript,
     client_party,
-    decode_quantized,
     encode_accept,
     encode_matrix,
-    encode_quantized,
     encode_vector,
     verifier_party,
 )
+
+# stay bound here, where perfbench/tracing.py counts their calls
+from .sharing import truncate_share  # noqa: F401
+from .transcript import encode_quantized  # noqa: F401
 
 W_MODE_SHARED = "shared"
 W_MODE_VERIFIER0 = "verifier0"
@@ -188,66 +188,6 @@ def session_matrix(params: ProtocolParams, session_seed: int,
     else:
         raise ParameterError(f"w_mode must be one of {W_MODES}, got {w_mode!r}")
     return sample_projection(params.k, params.d, rng, provenance=provenance)
-
-
-def run_norm_verification(bundle: ShareBundle, params: ProtocolParams,
-                          session_seed: int, w_mode: str = W_MODE_SHARED,
-                          ) -> tuple[VerificationOutcome, Transcript]:
-    """Run the full single-client protocol and record every message.
-
-    Rounds: 0 share delivery to each verifier, 1 matrix broadcast,
-    2 replies, 3 accept-bit broadcast. When params.trunc_b is set the
-    shares are truncated/quantized before transmission and verifiers
-    operate on what they received.
-    """
-    if bundle.S != params.S:
-        raise DimensionMismatch(
-            f"bundle has {bundle.S} shares but params.S={params.S}"
-        )
-    if bundle.d != params.d:
-        raise DimensionMismatch(f"bundle dimension {bundle.d} != params.d={params.d}")
-
-    bus = MessageBus()
-    prover = client_party(bundle.client_id)
-
-    received = []
-    for i in range(params.S):
-        share = bundle.shares[i]
-        if params.trunc_b is not None:
-            share = truncate_share(share, params.trunc_b, params.quant_step)
-            payload = encode_quantized(share, params.quant_step)
-            share = decode_quantized(payload, params.quant_step)
-        else:
-            payload = encode_vector(share)
-        bus.send(prover, verifier_party(i), 0, KIND_SHARE, payload)
-        received.append(share)
-
-    W = session_matrix(params, session_seed, w_mode)
-    w_payload = encode_matrix(W.entries)
-    for i in range(1, params.S):
-        bus.send(verifier_party(0), verifier_party(i), 1, KIND_MATRIX, w_payload)
-
-    replies = []
-    for i in range(1, params.S):
-        rng_i = substream(session_seed, "verifier", i, "reply", bundle.client_id)
-        reply = project_reply(received[i], W, params.sigma_v, rng_i,
-                              verifier_index=i, client_id=bundle.client_id)
-        bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
-                 encode_vector(reply.y))
-        replies.append(reply)
-
-    rng_0 = substream(session_seed, "verifier", 0, "decide", bundle.client_id)
-    outcome = verifier0_decide(received[0], replies, W, params.sigma_v,
-                               params.tau, rng_0, client_id=bundle.client_id,
-                               expected_verifiers=params.S)
-
-    bit = encode_accept(outcome.accept)
-    for i in range(1, params.S):
-        bus.send(verifier_party(0), verifier_party(i), 3, KIND_ACCEPT, bit)
-
-    transcript = Transcript(messages=bus.messages, master_seed=session_seed,
-                            params=params)
-    return outcome, transcript
 
 
 ReplyFn = Callable[[int, np.ndarray, ProjectionMatrix, np.random.Generator], np.ndarray]

@@ -1,4 +1,4 @@
-"""Audit machinery: privacy-loss estimators, closeness tests, rate estimation."""
+"""Audit machinery: privacy-loss estimators, closeness tests, rate drivers."""
 
 import dataclasses
 import math
@@ -17,7 +17,6 @@ from privsum import (
     norm_verification_rate,
     privacy_loss_mc,
     privacy_loss_tail,
-    rate_estimate,
     run_scenario,
     substream,
     two_sample_closeness,
@@ -111,13 +110,6 @@ class TestConditionedProjectionPrivacy:
                            beta=0.05, S=2, k=16, d=8).params
         with pytest.raises(ParameterError):
             conditioned_projection_privacy(params, np.full(8, 1.0), 2000, 0)
-
-    def test_chunk_below_one_rejected(self):
-        params = calibrate(eps=1, delta=1e-2, eps_ss=1, delta_ss=1e-2,
-                           beta=0.05, S=2, k=16, d=8).params
-        for chunk in (0, -1):
-            with pytest.raises(ParameterError):
-                conditioned_projection_privacy(params, np.zeros(8), 2000, 0, chunk=chunk)
 
 
 class TestTwoSampleCloseness:
@@ -331,34 +323,3 @@ class TestMemoryBound:
         views = 2 * samples * len(T) * 8 * 8
         peak = self.traced_peak(lambda: share_simulation_check(3, T, 10.0, samples, 0))
         assert peak < views + 2 * audit._CHUNK_BYTES + (1 << 20)
-
-
-class TestRateEstimate:
-    def test_always_true_event(self):
-        params = calibrate(eps=1, delta=1e-2, eps_ss=1, delta_ss=1e-2,
-                           beta=0.05, S=2, k=16, d=8).params
-        scenario = honest_scenario(2, 2, 8)
-        est = rate_estimate(scenario, params, lambda r: True, 100, 3)
-        assert est.rate == 1.0
-        assert est.ci95 == (1.0, 1.0)
-
-    def test_reproducible_and_ci_shrinks(self):
-        params = calibrate(eps=1, delta=1e-2, eps_ss=1, delta_ss=1e-2,
-                           beta=0.05, S=2, k=16, d=8).params
-        scenario = honest_scenario(3, 2, 8)
-        accept_all = lambda r: len(r.accepted) == 3
-        a = rate_estimate(scenario, params, accept_all, 150, 5)
-        b = rate_estimate(scenario, params, accept_all, 150, 5)
-        assert a == b
-        # a ~50% event keeps the CI non-degenerate at both sizes
-        coin = lambda r: r.sum[0] > 0
-        wide = rate_estimate(scenario, params, coin, 100, 6)
-        narrow = rate_estimate(scenario, params, coin, 400, 6)
-        assert (narrow.ci95[1] - narrow.ci95[0]) < (wide.ci95[1] - wide.ci95[0])
-
-    def test_trial_floor(self):
-        params = calibrate(eps=1, delta=1e-2, eps_ss=1, delta_ss=1e-2,
-                           beta=0.05, S=2, k=16, d=8).params
-        scenario = honest_scenario(2, 2, 8)
-        with pytest.raises(ParameterError):
-            rate_estimate(scenario, params, lambda r: True, 50, 0)

@@ -151,10 +151,14 @@ class TestScenarioConfig:
                 ClientBehavior(kind="norm-inflating", norm=4.0),
                 ClientBehavior(kind="partial-send", skip=(1,)),
             ),
-            coalition=(1,), validity_threshold=0.5, trials=5,
+            validity_threshold=0.5,
         )
         again = Scenario.from_json(scenario.to_json())
         assert again == scenario
+        # schema-1 files written before the unread coalition and trials keys
+        # were dropped still load
+        legacy = dict(scenario.to_dict(), coalition=[1], trials=5)
+        assert Scenario.from_dict(legacy) == scenario
 
     def test_count_expansion(self):
         data = {
@@ -170,9 +174,6 @@ class TestScenarioConfig:
                                 "clients": []})
         with pytest.raises(ScenarioError):
             honest_scenario(2, 2, 8, w_mode="bogus")
-        with pytest.raises(ScenarioError):
-            Scenario(n=1, S=2, d=4, clients=(ClientBehavior(),),
-                     coalition=(0, 1)).validate()
         with pytest.raises(ScenarioError):
             Scenario.from_json("not-json{")
         with pytest.raises(ScenarioError):
