@@ -74,7 +74,6 @@ class ClientSubmission:
 
     client_id: str
     payloads: dict[int, np.ndarray | None]
-    behavior: str = BEHAVIOR_HONEST
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,8 +22,8 @@ import numpy as np
 from . import audit as audit_mod
 from .aggregation import run_norm_verification
 from .core import CalibrationReport, ProtocolParams, calibrate
-from .errors import InfeasibleParameters, ProtocolError, ScenarioError
-from .harness import Scenario, measured_traffic, run_scenario
+from .errors import ProtocolError, ScenarioError
+from .harness import Scenario, integral, measured_traffic, run_scenario
 from .rng import substream
 from .sharing import reconstruct, share_vector
 from .verification import W_MODE_SHARED, W_MODES
@@ -36,6 +36,7 @@ EXIT_USAGE = 2
 EXIT_ABORT = 3
 
 EXPERIMENT_SCHEMA = "privsum.experiment.v1"
+EXPERIMENT_KINDS = ("completeness", "soundness")
 AUDIT_SCHEMA = "privsum.audit.v1"
 
 
@@ -48,11 +49,30 @@ def _output_path(path: str) -> Path:
     return p
 
 
+def _write(path: str, text: str, note: str = "") -> None:
+    out = _output_path(path)
+    out.write_text(text)
+    print(f"wrote {out}{note}")
+
+
+def _read_json(path: str, parse):
+    """parse(the JSON in path); a file that cannot be read, is not JSON or does
+    not describe the config raises a ScenarioError naming the path."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ScenarioError(f"{path}: missing field {exc}") from exc
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid definition for a completeness or soundness sweep."""
 
-    kind: str  # "completeness" | "soundness"
+    kind: str  # one of EXPERIMENT_KINDS
     k_grid: tuple[int, ...]
     S: int = 2
     d: int = 64
@@ -66,6 +86,12 @@ class ExperimentConfig:
     seed: int = 0
     norm_factor: float = 1.0  # soundness: adversary norm as a multiple of rho
 
+    def __post_init__(self):
+        if self.kind not in EXPERIMENT_KINDS:
+            raise ScenarioError(f"unknown experiment kind {self.kind!r}")
+        if not self.k_grid:
+            raise ScenarioError("empty grid: provide --k-grid or --config")
+
     def to_dict(self) -> dict:
         out = asdict(self)
         out["k_grid"] = list(self.k_grid)
@@ -74,7 +100,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
-        data["k_grid"] = tuple(int(k) for k in data.get("k_grid", ()))
+        data["k_grid"] = tuple(integral(k, "k_grid entry") for k in data.get("k_grid", ()))
         return cls(**data)
 
 
@@ -105,15 +131,10 @@ def _calibrate_from_args(args) -> CalibrationReport:
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        report = _calibrate_from_args(args)
-    except InfeasibleParameters as exc:
-        print(f"infeasible parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = _calibrate_from_args(args)
     for name, formula, value in report.derivation_log:
         print(f"{name:<16} {value:<24.12g} {formula}")
     if args.out:
-        path = _output_path(args.out)
         payload = {
             "params": report.params.to_dict(),
             "c_delta": report.c_delta,
@@ -122,8 +143,7 @@ def cmd_calibrate(args) -> int:
             "rho_asymptotic_estimate": report.rho_asymptotic_estimate,
             "derivation_log": [list(entry) for entry in report.derivation_log],
         }
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {path}")
+        _write(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -136,24 +156,18 @@ def cmd_share(args) -> int:
     print(f"client_id={bundle.client_id} S={bundle.S} d={bundle.d} "
           f"reconstruction_error={err:.3g}")
     if args.out:
-        path = _output_path(args.out)
         payload = {
             "client_id": bundle.client_id,
             "sigma_ss": args.sigma_ss,
             "x": x.tolist(),
             "shares": bundle.shares.tolist(),
         }
-        path.write_text(json.dumps(payload) + "\n")
-        print(f"wrote {path}")
+        _write(args.out, json.dumps(payload) + "\n")
     return EXIT_OK
 
 
 def cmd_verify_norm(args) -> int:
-    try:
-        params = _calibrate_from_args(args).params
-    except InfeasibleParameters as exc:
-        print(f"infeasible parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = _calibrate_from_args(args).params
     rng = substream(args.seed, "cli-verify-input")
     u = rng.standard_normal(args.d)
     x = args.norm * u / np.linalg.norm(u)
@@ -163,18 +177,15 @@ def cmd_verify_norm(args) -> int:
     print(f"accept={int(outcome.accept)} v_norm={outcome.v_norm:.6g} "
           f"tau={outcome.tau:.6g} transcript_sha256={transcript.sha256()}")
     if args.transcript:
-        path = _output_path(args.transcript)
-        path.write_text(transcript.to_jsonl(include_payload=args.full_payloads))
-        print(f"wrote {path}")
+        _write(args.transcript, transcript.to_jsonl(include_payload=args.full_payloads))
     return EXIT_OK
 
 
 def _load_params(args) -> ProtocolParams:
     if args.params:
-        data = json.loads(Path(args.params).read_text())
-        if "params" in data:
-            data = data["params"]
-        return ProtocolParams.from_dict(data)
+        # calibrate --out nests the params beside its derivation
+        return _read_json(args.params,
+                          lambda data: ProtocolParams.from_dict(data.get("params", data)))
     missing = [f for f in ("eps", "delta", "beta", "k") if getattr(args, f) is None]
     if missing:
         raise ScenarioError(
@@ -184,20 +195,9 @@ def _load_params(args) -> ProtocolParams:
 
 
 def cmd_aggregate(args) -> int:
-    try:
-        scenario = Scenario.from_json(Path(args.config).read_text())
-    except FileNotFoundError:
-        print(f"config not found: {args.config}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScenarioError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args.S, args.d = scenario.S, scenario.d
-        params = _load_params(args)
-    except (InfeasibleParameters, ScenarioError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = _read_json(args.config, Scenario.from_dict)
+    args.S, args.d = scenario.S, scenario.d
+    params = _load_params(args)
 
     result, transcript = run_scenario(scenario, params, args.seed)
     traffic = measured_traffic(transcript)
@@ -214,25 +214,18 @@ def cmd_aggregate(args) -> int:
     }
     print(json.dumps(summary, indent=2))
     if args.transcript:
-        path = _output_path(args.transcript)
-        path.write_text(transcript.to_jsonl(include_payload=args.full_payloads))
-        print(f"wrote {path}")
+        _write(args.transcript, transcript.to_jsonl(include_payload=args.full_payloads))
     if args.summary:
-        path = _output_path(args.summary)
-        path.write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"wrote {path}")
+        _write(args.summary, json.dumps(summary, indent=2) + "\n")
     return EXIT_ABORT if result.aborted else EXIT_OK
 
 
 def _experiment_config(args) -> ExperimentConfig:
     if args.config:
-        data = json.loads(Path(args.config).read_text())
-        return ExperimentConfig.from_dict(data)
-    if not args.k_grid:
-        raise ScenarioError("empty grid: provide --k-grid or --config")
+        return _read_json(args.config, ExperimentConfig.from_dict)
     return ExperimentConfig(
         kind=args.kind,
-        k_grid=tuple(int(k) for k in args.k_grid.split(",") if k),
+        k_grid=tuple(integral(k, "k_grid entry") for k in args.k_grid.split(",") if k),
         S=args.S, d=args.d, beta=args.beta,
         eps=args.eps, delta=args.delta,
         eps_ss=args.eps_ss if args.eps_ss is not None else args.eps,
@@ -242,26 +235,12 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        config = _experiment_config(args)
-        if not config.k_grid:
-            raise ScenarioError("empty grid")
-        if config.kind not in ("completeness", "soundness"):
-            raise ScenarioError(f"unknown experiment kind {config.kind!r}")
-    except (ScenarioError, TypeError, ValueError, FileNotFoundError) as exc:
-        print(f"invalid experiment config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    config = _experiment_config(args)
     rows = []
     for k in config.k_grid:
-        try:
-            report = calibrate(eps=config.eps, delta=config.delta,
-                               eps_ss=config.eps_ss, delta_ss=config.delta_ss,
-                               beta=config.beta, S=config.S, k=k, d=config.d)
-        except InfeasibleParameters as exc:
-            print(f"infeasible at k={k}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        params = report.params
+        params = calibrate(eps=config.eps, delta=config.delta,
+                           eps_ss=config.eps_ss, delta_ss=config.delta_ss,
+                           beta=config.beta, S=config.S, k=k, d=config.d).params
         if config.kind == "completeness":
             target = 1.0
             pattern = audit_mod.PATTERN_RANDOM
@@ -324,9 +303,7 @@ def cmd_audit(args) -> int:
               for r in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        path = _output_path(args.out)
-        path.write_text(text)
-        print(f"wrote {path} ({len(rows)} checks)")
+        _write(args.out, text, f" ({len(rows)} checks)")
     else:
         print(text, end="")
     consistent = sum(r.verdict == audit_mod.VERDICT_CONSISTENT for r in rows)
@@ -392,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("experiment", help="Monte Carlo sweep over a parameter grid")
     p.add_argument("--config", default=None, help="experiment config JSON")
-    p.add_argument("--kind", choices=("completeness", "soundness"),
+    p.add_argument("--kind", choices=EXPERIMENT_KINDS,
                    default="completeness", help="which accept rate to sweep")
     p.add_argument("--k-grid", default="", help="comma-separated projection dimensions")
     p.add_argument("--S", type=int, default=2, help="number of verifiers")
@@ -425,9 +402,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # the one place a failure becomes an exit code
     try:
         return args.func(args)
-    except ProtocolError as exc:
+    except (ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

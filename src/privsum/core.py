@@ -20,10 +20,6 @@ from scipy import stats
 from .errors import DimensionMismatch, InfeasibleParameters, ParameterError
 from .rng import as_generator
 
-VERIFIER0_PRIVATE = "verifier0-private"
-SHARED_RANDOMNESS = "shared-randomness"
-PROVENANCES = (VERIFIER0_PRIVATE, SHARED_RANDOMNESS)
-
 
 def as_vector(x, *, name: str = "x") -> np.ndarray:
     """Validate and return x as a finite 1-d float64 array (d >= 1)."""
@@ -39,23 +35,15 @@ def as_vector(x, *, name: str = "x") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionMatrix:
-    """k x d matrix with i.i.d. N(0, 1/k) entries.
-
-    provenance records which randomness stream produced it: verifier 0's
-    private stream, or the shared-randomness stream every verifier can
-    recompute.
-    """
+    """k x d matrix with i.i.d. N(0, 1/k) entries."""
 
     entries: np.ndarray
-    provenance: str = VERIFIER0_PRIVATE
 
     def __post_init__(self):
         if self.entries.ndim != 2 or min(self.entries.shape) < 1:
             raise DimensionMismatch(
                 f"projection matrix must be 2-d, got shape {self.entries.shape}"
             )
-        if self.provenance not in PROVENANCES:
-            raise ParameterError(f"unknown provenance {self.provenance!r}")
 
     @property
     def k(self) -> int:
@@ -323,11 +311,10 @@ def calibrate(eps: float, delta: float, eps_ss: float, delta_ss: float,
     )
 
 
-def sample_projection(k: int, d: int, seed, *,
-                      provenance: str = VERIFIER0_PRIVATE) -> ProjectionMatrix:
+def sample_projection(k: int, d: int, seed) -> ProjectionMatrix:
     """Sample a k x d matrix of i.i.d. N(0, 1/k) entries, deterministic in seed."""
     if int(k) != k or k < 1 or int(d) != d or d < 1:
         raise ParameterError("k and d must be integers >= 1")
     rng = as_generator(seed)
     entries = rng.standard_normal((k, d)) / math.sqrt(k)
-    return ProjectionMatrix(entries=entries, provenance=provenance)
+    return ProjectionMatrix(entries=entries)

@@ -3,13 +3,12 @@
 A Scenario pins everything a run needs besides the calibrated parameters
 and the master seed: population size, verifier count, dimension, the
 behavior of every client, and the run options.
-Scenarios round-trip losslessly through a versioned JSON schema (see
-README for the field list).
+Scenarios round-trip losslessly through the dicts of a versioned JSON
+schema (see README for the field list) and validate on construction.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +46,17 @@ SCENARIO_SCHEMA_VERSION = 1
 NONCE_BYTES = 8  # 16 hex chars per client id
 
 
+def integral(value, name: str) -> int:
+    """value as an int; a ScenarioError where int() would truncate (1.7, 2.5)."""
+    try:
+        out = int(value)
+        if out == float(value):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ScenarioError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ClientBehavior:
     """One client's scripted behavior.
@@ -79,7 +89,7 @@ class ClientBehavior:
         return cls(
             kind=data.get("behavior", BEHAVIOR_HONEST),
             norm=float(data.get("norm", 1.0)),
-            skip=tuple(int(i) for i in data.get("skip", ())),
+            skip=tuple(integral(i, "skip entry") for i in data.get("skip", ())),
             scale=float(data.get("scale", 1.0)),
             client_id=data.get("id"),
         )
@@ -94,6 +104,9 @@ class Scenario:
     w_mode: str = W_MODE_SHARED
     validity_threshold: float | None = None
     sigma_out: float | None = None
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.S < 2 or self.d < 1 or self.n < 0:
@@ -130,9 +143,6 @@ class Scenario:
             "clients": [c.to_dict() for c in self.clients],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         version = data.get("schema_version", SCENARIO_SCHEMA_VERSION)
@@ -140,39 +150,26 @@ class Scenario:
             raise ScenarioError(f"unsupported scenario schema version {version}")
         clients = []
         for entry in data.get("clients", []):
-            count = int(entry.get("count", 1))
+            count = integral(entry.get("count", 1), "count")
             clients.extend([ClientBehavior.from_dict(entry)] * count)
-        scenario = cls(
-            n=int(data["n"]), S=int(data["S"]), d=int(data["d"]),
+        return cls(
+            n=integral(data["n"], "n"), S=integral(data["S"], "S"),
+            d=integral(data["d"], "d"),
             clients=tuple(clients),
             w_mode=data.get("w_mode", W_MODE_SHARED),
             validity_threshold=data.get("validity_threshold"),
             sigma_out=data.get("sigma_out"),
         )
-        scenario.validate()
-        return scenario
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
 
 def honest_scenario(n: int, S: int, d: int, norm: float = 1.0, **kwargs) -> Scenario:
     clients = tuple(ClientBehavior(kind=BEHAVIOR_HONEST, norm=norm) for _ in range(n))
-    scenario = Scenario(n=n, S=S, d=d, clients=clients, **kwargs)
-    scenario.validate()
-    return scenario
+    return Scenario(n=n, S=S, d=d, clients=clients, **kwargs)
 
 
 def with_adversary(scenario: Scenario, behavior: ClientBehavior) -> Scenario:
     """Append one scripted client to an existing scenario."""
-    out = replace(scenario, n=scenario.n + 1, clients=scenario.clients + (behavior,))
-    out.validate()
-    return out
+    return replace(scenario, n=scenario.n + 1, clients=scenario.clients + (behavior,))
 
 
 def nonce_hex(rng: np.random.Generator) -> str:
@@ -230,14 +227,12 @@ def build_submission(behavior: ClientBehavior, client_id: str, scenario: Scenari
             i: None if p is None else truncate_share(p, params.trunc_b, params.quant_step)
             for i, p in payloads.items()
         }
-    return ClientSubmission(client_id=client_id, payloads=payloads,
-                            behavior=behavior.kind)
+    return ClientSubmission(client_id=client_id, payloads=payloads)
 
 
 def run_scenario(scenario: Scenario, params: ProtocolParams,
                  master_seed: int) -> tuple[AggregateResult, Transcript]:
     """Execute one full aggregation for the scenario, deterministic in master_seed."""
-    scenario.validate()
     if scenario.S != params.S or scenario.d != params.d:
         raise ScenarioError(
             f"scenario (S={scenario.S}, d={scenario.d}) does not match params "
@@ -282,7 +277,6 @@ def predicted_traffic(scenario: Scenario, params: ProtocolParams,
     """
     if params.trunc_b is not None:
         raise ScenarioError("closed-form traffic requires trunc_b unset")
-    scenario.validate()
     ids = scenario_client_ids(scenario, master_seed)
     S, d, k = scenario.S, scenario.d, params.k
 

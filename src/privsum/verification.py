@@ -15,14 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    SHARED_RANDOMNESS,
-    VERIFIER0_PRIVATE,
-    ProjectionMatrix,
-    ProtocolParams,
-    as_vector,
-    sample_projection,
-)
+from .core import ProjectionMatrix, ProtocolParams, as_vector, sample_projection
 from .errors import DimensionMismatch, MissingReply, ParameterError
 from .rng import as_generator, substream
 from .transcript import (
@@ -181,13 +174,11 @@ def session_matrix(params: ProtocolParams, session_seed: int,
     """Sample the session projection from the stream selected by w_mode."""
     if w_mode == W_MODE_SHARED:
         rng = substream(session_seed, "shared-randomness")
-        provenance = SHARED_RANDOMNESS
     elif w_mode == W_MODE_VERIFIER0:
         rng = substream(session_seed, "verifier", 0, "matrix")
-        provenance = VERIFIER0_PRIVATE
     else:
         raise ParameterError(f"w_mode must be one of {W_MODES}, got {w_mode!r}")
-    return sample_projection(params.k, params.d, rng, provenance=provenance)
+    return sample_projection(params.k, params.d, rng)
 
 
 ReplyFn = Callable[[int, np.ndarray, ProjectionMatrix, np.random.Generator], np.ndarray]
@@ -229,7 +220,7 @@ def simulate_norm_verification(T, params: ProtocolParams, seed,
         bus.send(client_party("sim"), verifier_party(i), 0, KIND_SHARE,
                  encode_vector(g))
 
-    W = sample_projection(params.k, params.d, rng, provenance=SHARED_RANDOMNESS)
+    W = sample_projection(params.k, params.d, rng)
     w_payload = encode_matrix(W.entries)
     for i in sorted(subset):
         bus.send(sim0, verifier_party(i), 1, KIND_MATRIX, w_payload)

@@ -3,10 +3,13 @@
 import csv
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from privsum.cli import EXIT_ABORT, EXIT_OK, EXIT_USAGE, ExperimentConfig, main
+from privsum.harness import Scenario, scenario_client_ids
 
 
 def run_cli(capsys, *argv):
@@ -238,3 +241,68 @@ class TestOutputDirOverride:
         )
         assert code == EXIT_OK
         assert (tmp_path / "nested" / "report.json").exists()
+
+
+SCENARIO = json.dumps({"schema_version": 1, "n": 4, "S": 2, "d": 8,
+                       "clients": [{"behavior": "honest", "count": 4}]})
+CALIBRATION = ("--eps", "1", "--delta", "1e-2", "--beta", "0.05", "--k", "16")
+AGGREGATE = ("aggregate", "--config", "s.json", *CALIBRATION)
+# name -> (files to create, None making a directory; argv)
+MALFORMED = {
+    "params file missing": ({"s.json": SCENARIO},
+                            ("aggregate", "--config", "s.json", "--params", "p.json")),
+    "params without fields": ({"s.json": SCENARIO, "p.json": '{"params": {"eps": 1}}'},
+                              ("aggregate", "--config", "s.json", "--params", "p.json")),
+    "scenario without n": ({"s.json": '{"S": 2, "d": 8, "clients": []}'}, AGGREGATE),
+    "top-level list": ({"s.json": "[1, 2]"}, AGGREGATE),
+    "client entry not an object": ({"s.json": '{"n": 1, "S": 2, "d": 8, "clients": [3]}'},
+                                   AGGREGATE),
+    "config is a directory": ({"s.json": None}, AGGREGATE),
+    "config missing": ({}, AGGREGATE),
+    "config not JSON": ({"s.json": "not-json{"}, AGGREGATE),
+    "unknown experiment kind": ({"e.json": '{"kind": "bogus", "k_grid": [16]}'},
+                                ("experiment", "--config", "e.json")),
+    "non-integer k_grid entry": ({"e.json": '{"kind": "completeness", "k_grid": [16.5]}'},
+                                 ("experiment", "--config", "e.json")),
+    "non-integer --k-grid entry": ({}, ("experiment", "--k-grid", "16,x")),
+}
+
+
+@pytest.mark.parametrize("files, argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_one_error_line(capsys, tmp_path, monkeypatch, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        if text is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_text(text)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "Traceback" not in err
+
+
+def test_readme_cli_block_runs_as_written(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sh_block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    scenario_json = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PRIVSUM_OUTPUT_DIR", raising=False)
+    (tmp_path / "scenario.json").write_text(scenario_json)
+    commands = [shlex.split(line, comments=True)
+                for line in sh_block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert [argv[1] for argv in commands] == [
+        "calibrate", "share", "verify-norm", "aggregate", "experiment", "experiment", "audit"]
+    for argv in commands:
+        assert argv[0] == "privsum"
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code == EXIT_OK, (argv, err)
+        if argv[1] == "aggregate":
+            summary = json.loads(out[: out.rindex("}") + 1])
+            seed = int(argv[argv.index("--seed") + 1])
+            scenario = Scenario.from_dict(json.loads(scenario_json))
+            adversary = scenario_client_ids(scenario, seed)[-1]
+            assert scenario.clients[-1].kind == "norm-inflating"
+            assert adversary not in summary["accepted"]
+            assert summary["accepted_count"] < scenario.n

@@ -153,7 +153,7 @@ class TestScenarioConfig:
             ),
             validity_threshold=0.5,
         )
-        again = Scenario.from_json(scenario.to_json())
+        again = Scenario.from_dict(json.loads(json.dumps(scenario.to_dict())))
         assert again == scenario
         # schema-1 files written before the unread coalition and trials keys
         # were dropped still load
@@ -169,16 +169,27 @@ class TestScenarioConfig:
         assert scenario.n == len(scenario.clients) == 4
 
     def test_validation_errors(self):
-        with pytest.raises(ScenarioError):
-            Scenario.from_dict({"schema_version": 99, "n": 0, "S": 2, "d": 1,
-                                "clients": []})
+        valid = {"schema_version": 1, "n": 2, "S": 2, "d": 4, "clients": [{"count": 2}]}
+        Scenario.from_dict(valid)
+        for overrides in (
+            {"schema_version": 99},
+            # non-integral sizes, counts and skip entries are refused, not truncated
+            {"n": 2.9},
+            {"S": 2.5},
+            {"d": 4.5},
+            {"n": 1, "clients": [{"count": 1.9}]},
+            {"clients": [{"behavior": "partial-send", "skip": [1.7]}, {}]},
+        ):
+            with pytest.raises(ScenarioError):
+                Scenario.from_dict(dict(valid, **overrides))
+        # every constructor validates, not only from_dict
         with pytest.raises(ScenarioError):
             honest_scenario(2, 2, 8, w_mode="bogus")
         with pytest.raises(ScenarioError):
-            Scenario.from_json("not-json{")
-        with pytest.raises(ScenarioError):
             Scenario(n=1, S=2, d=4, clients=(
-                ClientBehavior(client_id="x" * (MAX_ID_BYTES + 1)),)).validate()
+                ClientBehavior(client_id="x" * (MAX_ID_BYTES + 1)),))
+        with pytest.raises(ScenarioError):
+            with_adversary(honest_scenario(1, 2, 4), ClientBehavior(kind="bogus"))
 
     def test_client_ids_stable_and_distinct(self):
         scenario = honest_scenario(20, 2, 4)
