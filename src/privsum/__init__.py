@@ -59,10 +59,7 @@ from .harness import (
 )
 from .rng import substream
 from .sharing import (
-    ShareBundle,
-    SimulatedShareView,
     clamp_probability,
-    reconstruct,
     share_vector,
     simulate_share_view,
     truncate_share,
@@ -97,8 +94,6 @@ __all__ = [
     "RateEstimate",
     "Scenario",
     "ScenarioError",
-    "ShareBundle",
-    "SimulatedShareView",
     "Transcript",
     "UnknownParty",
     "VerificationOutcome",
@@ -115,7 +110,6 @@ __all__ = [
     "privacy_loss_mc",
     "privacy_loss_tail",
     "project_reply",
-    "reconstruct",
     "robustness_delta",
     "run_aggregation",
     "run_norm_verification",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     ParameterError,
 )
 from .rng import substream
-from .sharing import ShareBundle, truncate_share
+from .sharing import check_shares, truncate_share
 from .transcript import (
     KIND_ACCEPT,
     KIND_ACCEPTED_SET,
@@ -65,9 +65,6 @@ CLIENT_BEHAVIORS = (
     BEHAVIOR_INCONSISTENT, BEHAVIOR_PARTIAL_SEND,
 )
 
-ValidityPredicate = Callable[[frozenset], bool]
-
-
 @dataclass(frozen=True, eq=False)
 class ClientSubmission:
     """Per-verifier share payloads from one client; None means withheld."""
@@ -93,11 +90,6 @@ def validity_check(J_star, n: int, threshold_fraction: float) -> bool:
             f"threshold_fraction must lie in (0, 1], got {threshold_fraction}"
         )
     return len(J_star) >= threshold_fraction * n
-
-
-def fraction_validity(n: int, threshold_fraction: float) -> ValidityPredicate:
-    """Bind validity_check into the predicate form run_aggregation accepts."""
-    return lambda J_star: validity_check(J_star, n, threshold_fraction)
 
 
 def robustness_delta(result_with: AggregateResult,
@@ -134,12 +126,13 @@ class _Decided(NamedTuple):
 
     ids[i] lists the clients verifier i received a share from, sorted;
     R[i] holds their decoded shares and Y[i] (i >= 1) verifier i's reply
-    rows, both aligned with ids[i]. outcomes covers J, the clients that
-    reached every verifier, in id order; J_rows[i] are their rows in R[i]
-    and accept their verdicts.
+    rows, both aligned with ids[i]. n counts the submissions. outcomes
+    covers J, the clients that reached every verifier, in id order;
+    J_rows[i] are their rows in R[i] and accept their verdicts.
     """
 
     ids: list[list[str]]
+    n: int
     R: list[np.ndarray]
     Y: list[np.ndarray | None]
     J_rows: list[np.ndarray]
@@ -210,11 +203,12 @@ def _verify(submissions, params: ProtocolParams, seed: int, w_mode: str,
         cid: VerificationOutcome(client_id=cid, accept=a, v_norm=v, tau=params.tau)
         for cid, a, v in zip(J, accept.tolist(), v_norms.tolist())
     }
-    return _Decided(ids=ids, R=R, Y=Y, J_rows=J_rows, accept=accept, outcomes=outcomes)
+    return _Decided(ids=ids, n=len(seen), R=R, Y=Y, J_rows=J_rows, accept=accept,
+                    outcomes=outcomes)
 
 
 def run_aggregation(submissions, params: ProtocolParams,
-                    validity: ValidityPredicate | None = None, seed: int = 0,
+                    validity_threshold: float | None = None, seed: int = 0,
                     w_mode: str = W_MODE_SHARED,
                     sigma_out: float | None = None,
                     ) -> tuple[AggregateResult, Transcript]:
@@ -222,10 +216,11 @@ def run_aggregation(submissions, params: ProtocolParams,
 
     J is the set of clients that reached every verifier; each j in J gets
     one fresh-noise verification decision against the session projection.
-    If the validity predicate rejects J*, everyone aborts and no sums are
-    exchanged. sigma_out, when set, adds N(0, sigma_out^2 I_d) to every
-    verifier's partial sum before release (post-noise for the sum itself;
-    its privacy accounting is up to the caller).
+    If J* holds less than validity_threshold of the submissions (see
+    validity_check), everyone aborts and no sums are exchanged. sigma_out,
+    when set, adds N(0, sigma_out^2 I_d) to every verifier's partial sum
+    before release (post-noise for the sum itself; its privacy accounting
+    is up to the caller).
 
     Every verifier's noise is drawn from a substream keyed by its index
     and the client id, so adding or removing one client never perturbs
@@ -245,7 +240,7 @@ def run_aggregation(submissions, params: ProtocolParams,
 
     S, d = params.S, params.d
     bus = MessageBus()
-    ids, R, Y, J_rows, accept, outcomes = _verify(submissions, params, seed, w_mode, bus)
+    ids, n, R, Y, J_rows, accept, outcomes = _verify(submissions, params, seed, w_mode, bus)
 
     # round 2: per-verifier reply batches for every client they heard from
     for i in range(1, S):
@@ -260,9 +255,9 @@ def run_aggregation(submissions, params: ProtocolParams,
                  set_payload)
 
     accepted = frozenset(J_star)
-    if validity is not None and not validity(accepted):
-        transcript = Transcript(messages=bus.messages, master_seed=seed,
-                                params=params)
+    if validity_threshold is not None and not validity_check(J_star, n,
+                                                             validity_threshold):
+        transcript = Transcript(messages=bus.messages, master_seed=seed)
         result = AggregateResult(sum=None, accepted=accepted, aborted=True,
                                  per_client_outcomes=outcomes)
         return result, transcript
@@ -285,44 +280,42 @@ def run_aggregation(submissions, params: ProtocolParams,
     for s_i in partials:
         total = total + s_i
 
-    transcript = Transcript(messages=bus.messages, master_seed=seed, params=params)
+    transcript = Transcript(messages=bus.messages, master_seed=seed)
     result = AggregateResult(sum=total, accepted=accepted, aborted=False,
                              per_client_outcomes=outcomes)
     return result, transcript
 
 
-def run_norm_verification(bundle: ShareBundle, params: ProtocolParams,
-                          session_seed: int, w_mode: str = W_MODE_SHARED,
+def run_norm_verification(shares, params: ProtocolParams, session_seed: int,
+                          w_mode: str = W_MODE_SHARED, *, client_id: str = "",
                           ) -> tuple[VerificationOutcome, Transcript]:
     """Run the single-client protocol on the session's rounds and record it.
 
     Rounds: 0 share delivery to each verifier, 1 matrix broadcast,
     2 one vector reply per verifier, 3 accept-bit broadcast. When
     params.trunc_b is set the shares are truncated/quantized before
-    transmission and verifiers operate on what they received.
+    transmission and verifiers operate on what they received. shares is
+    the client's (S, d) share array, row i for verifier i.
     """
-    if bundle.S != params.S:
+    shares = np.asarray(shares, dtype=np.float64)
+    check_shares(shares)
+    if shares.shape != (params.S, params.d):
         raise DimensionMismatch(
-            f"bundle has {bundle.S} shares but params.S={params.S}"
+            f"shares have shape {shares.shape}, params need ({params.S}, {params.d})"
         )
-    if bundle.d != params.d:
-        raise DimensionMismatch(f"bundle dimension {bundle.d} != params.d={params.d}")
-
-    shares = bundle.shares
     if params.trunc_b is not None:
         shares = [truncate_share(z, params.trunc_b, params.quant_step) for z in shares]
-    sub = ClientSubmission(client_id=bundle.client_id, payloads=dict(enumerate(shares)))
+    sub = ClientSubmission(client_id=client_id, payloads=dict(enumerate(shares)))
     bus = MessageBus()
     decided = _verify([sub], params, session_seed, w_mode, bus)
 
     for i in range(1, params.S):
         bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
                  encode_vector(decided.Y[i][0]))
-    outcome = decided.outcomes[bundle.client_id]
+    outcome = decided.outcomes[client_id]
     bit = encode_accept(outcome.accept)
     for i in range(1, params.S):
         bus.send(verifier_party(0), verifier_party(i), 3, KIND_ACCEPT, bit)
 
-    transcript = Transcript(messages=bus.messages, master_seed=session_seed,
-                            params=params)
+    transcript = Transcript(messages=bus.messages, master_seed=session_seed)
     return outcome, transcript

@@ -41,17 +41,13 @@ VERDICT_REJECTED = "rejected"
 
 @dataclass(frozen=True)
 class PrivacyLossEstimate:
-    eps_target: float
     delta_target: float | None
     empirical_exceed_rate: float
-    standard_error: float
     samples: int
 
 
 @dataclass(frozen=True)
 class ClosenessReport:
-    label_p: str
-    label_q: str
     statistics: tuple[float, ...]
     threshold: float
     samples: int
@@ -101,11 +97,8 @@ def privacy_loss_mc(shift_norm: float, sigma: float, k: int, eps: float,
         y = m + rng.normal(0.0, sigma, size=(samples, k))
         loss = (y @ m - shift_norm ** 2 / 2.0) / sigma ** 2
         exceed = int(np.sum(np.abs(loss) > eps))
-    rate = exceed / samples
-    return PrivacyLossEstimate(eps_target=eps, delta_target=delta_target,
-                               empirical_exceed_rate=rate,
-                               standard_error=binomial_se(rate, samples),
-                               samples=samples)
+    return PrivacyLossEstimate(delta_target=delta_target,
+                               empirical_exceed_rate=exceed / samples, samples=samples)
 
 
 def privacy_loss_tail(shift_norm: float, sigma: float, eps: float) -> float:
@@ -182,15 +175,15 @@ def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
             y1 = good + rng.normal(0.0, sigma, size=good.size)
             loss = (y1 * good - good ** 2 / 2.0) / sigma ** 2
             exceed += int(np.sum(np.abs(loss) > params.eps))
-    rate = (bad + exceed) / samples
-    return PrivacyLossEstimate(eps_target=params.eps,
-                               delta_target=2.0 * params.delta,
-                               empirical_exceed_rate=rate,
-                               standard_error=binomial_se(rate, samples),
+    return PrivacyLossEstimate(delta_target=2.0 * params.delta,
+                               empirical_exceed_rate=(bad + exceed) / samples,
                                samples=samples)
 
 
 ViewSampler = Callable[[np.random.Generator, int], np.ndarray]
+
+# family-wise level of two_sample_closeness's KS tests, split over the marginals
+CLOSENESS_ALPHA = 1e-3
 
 
 def ks_two_sample_threshold(n: int, m: int, alpha: float) -> float:
@@ -199,9 +192,7 @@ def ks_two_sample_threshold(n: int, m: int, alpha: float) -> float:
 
 
 def two_sample_closeness(view_sampler_p: ViewSampler, view_sampler_q: ViewSampler,
-                         marginals: int, samples: int, seed, *,
-                         significance: float = 1e-3, label_p: str = "P",
-                         label_q: str = "Q") -> ClosenessReport:
+                         marginals: int, samples: int, seed) -> ClosenessReport:
     """Per-marginal two-sample KS tests with Bonferroni correction.
 
     Samplers take (generator, count) and return (count, marginals) arrays;
@@ -220,14 +211,13 @@ def two_sample_closeness(view_sampler_p: ViewSampler, view_sampler_q: ViewSample
             f"samplers must emit shape {expected}, got {p.shape} and {q.shape}"
         )
     threshold = ks_two_sample_threshold(samples, samples,
-                                        significance / marginals)
+                                        CLOSENESS_ALPHA / marginals)
     statistics = tuple(
         float(stats.ks_2samp(p[:, j], q[:, j], method="asymp").statistic)
         for j in range(marginals)
     )
     verdict = VERDICT_REJECTED if max(statistics) > threshold else VERDICT_CONSISTENT
-    return ClosenessReport(label_p=label_p, label_q=label_q,
-                           statistics=statistics, threshold=threshold,
+    return ClosenessReport(statistics=statistics, threshold=threshold,
                            samples=samples, verdict=verdict)
 
 

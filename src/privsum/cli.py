@@ -14,18 +14,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import audit as audit_mod
 from .aggregation import run_norm_verification
-from .core import CalibrationReport, ProtocolParams, calibrate
+from .core import CalibrationReport, ProtocolParams, calibrate, finite
 from .errors import ProtocolError, ScenarioError
 from .harness import Scenario, integral, measured_traffic, run_scenario
 from .rng import substream
-from .sharing import reconstruct, share_vector
+from .sharing import share_vector
 from .verification import W_MODE_SHARED, W_MODES
 
 # stays bound here, where perfbench/tracing.py counts its calls
@@ -89,19 +89,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ScenarioError(f"unknown experiment kind {self.kind!r}")
+        # integral fields run as ints (2.0 as 2), the rest must be finite
+        object.__setattr__(self, "k_grid",
+                           tuple(integral(k, "k_grid entry") for k in self.k_grid))
+        for name in ("S", "d", "n", "trials", "seed"):
+            object.__setattr__(self, name, integral(getattr(self, name), name))
+        for name in ("beta", "eps", "delta", "eps_ss", "delta_ss", "norm_factor"):
+            object.__setattr__(self, name, finite(getattr(self, name), name, ScenarioError))
         if not self.k_grid:
             raise ScenarioError("empty grid: provide --k-grid or --config")
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["k_grid"] = list(self.k_grid)
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        data["k_grid"] = tuple(integral(k, "k_grid entry") for k in data.get("k_grid", ()))
-        return cls(**data)
+        return cls(**{"k_grid": (), **data})
 
 
 def _add_privacy_flags(p: argparse.ArgumentParser, require: bool = True) -> None:
@@ -151,16 +151,16 @@ def cmd_share(args) -> int:
     rng = substream(args.seed, "cli-share")
     u = rng.standard_normal(args.d)
     x = args.norm * u / np.linalg.norm(u)
-    bundle = share_vector(x, args.S, args.sigma_ss, rng, client_id=args.client_id)
-    err = float(np.max(np.abs(reconstruct(bundle) - x)))
-    print(f"client_id={bundle.client_id} S={bundle.S} d={bundle.d} "
-          f"reconstruction_error={err:.3g}")
+    shares = share_vector(x, args.S, args.sigma_ss, rng)
+    err = float(np.max(np.abs(shares.sum(axis=0) - x)))
+    S, d = shares.shape
+    print(f"client_id={args.client_id} S={S} d={d} reconstruction_error={err:.3g}")
     if args.out:
         payload = {
-            "client_id": bundle.client_id,
+            "client_id": args.client_id,
             "sigma_ss": args.sigma_ss,
             "x": x.tolist(),
-            "shares": bundle.shares.tolist(),
+            "shares": shares.tolist(),
         }
         _write(args.out, json.dumps(payload) + "\n")
     return EXIT_OK
@@ -171,9 +171,9 @@ def cmd_verify_norm(args) -> int:
     rng = substream(args.seed, "cli-verify-input")
     u = rng.standard_normal(args.d)
     x = args.norm * u / np.linalg.norm(u)
-    bundle = share_vector(x, args.S, params.sigma_ss, rng, client_id="cli")
-    outcome, transcript = run_norm_verification(bundle, params, args.seed,
-                                                w_mode=args.w_mode)
+    shares = share_vector(x, args.S, params.sigma_ss, rng)
+    outcome, transcript = run_norm_verification(shares, params, args.seed,
+                                                w_mode=args.w_mode, client_id="cli")
     print(f"accept={int(outcome.accept)} v_norm={outcome.v_norm:.6g} "
           f"tau={outcome.tau:.6g} transcript_sha256={transcript.sha256()}")
     if args.transcript:
@@ -225,7 +225,7 @@ def _experiment_config(args) -> ExperimentConfig:
         return _read_json(args.config, ExperimentConfig.from_dict)
     return ExperimentConfig(
         kind=args.kind,
-        k_grid=tuple(integral(k, "k_grid entry") for k in args.k_grid.split(",") if k),
+        k_grid=tuple(k for k in args.k_grid.split(",") if k),
         S=args.S, d=args.d, beta=args.beta,
         eps=args.eps, delta=args.delta,
         eps_ss=args.eps_ss if args.eps_ss is not None else args.eps,

@@ -12,6 +12,7 @@ derivation_log as (name, formula, value) so runs are self-documenting.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -19,6 +20,24 @@ from scipy import stats
 
 from .errors import DimensionMismatch, InfeasibleParameters, ParameterError
 from .rng import as_generator
+
+
+def integral(value, name: str, error: type[Exception] = ParameterError) -> int:
+    """value as an int; error where int() would fail or truncate (1.7, 2.5)."""
+    try:
+        out = int(value)
+        if out == float(value):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def finite(value, name: str, error: type[Exception] = ParameterError) -> float:
+    """value as a float; error unless it is a finite real number."""
+    if isinstance(value, numbers.Real) and math.isfinite(value):
+        return float(value)
+    raise error(f"{name} must be a finite number, got {value!r}")
 
 
 def as_vector(x, *, name: str = "x") -> np.ndarray:
@@ -89,6 +108,14 @@ class ProtocolParams:
     quant_step: float = 1.0
 
     def __post_init__(self):
+        # integral sizes run as ints (8.0 as 8); NaN would pass every range check
+        for nm in ("S", "n", "d", "k"):
+            object.__setattr__(self, nm, integral(getattr(self, nm), nm))
+        for nm in ("eps", "delta", "eps_ss", "delta_ss", "beta", "sigma_ss", "sigma_v",
+                   "tau", "rho", "quant_step"):
+            object.__setattr__(self, nm, finite(getattr(self, nm), nm))
+        if self.trunc_b is not None:
+            object.__setattr__(self, "trunc_b", finite(self.trunc_b, "trunc_b"))
         if self.S < 2:
             raise ParameterError(f"need at least 2 verifiers, got S={self.S}")
         if self.k < 1 or self.n < 1 or self.d < 1:

@@ -3,13 +3,14 @@
 A Scenario pins everything a run needs besides the calibrated parameters
 and the master seed: population size, verifier count, dimension, the
 behavior of every client, and the run options.
-Scenarios round-trip losslessly through the dicts of a versioned JSON
-schema (see README for the field list) and validate on construction.
+Scenarios are read from the dicts of a versioned JSON schema (see README
+for the field list) and validate on construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -20,10 +21,9 @@ from .aggregation import (
     CLIENT_BEHAVIORS,
     AggregateResult,
     ClientSubmission,
-    fraction_validity,
     run_aggregation,
 )
-from .core import ProtocolParams
+from .core import ProtocolParams, integral as _integral
 from .errors import ScenarioError
 from .rng import substream
 from .sharing import share_vector, truncate_share
@@ -46,15 +46,8 @@ SCENARIO_SCHEMA_VERSION = 1
 NONCE_BYTES = 8  # 16 hex chars per client id
 
 
-def integral(value, name: str) -> int:
-    """value as an int; a ScenarioError where int() would truncate (1.7, 2.5)."""
-    try:
-        out = int(value)
-        if out == float(value):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ScenarioError(f"{name} must be an integer, got {value!r}")
+# scenario and experiment fields: a ScenarioError where int() would truncate
+integral = partial(_integral, error=ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -73,16 +66,6 @@ class ClientBehavior:
     skip: tuple[int, ...] = ()
     scale: float = 1.0
     client_id: str | None = None
-
-    def to_dict(self) -> dict:
-        out = {"behavior": self.kind, "norm": self.norm}
-        if self.skip:
-            out["skip"] = list(self.skip)
-        if self.kind == BEHAVIOR_INCONSISTENT:
-            out["scale"] = self.scale
-        if self.client_id is not None:
-            out["id"] = self.client_id
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClientBehavior":
@@ -132,16 +115,6 @@ class Scenario:
             raise ScenarioError("validity_threshold must lie in (0, 1]")
         if self.sigma_out is not None and self.sigma_out <= 0:
             raise ScenarioError("sigma_out must be > 0 when set")
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCENARIO_SCHEMA_VERSION,
-            "n": self.n, "S": self.S, "d": self.d,
-            "w_mode": self.w_mode,
-            "validity_threshold": self.validity_threshold,
-            "sigma_out": self.sigma_out,
-            "clients": [c.to_dict() for c in self.clients],
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -217,8 +190,7 @@ def build_submission(behavior: ClientBehavior, client_id: str, scenario: Scenari
         }
     else:
         x = behavior.norm * random_direction(d, rng)
-        bundle = share_vector(x, S, params.sigma_ss, rng, client_id=client_id)
-        payloads = {i: bundle.shares[i] for i in range(S)}
+        payloads = dict(enumerate(share_vector(x, S, params.sigma_ss, rng)))
         if behavior.kind == BEHAVIOR_PARTIAL_SEND:
             for i in behavior.skip:
                 payloads[i] = None
@@ -244,10 +216,8 @@ def run_scenario(scenario: Scenario, params: ProtocolParams,
                          substream(master_seed, "client", cid))
         for behavior, cid in zip(scenario.clients, ids)
     )
-    validity = None
-    if scenario.validity_threshold is not None:
-        validity = fraction_validity(scenario.n, scenario.validity_threshold)
-    return run_aggregation(submissions, params, validity=validity,
+    return run_aggregation(submissions, params,
+                           validity_threshold=scenario.validity_threshold,
                            seed=master_seed, w_mode=scenario.w_mode,
                            sigma_out=scenario.sigma_out)
 

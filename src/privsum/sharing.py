@@ -2,14 +2,13 @@
 
 A vector x is split into S shares: shares 1..S-1 are i.i.d.
 N(0, sigma_ss^2 I_d) blinds, share 0 is x minus their sum. Any strict
-subset of verifiers sees (nearly) noise; the sum reconstructs x exactly
+subset of verifiers sees (nearly) noise; the S shares sum to x exactly
 up to float64 summation error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,44 +17,8 @@ from .errors import DimensionMismatch, ParameterError
 from .rng import as_generator
 
 
-@dataclass(frozen=True, eq=False)
-class ShareBundle:
-    """The S additive shares produced by one client.
-
-    Row i of `shares` is the share sent to verifier i; row 0 carries the
-    secret minus the sum of the blinds.
-    """
-
-    client_id: str
-    shares: np.ndarray  # shape (S, d)
-
-    def __post_init__(self):
-        if self.shares.ndim != 2:
-            raise DimensionMismatch(
-                f"shares must be a (S>=2, d>=1) array, got shape {self.shares.shape}"
-            )
-        check_shares(self.shares)
-
-    @property
-    def S(self) -> int:
-        return self.shares.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.shares.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class SimulatedShareView:
-    """What a verifier coalition T would see, simulated without the secret."""
-
-    subset: frozenset[int]
-    messages: dict[int, np.ndarray]
-
-
-def share_vector(x, S: int, sigma_ss: float, seed, *,
-                 client_id: str = "") -> ShareBundle:
-    """Split x into S additive shares with Gaussian blinds, deterministic in seed.
+def share_vector(x, S: int, sigma_ss: float, seed) -> np.ndarray:
+    """The (S, d) additive shares of x, row i for verifier i, deterministic in seed.
 
     The norm contract ||x|| <= 1 is an honest-client promise and is not
     enforced here; adversarial callers may violate it.
@@ -66,7 +29,9 @@ def share_vector(x, S: int, sigma_ss: float, seed, *,
     if sigma_ss <= 0:
         raise ParameterError(f"sigma_ss must be > 0, got {sigma_ss}")
     blinds = sigma_ss * as_generator(seed).standard_normal((S - 1, x.shape[0]))
-    return ShareBundle(client_id=client_id, shares=split_shares(x, blinds))
+    shares = split_shares(x, blinds)
+    check_shares(shares)
+    return shares
 
 
 def split_shares(x: np.ndarray, blinds: np.ndarray) -> np.ndarray:
@@ -88,15 +53,9 @@ def check_shares(shares: np.ndarray) -> None:
         raise ParameterError("shares must be finite")
 
 
-def reconstruct(bundle: ShareBundle) -> np.ndarray:
-    """Coordinatewise sum of all shares; inverse of share_vector up to float error."""
-    if bundle.shares.ndim != 2 or bundle.S < 2:
-        raise DimensionMismatch("bundle must hold at least 2 equal-dimension shares")
-    return bundle.shares.sum(axis=0)
-
-
-def simulate_share_view(T, S: int, sigma_ss: float, d: int, seed) -> SimulatedShareView:
-    """Simulate the share messages a coalition T of verifiers receives.
+def simulate_share_view(T, S: int, sigma_ss: float, d: int,
+                        seed) -> dict[int, np.ndarray]:
+    """Simulate the share messages {verifier: message} a coalition T receives.
 
     For i in T, i != 0 the message is a fresh N(0, sigma_ss^2 I_d) draw.
     If 0 in T, verifier 0's message is g - sum of the other simulated
@@ -117,8 +76,7 @@ def simulate_share_view(T, S: int, sigma_ss: float, d: int, seed) -> SimulatedSh
             f"T={sorted(subset)} must be a proper subset of verifier indices 0..{S - 1}"
         )
     g = as_generator(seed).standard_normal((len(subset), d))
-    return SimulatedShareView(subset=subset,
-                              messages=simulated_view(subset, S, sigma_ss, g))
+    return simulated_view(subset, S, sigma_ss, g)
 
 
 def simulated_view(subset: frozenset[int], S: int, sigma_ss: float,

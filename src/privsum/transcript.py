@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProtocolParams
 from .errors import ParameterError, UnknownParty
 
 KIND_SHARE = "share"
@@ -235,7 +234,6 @@ class Transcript:
 
     messages: tuple[Message, ...]
     master_seed: int
-    params: ProtocolParams | None = None
 
     def parties(self) -> set[str]:
         out = set()

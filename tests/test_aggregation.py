@@ -24,7 +24,6 @@ from privsum.aggregation import (
     BEHAVIOR_INCONSISTENT,
     BEHAVIOR_NORM_INFLATING,
     BEHAVIOR_PARTIAL_SEND,
-    fraction_validity,
 )
 from privsum.audit import binomial_se
 from privsum.transcript import KIND_SHARE, client_party, decode_quantized, verifier_party
@@ -43,13 +42,18 @@ def honest_submissions(n, params, seed):
         rng = substream(seed, "client", j)
         u = rng.standard_normal(params.d)
         x = u / np.linalg.norm(u)
-        bundle = share_vector(x, params.S, params.sigma_ss, rng,
-                              client_id=f"c{j:03d}")
-        subs.append((x, ClientSubmission(
-            client_id=bundle.client_id,
-            payloads={i: bundle.shares[i] for i in range(params.S)},
-        )))
+        shares = share_vector(x, params.S, params.sigma_ss, rng)
+        subs.append((x, ClientSubmission(client_id=f"c{j:03d}",
+                                         payloads=dict(enumerate(shares)))))
     return subs
+
+
+def with_withholder(subs):
+    """subs plus one client that withholds its share from verifier 1, so it is
+    never in J* and validity_threshold=1.0 aborts."""
+    withheld = ClientSubmission(client_id="withholder",
+                                payloads={**subs[0].payloads, 1: None})
+    return subs + [withheld]
 
 
 class TestValidityCheck:
@@ -130,10 +134,14 @@ class TestRunAggregation:
         subs = [s for _, s in pairs]
         # threshold demands more clients than exist in J*
         result, transcript = run_aggregation(
-            subs, params, validity=lambda J: len(J) >= 10, seed=4)
+            with_withholder(subs), params, validity_threshold=1.0, seed=4)
         assert result.aborted and result.sum is None
         kinds = [m.kind for m in transcript.messages]
         assert "partial-sum" not in kinds
+        # n counts every submission, the withholder included: 4 of 5 meets 0.8
+        passed, _ = run_aggregation(
+            with_withholder(subs), params, validity_threshold=0.8, seed=4)
+        assert len(passed.accepted) == 4 and not passed.aborted
 
     def test_quantized_sum_is_sum_of_transmitted_shares(self):
         # shares off the quantization grid: verifiers must sum what they
@@ -153,11 +161,6 @@ class TestRunAggregation:
                 raw += sum(sub.payloads.values())
         assert np.max(np.abs(result.sum - transmitted)) <= 1e-12
         assert np.max(np.abs(result.sum - raw)) > 1e-3
-
-    def test_fraction_validity_binding(self):
-        pred = fraction_validity(10, 0.5)
-        assert pred(frozenset(f"c{i}" for i in range(5)))
-        assert not pred(frozenset(f"c{i}" for i in range(4)))
 
     def test_sigma_out_perturbs_sum(self):
         params = small_params(d=16)
@@ -215,7 +218,8 @@ class TestRobustness:
         pairs = honest_submissions(3, params, 37)
         subs = [s for _, s in pairs]
         ok, _ = run_aggregation(subs, params, seed=1)
-        bad, _ = run_aggregation(subs, params, validity=lambda J: False, seed=1)
+        bad, _ = run_aggregation(with_withholder(subs), params, validity_threshold=1.0,
+                                 seed=1)
         with pytest.raises(AbortedInput):
             robustness_delta(ok, bad)
 
@@ -255,11 +259,9 @@ class TestUnbiasedness:
         for t in range(runs):
             subs = []
             for j, x in enumerate(xs):
-                bundle = share_vector(x, params.S, params.sigma_ss, rng,
-                                      client_id=f"c{j}")
-                subs.append(ClientSubmission(
-                    client_id=f"c{j}",
-                    payloads={i: bundle.shares[i] for i in range(params.S)}))
+                shares = share_vector(x, params.S, params.sigma_ss, rng)
+                subs.append(ClientSubmission(client_id=f"c{j}",
+                                             payloads=dict(enumerate(shares))))
             result, _ = run_aggregation(subs, params,
                                         seed=int(rng.integers(2**62)))
             sums[t] = result.sum

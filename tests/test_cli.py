@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from privsum.cli import EXIT_ABORT, EXIT_OK, EXIT_USAGE, ExperimentConfig, main
+from privsum.core import calibrate
 from privsum.harness import Scenario, scenario_client_ids
 
 
@@ -145,6 +146,19 @@ class TestAggregateCommand:
 
         assert hash_of() == hash_of()
 
+    def test_integral_float_params_run_as_integers(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = self.write_scenario(tmp_path)
+
+        def summary(**overrides):
+            (tmp_path / "p.json").write_text(json.dumps({**PARAMS, **overrides}))
+            code, out, _ = run_cli(capsys, "aggregate", "--config", str(config),
+                                   "--params", "p.json", "--seed", "3")
+            assert code == EXIT_OK
+            return out
+
+        assert summary(d=8.0) == summary(d=8.0, S=2.0, k=16.0) == summary(d=8)
+
     def test_params_file_roundtrip(self, capsys, tmp_path):
         params_file = tmp_path / "params.json"
         code, _, _ = run_cli(
@@ -193,11 +207,17 @@ class TestExperimentCommand:
         assert code == EXIT_USAGE
 
     def test_config_roundtrip(self, tmp_path, capsys):
-        config = ExperimentConfig(kind="completeness", k_grid=(16,), trials=200,
-                                  d=8, seed=9)
+        # a schema-1 file that sets every field; 2.0 and 8.0 run as integers
+        data = {"kind": "completeness", "k_grid": [16, 32.0], "S": 2.0, "d": 8.0,
+                "n": 1, "beta": 0.05, "eps": 1.0, "delta": 1e-2, "eps_ss": 2.0,
+                "delta_ss": 1e-3, "trials": 200, "seed": 9, "norm_factor": 1.5}
+        config = ExperimentConfig(kind="completeness", k_grid=(16, 32), trials=200,
+                                  d=8, seed=9, eps_ss=2.0, delta_ss=1e-3, norm_factor=1.5)
         path = tmp_path / "exp.json"
-        path.write_text(json.dumps(config.to_dict()))
-        assert ExperimentConfig.from_dict(json.loads(path.read_text())) == config
+        path.write_text(json.dumps(data))
+        loaded = ExperimentConfig.from_dict(json.loads(path.read_text()))
+        assert loaded == config
+        assert type(loaded.S) is type(loaded.d) is type(loaded.k_grid[1]) is int
         out_file = tmp_path / "out.csv"
         code, _, _ = run_cli(capsys, "experiment", "--config", str(path),
                              "--out", str(out_file))
@@ -247,6 +267,21 @@ SCENARIO = json.dumps({"schema_version": 1, "n": 4, "S": 2, "d": 8,
                        "clients": [{"behavior": "honest", "count": 4}]})
 CALIBRATION = ("--eps", "1", "--delta", "1e-2", "--beta", "0.05", "--k", "16")
 AGGREGATE = ("aggregate", "--config", "s.json", *CALIBRATION)
+PARAMS = calibrate(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2, beta=0.05,
+                   S=2, k=16, d=8).params.to_dict()
+WITH_PARAMS = ("aggregate", "--config", "s.json", "--params", "p.json")
+EXPERIMENT = ("experiment", "--config", "e.json")
+
+
+def params_file(**overrides) -> dict:
+    return {"s.json": SCENARIO, "p.json": json.dumps({"params": {**PARAMS, **overrides}})}
+
+
+def experiment_file(**overrides) -> dict:
+    config = {"kind": "completeness", "k_grid": [16], "d": 8, "trials": 200}
+    return {"e.json": json.dumps({**config, **overrides})}
+
+
 # name -> (files to create, None making a directory; argv)
 MALFORMED = {
     "params file missing": ({"s.json": SCENARIO},
@@ -265,6 +300,17 @@ MALFORMED = {
     "non-integer k_grid entry": ({"e.json": '{"kind": "completeness", "k_grid": [16.5]}'},
                                  ("experiment", "--config", "e.json")),
     "non-integer --k-grid entry": ({}, ("experiment", "--k-grid", "16,x")),
+    "string trials": (experiment_file(trials="many"), EXPERIMENT),
+    "string d": (experiment_file(d="x"), EXPERIMENT),
+    "non-integer trials": (experiment_file(trials=200.5), EXPERIMENT),
+    "non-integer seed": (experiment_file(seed=1.5), EXPERIMENT),
+    "string norm_factor": (experiment_file(kind="soundness", norm_factor="x"), EXPERIMENT),
+    "non-integer params n": (params_file(n=1.5), WITH_PARAMS),
+    "NaN params sigma_v": (params_file(sigma_v=float("nan")), WITH_PARAMS),
+    "calibrate --eps nan": ({}, ("calibrate", "--eps", "nan", "--delta", "1e-2",
+                                 "--beta", "0.05", "--S", "2", "--k", "16", "--d", "8")),
+    "share --sigma-ss nan": ({}, ("share", "--d", "8", "--S", "2", "--sigma-ss", "nan")),
+    "share --sigma-ss inf": ({}, ("share", "--d", "8", "--S", "2", "--sigma-ss", "inf")),
 }
 
 

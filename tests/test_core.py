@@ -294,3 +294,12 @@ class TestSampleProjection:
             sample_projection(0, 16, 1)
         with pytest.raises(ParameterError):
             sample_projection(8, 0, 1)
+
+
+def test_star_import_and_unique_exports():
+    import privsum
+
+    namespace = {}
+    exec("from privsum import *", namespace)
+    assert set(privsum.__all__) <= set(namespace)
+    assert len(privsum.__all__) == len(set(privsum.__all__))

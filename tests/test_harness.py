@@ -144,20 +144,30 @@ class TestCodecs:
 
 class TestScenarioConfig:
     def test_json_roundtrip(self):
+        # a schema-1 file that sets every field
+        data = json.loads("""{
+            "schema_version": 1, "n": 4, "S": 3, "d": 8,
+            "w_mode": "verifier0", "validity_threshold": 0.5, "sigma_out": 2.0,
+            "clients": [
+                {"behavior": "honest", "norm": 1.0, "count": 2},
+                {"behavior": "inconsistent-shares", "norm": 1.0, "scale": 3.0},
+                {"behavior": "partial-send", "norm": 0.5, "skip": [1, 2], "id": "ps"}
+            ]
+        }""")
         scenario = Scenario(
-            n=3, S=2, d=8,
+            n=4, S=3, d=8,
             clients=(
                 ClientBehavior(),
-                ClientBehavior(kind="norm-inflating", norm=4.0),
-                ClientBehavior(kind="partial-send", skip=(1,)),
+                ClientBehavior(),
+                ClientBehavior(kind="inconsistent-shares", scale=3.0),
+                ClientBehavior(kind="partial-send", norm=0.5, skip=(1, 2), client_id="ps"),
             ),
-            validity_threshold=0.5,
+            w_mode="verifier0", validity_threshold=0.5, sigma_out=2.0,
         )
-        again = Scenario.from_dict(json.loads(json.dumps(scenario.to_dict())))
-        assert again == scenario
+        assert Scenario.from_dict(data) == scenario
         # schema-1 files written before the unread coalition and trials keys
         # were dropped still load
-        legacy = dict(scenario.to_dict(), coalition=[1], trials=5)
+        legacy = dict(data, coalition=[1], trials=5)
         assert Scenario.from_dict(legacy) == scenario
 
     def test_count_expansion(self):

@@ -99,11 +99,11 @@ class TestVerifier0Decide:
         x = u / np.linalg.norm(u)
         samples = np.empty(10_000)
         for t in range(samples.size):
-            bundle = share_vector(x, S, params.sigma_ss, rng)
+            shares = share_vector(x, S, params.sigma_ss, rng)
             W = sample_projection(k, 128, rng)
-            replies = [project_reply(bundle.shares[i], W, sigma_v, rng,
+            replies = [project_reply(shares[i], W, sigma_v, rng,
                                      verifier_index=i) for i in range(1, S)]
-            out = verifier0_decide(bundle.shares[0], replies, W, sigma_v,
+            out = verifier0_decide(shares[0], replies, W, sigma_v,
                                    params.tau, rng)
             samples[t] = k * out.v_norm**2 / (1.0 + k * S * sigma_v**2)
         assert stats.kstest(samples, stats.chi2(df=k).cdf).pvalue > 1e-3
@@ -190,9 +190,8 @@ class TestRunNormVerification:
     @pytest.mark.parametrize("S, trunc_b, quant_step", list(TRANSCRIPT_SHA256))
     def test_transcript_hash_is_pinned(self, S, trunc_b, quant_step):
         params = small_params(S=S, trunc_b=trunc_b, quant_step=quant_step)
-        bundle = share_vector(np.ones(params.d) / 4, params.S, params.sigma_ss,
-                              5, client_id="c0")
-        _, tr = run_norm_verification(bundle, params, 42)
+        shares = share_vector(np.ones(params.d) / 4, params.S, params.sigma_ss, 5)
+        _, tr = run_norm_verification(shares, params, 42, client_id="c0")
         assert len(tr.messages) == S + 3 * (S - 1)
         assert tr.sha256() == self.TRANSCRIPT_SHA256[S, trunc_b, quant_step]
 
@@ -206,10 +205,10 @@ class TestRunNormVerification:
             u = rng.standard_normal(params.d)
             # alternate honest and norm-inflating inputs so both verdicts occur
             norm = 1.0 if seed % 2 == 0 else 10.0 * params.rho
-            bundle = share_vector(norm * u / np.linalg.norm(u), params.S,
-                                  params.sigma_ss, rng, client_id="c0")
-            outcome, _ = run_norm_verification(bundle, params, seed, w_mode=w_mode)
-            shares = bundle.shares
+            shares = share_vector(norm * u / np.linalg.norm(u), params.S,
+                                  params.sigma_ss, rng)
+            outcome, _ = run_norm_verification(shares, params, seed, w_mode=w_mode,
+                                               client_id="c0")
             if trunc_b is not None:
                 shares = [truncate_share(z, trunc_b, params.quant_step) for z in shares]
             sub = ClientSubmission(client_id="c0", payloads=dict(enumerate(shares)))
@@ -222,8 +221,8 @@ class TestRunNormVerification:
     def test_transcript_structure(self):
         params = small_params(S=3)
         x = np.zeros(params.d)
-        bundle = share_vector(x, params.S, params.sigma_ss, 5, client_id="c0")
-        _, tr = run_norm_verification(bundle, params, 42)
+        shares = share_vector(x, params.S, params.sigma_ss, 5)
+        _, tr = run_norm_verification(shares, params, 42, client_id="c0")
         kinds = [m.kind for m in tr.messages]
         S = params.S
         assert kinds.count(KIND_SHARE) == S
@@ -234,20 +233,19 @@ class TestRunNormVerification:
 
     def test_deterministic_transcripts(self):
         params = small_params()
-        bundle = share_vector(np.ones(params.d) / 4, params.S, params.sigma_ss,
-                              5, client_id="c0")
-        _, tr1 = run_norm_verification(bundle, params, 42)
-        _, tr2 = run_norm_verification(bundle, params, 42)
+        shares = share_vector(np.ones(params.d) / 4, params.S, params.sigma_ss, 5)
+        _, tr1 = run_norm_verification(shares, params, 42, client_id="c0")
+        _, tr2 = run_norm_verification(shares, params, 42, client_id="c0")
         assert tr1.to_jsonl(include_payload=True) == tr2.to_jsonl(include_payload=True)
         assert tr1.sha256() == tr2.sha256()
-        _, tr3 = run_norm_verification(bundle, params, 43)
+        _, tr3 = run_norm_verification(shares, params, 43, client_id="c0")
         assert tr1.sha256() != tr3.sha256()
 
     def test_w_modes_give_different_matrices(self):
         params = small_params()
-        bundle = share_vector(np.zeros(params.d), params.S, params.sigma_ss, 5)
-        _, tr_shared = run_norm_verification(bundle, params, 7, w_mode="shared")
-        _, tr_private = run_norm_verification(bundle, params, 7,
+        shares = share_vector(np.zeros(params.d), params.S, params.sigma_ss, 5)
+        _, tr_shared = run_norm_verification(shares, params, 7, w_mode="shared")
+        _, tr_private = run_norm_verification(shares, params, 7,
                                               w_mode=W_MODE_VERIFIER0)
         w_shared = [m for m in tr_shared.messages if m.kind == KIND_MATRIX][0]
         w_private = [m for m in tr_private.messages if m.kind == KIND_MATRIX][0]
@@ -265,11 +263,17 @@ class TestRunNormVerification:
                                      pattern=PATTERN_CONCENTRATED)
         assert est.rate <= 0.05 + 3 * binomial_se(0.05, 2000)
 
-    def test_bundle_params_shape_checks(self):
+    def test_share_array_checks(self):
         params = small_params(S=2)
-        bundle = share_vector(np.zeros(params.d), 3, params.sigma_ss, 5)
-        with pytest.raises(DimensionMismatch):
-            run_norm_verification(bundle, params, 0)
+        with pytest.raises(DimensionMismatch):  # S=3 shares for S=2 params
+            run_norm_verification(share_vector(np.zeros(params.d), 3, params.sigma_ss, 5),
+                                  params, 0)
+        with pytest.raises(DimensionMismatch):  # d - 1 coordinates
+            run_norm_verification(np.zeros((2, params.d - 1)), params, 0)
+        with pytest.raises(DimensionMismatch):  # one share is no sharing
+            run_norm_verification(np.zeros((1, params.d)), params, 0)
+        with pytest.raises(ParameterError):
+            run_norm_verification(np.full((2, params.d), np.nan), params, 0)
 
 
 class TestSimulateNormVerification:
@@ -312,9 +316,8 @@ class TestSimulateNormVerification:
         real_w = np.empty((n, params.k * params.d))
         sim_w = np.empty((n, params.k * params.d))
         for i in range(n):
-            bundle = share_vector(np.zeros(params.d), params.S,
-                                  params.sigma_ss, rng_real)
-            real_g[i] = bundle.shares[1]
+            real_g[i] = share_vector(np.zeros(params.d), params.S,
+                                     params.sigma_ss, rng_real)[1]
             real_w[i] = sample_projection(params.k, params.d, rng_real).entries.ravel()
             run = simulate_norm_verification({1}, params, rng_sim)
             sim_g[i] = run.shares[1]
@@ -334,9 +337,9 @@ class TestSimulateNormVerification:
         real_accepts = 0
         for _ in range(trials):
             u = rng.standard_normal(params.d)
-            bundle = share_vector(u / np.linalg.norm(u), params.S,
+            shares = share_vector(u / np.linalg.norm(u), params.S,
                                   params.sigma_ss, rng)
-            out, _ = run_norm_verification(bundle, params,
+            out, _ = run_norm_verification(shares, params,
                                            int(rng.integers(2**62)))
             real_accepts += out.accept
         rng_sim = substream(810, "accept-sim")
