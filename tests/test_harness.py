@@ -1,5 +1,6 @@
 """Harness: determinism, substream isolation, serialization, traffic accounting."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -47,6 +48,10 @@ from privsum.transcript import (
 
 
 GOLDEN_SHA256 = "0cc4d22a3b2e29e73b5199495b9172cdd8a299e1415884a3f4a8e6ba81b1b0dc"
+# the quantized session of quantized_golden_run: its transcript and verifier
+# 0's released sum (whose own partial is not in the transcript)
+GOLDEN_QUANTIZED_SHA256 = "fdb3921932c638c9759776f536b072946d020cf039bc567129f4497b6ba7eac0"
+GOLDEN_QUANTIZED_SUM_SHA256 = "b8fc604f5599d0c14d3f5fa9449931f280f969b97e9a51a3bb6a3f928b56b4a0"
 
 
 def small_params(**overrides):
@@ -54,6 +59,21 @@ def small_params(**overrides):
                     beta=0.05, S=2, k=16, d=8)
     defaults.update(overrides)
     return calibrate(**defaults).params
+
+
+def quantized_golden_run():
+    """S=3 with trunc_b set, one partial sender and one inconsistent client.
+
+    The step of 1/256 makes the share varints 1, 2 and 3 bytes wide.
+    """
+    params = calibrate(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2, beta=0.05,
+                       S=3, k=16, d=16, trunc_b=64.0, quant_step=1 / 256).params
+    clients = (ClientBehavior(),) * 4 + (
+        ClientBehavior(kind="partial-send", skip=(1,)),
+        ClientBehavior(kind="inconsistent-shares", scale=10.0),
+    )
+    scenario = Scenario(n=6, S=3, d=16, clients=clients)
+    return run_scenario(scenario, params, 2024)
 
 
 class TestCodecs:
@@ -228,6 +248,19 @@ class TestDeterminism:
         _, transcript = run_scenario(honest_scenario(5, params.S, params.d),
                                      params, 99)
         assert transcript.sha256() == GOLDEN_SHA256
+
+    def test_golden_quantized_transcript_hash(self):
+        result, transcript = quantized_golden_run()
+        shares = [m.payload for m in transcript.messages if m.kind == KIND_SHARE]
+        assert len(shares) == 6 * 3 - 1
+        widths = set()
+        for payload in shares:
+            last = np.flatnonzero(np.frombuffer(payload, np.uint8, offset=4) < 0x80)
+            widths.update(np.diff(last, prepend=-1).tolist())
+        assert widths == {1, 2, 3}
+        assert len(result.accepted) == 4 and not result.aborted
+        assert transcript.sha256() == GOLDEN_QUANTIZED_SHA256
+        assert hashlib.sha256(result.sum.tobytes()).hexdigest() == GOLDEN_QUANTIZED_SUM_SHA256
 
     def test_substream_draws_are_pinned(self):
         assert substream(0, "pin").integers(0, 2 ** 32, size=4).tolist() == [
