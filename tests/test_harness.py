@@ -23,6 +23,7 @@ from privsum import (
     view_of,
     with_adversary,
 )
+from privsum import aggregation
 from privsum.harness import nonce_hex, scenario_client_ids
 from privsum.transcript import (
     KIND_SHARE,
@@ -261,6 +262,34 @@ class TestDeterminism:
         assert len(result.accepted) == 4 and not result.aborted
         assert transcript.sha256() == GOLDEN_QUANTIZED_SHA256
         assert hashlib.sha256(result.sum.tobytes()).hexdigest() == GOLDEN_QUANTIZED_SUM_SHA256
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_chunking_leaves_the_session_unchanged(self, monkeypatch, quantized):
+        # round 0 runs a bounded block of clients at a time; one client per
+        # block and the whole session in one block must give the same run
+        if quantized:
+            def run():
+                return quantized_golden_run()
+        else:
+            params = small_params(S=3)
+            scenario = honest_scenario(9, params.S, params.d)
+            for behavior in (ClientBehavior(kind="partial-send", skip=(2,)),
+                             ClientBehavior(kind="inconsistent-shares"),
+                             ClientBehavior(kind="norm-inflating", norm=50.0)):
+                scenario = with_adversary(scenario, behavior)
+
+            def run():
+                return run_scenario(scenario, params, 5)
+        runs = []
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr(aggregation, "_CHUNK_BYTES", budget, raising=False)
+            runs.append(run())
+        (r1, t1), (r2, t2) = runs
+        assert t1.sha256() == t2.sha256()
+        assert r1.accepted == r2.accepted
+        assert np.array_equal(r1.sum, r2.sum)
+        if quantized:
+            assert t1.sha256() == GOLDEN_QUANTIZED_SHA256
 
     def test_substream_draws_are_pinned(self):
         assert substream(0, "pin").integers(0, 2 ** 32, size=4).tolist() == [
