@@ -10,13 +10,14 @@ decision.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import ProtocolParams, as_vector
+from .core import ProtocolParams
 from .errors import (
     AbortedInput,
     DimensionMismatch,
@@ -35,14 +36,15 @@ from .transcript import (
     MessageBus,
     Transcript,
     client_party,
-    decode_quantized,
-    decode_vector,
+    decode_quantized_block,
+    decode_vector_block,
     encode_accept,
     encode_id_set,
     encode_matrix,
-    encode_quantized,
+    encode_quantized_block,
     encode_reply_batch,
     encode_vector,
+    encode_vector_block,
     verifier_party,
 )
 from .verification import (
@@ -53,7 +55,10 @@ from .verification import (
     project_replies,
     session_matrix,
 )
-# the per-client forms stay bound here, where perfbench/tracing.py counts their calls
+# the per-client and one-payload forms stay bound here, where
+# perfbench/tracing.py counts their calls; sessions run the block forms
+from .core import as_vector  # noqa: F401
+from .transcript import encode_quantized  # noqa: F401
 from .verification import project_reply, verifier0_decide  # noqa: F401
 
 BEHAVIOR_HONEST = "honest"
@@ -64,6 +69,22 @@ CLIENT_BEHAVIORS = (
     BEHAVIOR_HONEST, BEHAVIOR_NORM_INFLATING,
     BEHAVIOR_INCONSISTENT, BEHAVIOR_PARTIAL_SEND,
 )
+
+# bytes of share values that round 0 holds for one chunk of clients; the
+# codec's uint64 and intp temporaries for a chunk come to a few times this,
+# so round 0's working memory stays about a megabyte whatever n is
+_CHUNK_BYTES = 1 << 18
+
+
+def client_chunks(items, S: int, d: int):
+    """Consecutive lists of per-client items, as many clients per list as
+    have their S float64 shares of length d within _CHUNK_BYTES, and at
+    least one."""
+    size = max(1, _CHUNK_BYTES // (8 * S * d))
+    items = iter(items)
+    while chunk := list(itertools.islice(items, size)):
+        yield chunk
+
 
 @dataclass(frozen=True, eq=False)
 class ClientSubmission:
@@ -110,15 +131,23 @@ def _rows(M: np.ndarray, index: np.ndarray) -> np.ndarray:
     return M if index.size == M.shape[0] else M[index]
 
 
-def _deliverable(share, d: int) -> np.ndarray | None:
-    """share as a finite length-d vector; None when withheld or malformed."""
-    if share is None:
-        return None
-    try:
-        share = as_vector(share)
-    except (DimensionMismatch, ParameterError):
-        return None
-    return share if share.shape[0] == d else None
+def _deliverable(shares: list, d: int) -> tuple[list[int], np.ndarray]:
+    """The positions and stacked rows of the shares that are finite length-d
+    vectors; withheld (None) and malformed shares are left out."""
+    rows, vectors = [], []
+    for row, share in enumerate(shares):
+        if share is None:
+            continue
+        share = np.asarray(share, dtype=np.float64)
+        if share.shape == (d,):
+            rows.append(row)
+            vectors.append(share)
+    block = np.array(vectors).reshape(len(vectors), d)
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        rows = [row for row, ok in zip(rows, finite) if ok]
+        block = block[finite]
+    return rows, block
 
 
 class _Decided(NamedTuple):
@@ -149,33 +178,40 @@ def _verify(submissions, params: ProtocolParams, seed: int, w_mode: str,
     """
     S, d = params.S, params.d
 
-    # round 0: share delivery; verifiers keep the payloads they received
+    # round 0: share delivery, a chunk of clients at a time; each verifier's
+    # shares in a chunk are encoded as one block and sent client by client
     if params.trunc_b is not None:
-        encode = partial(encode_quantized, step=params.quant_step)
-        decode = partial(decode_quantized, step=params.quant_step)
+        encode = partial(encode_quantized_block, step=params.quant_step)
+        decode = partial(decode_quantized_block, step=params.quant_step)
     else:
-        encode, decode = encode_vector, decode_vector
+        encode, decode = encode_vector_block, decode_vector_block
     received: list[dict[str, bytes]] = [dict() for _ in range(S)]
     seen: set[str] = set()
-    for sub in submissions:
-        if sub.client_id in seen:
-            raise DuplicateClientId(f"duplicate client id {sub.client_id!r}")
-        seen.add(sub.client_id)
+    for chunk in client_chunks(submissions, S, d):
+        for sub in chunk:
+            if sub.client_id in seen:
+                raise DuplicateClientId(f"duplicate client id {sub.client_id!r}")
+            seen.add(sub.client_id)
+        sent = []
         for i in range(S):
-            share = _deliverable(sub.payloads.get(i), d)
-            if share is None:
-                continue
-            payload = encode(share)
-            bus.send(client_party(sub.client_id), verifier_party(i), 0,
-                     KIND_SHARE, payload)
-            received[i][sub.client_id] = payload
+            rows, block = _deliverable([sub.payloads.get(i) for sub in chunk], d)
+            sent.append(dict(zip(rows, encode(block))))
+        for row, sub in enumerate(chunk):
+            for i in range(S):
+                payload = sent[i].get(row)
+                if payload is not None:
+                    bus.send(client_party(sub.client_id), verifier_party(i), 0,
+                             KIND_SHARE, payload)
+                    received[i][sub.client_id] = payload
 
     # each verifier decodes what it received into one matrix, rows in id order
     ids = [sorted(received[i]) for i in range(S)]
     R = [np.empty((len(ids[i]), d)) for i in range(S)]
     for i in range(S):
-        for row, cid in zip(R[i], ids[i]):
-            row[:] = decode(received[i][cid])
+        start = 0
+        for part in client_chunks(ids[i], S, d):
+            R[i][start:start + len(part)] = decode([received[i][cid] for cid in part], d)
+            start += len(part)
 
     # round 1: matrix broadcast
     W = session_matrix(params, seed, w_mode)
@@ -226,9 +262,10 @@ def run_aggregation(submissions, params: ProtocolParams,
     and the client id, so adding or removing one client never perturbs
     the randomness applied to the others.
 
-    submissions may be any iterable and is consumed once, in order;
-    verifiers keep only the payloads they received, so a lazy iterable
-    lets each client's own arrays go as soon as they are delivered.
+    submissions may be any iterable and is consumed once, in order, a
+    bounded chunk of clients at a time; verifiers keep only the payloads
+    they received, so a lazy iterable lets each chunk's own arrays go
+    once that chunk is delivered.
 
     A share that is not a finite length-d vector, or that is addressed
     to no verifier in 0..S-1, is not delivered: its client misses that
@@ -304,7 +341,7 @@ def run_norm_verification(shares, params: ProtocolParams, session_seed: int,
             f"shares have shape {shares.shape}, params need ({params.S}, {params.d})"
         )
     if params.trunc_b is not None:
-        shares = [truncate_share(z, params.trunc_b, params.quant_step) for z in shares]
+        shares = truncate_share(shares, params.trunc_b, params.quant_step)
     sub = ClientSubmission(client_id=client_id, payloads=dict(enumerate(shares)))
     bus = MessageBus()
     decided = _verify([sub], params, session_seed, w_mode, bus)

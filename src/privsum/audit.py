@@ -290,13 +290,13 @@ def _verification_norms(params: ProtocolParams, target_norm: float, trials: int,
     for draws in _normal_chunks(rng, trials, *shapes, extra=2 * S * d):
         if pattern == PATTERN_RANDOM:
             x = _unit_rows(draws.pop(0), target_norm)
-        # scaled in place in the sampler's block, which the next chunk
-        # refills, so no copy of it adds to peak memory
+        # G, the noise and (by split_shares) the blinds are scaled in place
+        # in the sampler's block, which the next chunk refills, so no copy
+        # of them adds to peak memory
         blinds, G, noise = draws
-        blinds *= params.sigma_ss
         G /= math.sqrt(k)
         noise *= params.sigma_v
-        Z = split_shares(x, blinds)
+        Z = split_shares(x, blinds, params.sigma_ss)
         check_shares(Z)
         # Z^T = Q R with Q an orthonormal (d, r) basis of the shares' span:
         # row i of R^T holds share i's coordinates C_i, W z_i = (W Q) C_i,
@@ -409,8 +409,7 @@ def share_simulation_check(S: int, T: tuple[int, ...], sigma_ss: float,
         out = np.empty((count, len(T) * d))
         row = 0
         for u, blinds in _normal_chunks(rng, count, (d,), (S - 1, d)):
-            blinds *= sigma_ss
-            out[row:row + len(u)] = (split_shares(_unit_rows(u), blinds)[:, list(T)]
+            out[row:row + len(u)] = (split_shares(_unit_rows(u), blinds, sigma_ss)[:, list(T)]
                                      .reshape(len(u), -1))
             row += len(u)
         return out

@@ -21,12 +21,15 @@ from .aggregation import (
     CLIENT_BEHAVIORS,
     AggregateResult,
     ClientSubmission,
+    client_chunks,
     run_aggregation,
 )
 from .core import ProtocolParams, integral as _integral
 from .errors import ScenarioError
 from .rng import substream
-from .sharing import share_vector, truncate_share
+from .sharing import check_shares, split_shares, truncate_share
+# stays bound here, where perfbench/tracing.py counts its calls
+from .sharing import share_vector  # noqa: F401
 from .transcript import (
     KIND_ACCEPTED_SET,
     KIND_MATRIX,
@@ -178,45 +181,72 @@ def random_direction(d: int, rng: np.random.Generator) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
+def build_submissions(behaviors, client_ids, scenario: Scenario, params: ProtocolParams,
+                      rngs) -> list[ClientSubmission]:
+    """Realize a block of clients' payloads, each from its own private stream.
+
+    Every client draws and gets exactly what it would alone: its stream
+    fills its (S, d) row of the block in one call, which equals its
+    direction draw followed by its S-1 blinds (or, for an inconsistent
+    client, its S unrelated shares), and the rest is row-wise arithmetic.
+    """
+    S, d = scenario.S, scenario.d
+    draws = np.empty((len(behaviors), S, d))
+    sharing, norms = [], []
+    for row, (behavior, rng) in enumerate(zip(behaviors, rngs)):
+        if behavior.kind == BEHAVIOR_INCONSISTENT:
+            draws[row] = rng.normal(0.0, params.sigma_ss * behavior.scale, size=(S, d))
+        else:
+            rng.standard_normal(out=draws[row])
+            sharing.append(row)
+            norms.append(behavior.norm)
+    rows = slice(None) if len(sharing) == len(behaviors) else sharing
+    g = draws[rows]
+    u = g[:, 0]
+    # row norms from dot products, as np.linalg.norm takes them for one vector
+    x = np.array(norms)[:, None] * (u / np.sqrt(np.vecdot(u, u))[:, None])
+    shares = split_shares(x, g[:, 1:], params.sigma_ss)
+    check_shares(shares)
+    draws[rows] = shares
+    if params.trunc_b is not None:
+        draws = truncate_share(draws, params.trunc_b, params.quant_step)
+    submissions = []
+    for behavior, client_id, z in zip(behaviors, client_ids, draws):
+        payloads = dict(enumerate(z))
+        if behavior.kind == BEHAVIOR_PARTIAL_SEND:
+            for i in behavior.skip:
+                payloads[i] = None
+        submissions.append(ClientSubmission(client_id=client_id, payloads=payloads))
+    return submissions
+
+
 def build_submission(behavior: ClientBehavior, client_id: str, scenario: Scenario,
                      params: ProtocolParams,
                      rng: np.random.Generator) -> ClientSubmission:
     """Realize one client's payloads from its behavior and private stream."""
-    S, d = scenario.S, scenario.d
-    if behavior.kind == BEHAVIOR_INCONSISTENT:
-        payloads = {
-            i: rng.normal(0.0, params.sigma_ss * behavior.scale, size=d)
-            for i in range(S)
-        }
-    else:
-        x = behavior.norm * random_direction(d, rng)
-        payloads = dict(enumerate(share_vector(x, S, params.sigma_ss, rng)))
-        if behavior.kind == BEHAVIOR_PARTIAL_SEND:
-            for i in behavior.skip:
-                payloads[i] = None
-    if params.trunc_b is not None:
-        payloads = {
-            i: None if p is None else truncate_share(p, params.trunc_b, params.quant_step)
-            for i, p in payloads.items()
-        }
-    return ClientSubmission(client_id=client_id, payloads=payloads)
+    return build_submissions([behavior], [client_id], scenario, params, [rng])[0]
 
 
 def run_scenario(scenario: Scenario, params: ProtocolParams,
                  master_seed: int) -> tuple[AggregateResult, Transcript]:
-    """Execute one full aggregation for the scenario, deterministic in master_seed."""
+    """Execute one full aggregation for the scenario, deterministic in master_seed.
+
+    Clients are realized a chunk at a time, as the session consumes them.
+    """
     if scenario.S != params.S or scenario.d != params.d:
         raise ScenarioError(
             f"scenario (S={scenario.S}, d={scenario.d}) does not match params "
             f"(S={params.S}, d={params.d})"
         )
     ids = scenario_client_ids(scenario, master_seed)
-    submissions = (
-        build_submission(behavior, cid, scenario, params,
-                         substream(master_seed, "client", cid))
-        for behavior, cid in zip(scenario.clients, ids)
-    )
-    return run_aggregation(submissions, params,
+
+    def submissions():
+        for chunk in client_chunks(zip(scenario.clients, ids), scenario.S, scenario.d):
+            behaviors, chunk_ids = zip(*chunk)
+            rngs = [substream(master_seed, "client", cid) for cid in chunk_ids]
+            yield from build_submissions(behaviors, chunk_ids, scenario, params, rngs)
+
+    return run_aggregation(submissions(), params,
                            validity_threshold=scenario.validity_threshold,
                            seed=master_seed, w_mode=scenario.w_mode,
                            sigma_out=scenario.sigma_out)

@@ -28,19 +28,23 @@ def share_vector(x, S: int, sigma_ss: float, seed) -> np.ndarray:
         raise ParameterError(f"need at least 2 shares, got S={S}")
     if sigma_ss <= 0:
         raise ParameterError(f"sigma_ss must be > 0, got {sigma_ss}")
-    blinds = sigma_ss * as_generator(seed).standard_normal((S - 1, x.shape[0]))
-    shares = split_shares(x, blinds)
+    g = as_generator(seed).standard_normal((S - 1, x.shape[0]))
+    shares = split_shares(x, g, sigma_ss)
     check_shares(shares)
     return shares
 
 
-def split_shares(x: np.ndarray, blinds: np.ndarray) -> np.ndarray:
-    """Shares (..., S, d) of inputs x (..., d) from blinds (..., S-1, d) already drawn.
+def split_shares(x: np.ndarray, g: np.ndarray, sigma_ss) -> np.ndarray:
+    """Shares (..., S, d) of inputs x (..., d) from standard normals g (..., S-1, d).
 
-    Row 0 is x minus the sum of the blinds, rows 1..S-1 are the blinds.
+    Rows 1..S-1 are the blinds sigma_ss * g, scaled in place in g; row 0
+    is x minus their sum. A blind or sum that overflows is left as inf or
+    nan, without a warning, for check_shares to reject.
     """
-    share0 = x - blinds.sum(axis=-2)
-    return np.concatenate([share0[..., None, :], blinds], axis=-2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g *= sigma_ss
+        share0 = x - g.sum(axis=-2)
+    return np.concatenate([share0[..., None, :], g], axis=-2)
 
 
 def check_shares(shares: np.ndarray) -> None:
@@ -98,11 +102,18 @@ def simulated_view(subset: frozenset[int], S: int, sigma_ss: float,
 def truncate_share(share, B: float, step: float) -> np.ndarray:
     """Clamp each coordinate to [-B, B], then round to the nearest multiple of step.
 
-    Idempotent; ties round half-to-even. Results stay within +-edge, the
-    largest multiple n * step that is <= B, so a quantized payload decodes
-    to at most B even when B is off the grid.
+    share is one (d,) share or any (..., d) stack of them. Idempotent;
+    ties round half-to-even. Results stay within +-edge, the largest
+    multiple n * step that is <= B, so a quantized payload decodes to at
+    most B even when B is off the grid.
     """
-    share = as_vector(share, name="share")
+    share = np.asarray(share, dtype=np.float64)
+    if share.ndim < 1 or share.shape[-1] < 1:
+        raise DimensionMismatch(
+            f"share must have a last axis of length >= 1, got shape {share.shape}"
+        )
+    if not np.isfinite(share).all():
+        raise ParameterError("share must contain only finite values")
     if B <= 0:
         raise ParameterError(f"B must be > 0, got {B}")
     if step <= 0:

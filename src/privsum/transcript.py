@@ -11,7 +11,10 @@ fixed so traffic totals admit closed-form predictions:
   reply batch   u32 count, then per entry: u16 id length + id + u32 k + k float64
 
 The u16 length prefix limits client ids to 65,535 UTF-8 bytes; the id
-codecs raise ParameterError beyond that.
+codecs raise ParameterError beyond that. The vector and quantized codecs
+work on blocks: the rows of an (m, d) array become m payloads, and m
+payloads of exactly d values each become an (m, d) array; the
+one-payload forms are their one-row calls.
 """
 
 from __future__ import annotations
@@ -48,14 +51,37 @@ def verifier_party(index: int) -> str:
 # ---------------------------------------------------------------------------
 # payload codecs
 
+def _bodies(payloads, d: int) -> bytes:
+    """The payloads' bodies joined, after checking each count header is d."""
+    header = struct.pack("<I", d)
+    if any(p[:4] != header for p in payloads):
+        raise ParameterError(f"a payload's count header is not {d}")
+    return b"".join(memoryview(p)[4:] for p in payloads)
+
+
+def encode_vector_block(V: np.ndarray) -> list[bytes]:
+    """One vector payload per row of the (m, d) array V."""
+    V = np.asarray(V, dtype="<f8")
+    m, d = V.shape
+    header, body = struct.pack("<I", d), V.tobytes()
+    return [header + body[8 * d * r:8 * d * (r + 1)] for r in range(m)]
+
+
+def decode_vector_block(payloads, d: int) -> np.ndarray:
+    """The (m, d) array of m vector payloads, each of exactly d values."""
+    if any(len(p) != vector_bytes(d) for p in payloads):
+        raise ParameterError(f"a vector payload does not hold exactly {d} values")
+    body = _bodies(payloads, d)
+    return np.frombuffer(bytearray(body), dtype="<f8").reshape(len(payloads), d)
+
+
 def encode_vector(v: np.ndarray) -> bytes:
-    v = np.asarray(v, dtype="<f8")
-    return struct.pack("<I", v.shape[0]) + v.tobytes()
+    return encode_vector_block(np.asarray(v)[None])[0]
 
 
 def decode_vector(data: bytes) -> np.ndarray:
     (count,) = struct.unpack_from("<I", data, 0)
-    return np.frombuffer(data, dtype="<f8", count=count, offset=4).copy()
+    return decode_vector_block([data], count)[0]
 
 
 def encode_matrix(entries: np.ndarray) -> bytes:
@@ -69,46 +95,73 @@ def decode_matrix(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8", count=k * d, offset=8).reshape(k, d).copy()
 
 
-def encode_quantized(v: np.ndarray, step: float) -> bytes:
-    """Variable-width integer encoding of a grid-valued vector."""
-    q = np.round(np.asarray(v, dtype=np.float64) / step).astype(np.int64)
-    header = struct.pack("<I", q.shape[0])
+def encode_quantized_block(V: np.ndarray, step: float) -> list[bytes]:
+    """One quantized payload per row of the (m, d) array V."""
+    q = np.round(np.asarray(V, dtype=np.float64) / step).astype(np.int64)
+    m, d = q.shape
+    header = struct.pack("<I", d)
     if q.size == 0:
-        return header
-    z = (q.view(np.uint64) << np.uint64(1)) ^ (q >> 63).view(np.uint64)  # zigzag
+        return [header] * m
+    z = ((q.view(np.uint64) << np.uint64(1)) ^ (q >> 63).view(np.uint64)).ravel()  # zigzag
     # a value takes one byte per 7-bit group up to its highest non-zero one,
     # least significant first; all of its bytes but the last carry 0x80
     width = np.ones(z.shape, dtype=np.intp)
-    rest = z >> 7
-    while rest.any():
-        width += rest != 0
-        rest >>= 7
+    groups = 1
+    while groups < 10:
+        more = z >= np.uint64(1 << 7 * groups)
+        if not more.any():
+            break
+        width += more
+        groups += 1
     end = np.cumsum(width)
-    value = np.repeat(np.arange(z.size), width)
-    group = np.arange(end[-1]) - np.repeat(end - width, width)
-    out = ((z[value] >> (7 * group).astype(np.uint64)) & 0x7F).astype(np.uint8)
-    out[group < width[value] - 1] |= 0x80
-    return header + out.tobytes()
+    start = end - width
+    out = np.empty(int(end[-1]), dtype=np.uint8)
+    for j in range(groups):  # group j of every value that has one goes to start + j
+        index = np.flatnonzero(width > j) if j else slice(None)
+        byte = (z[index] >> np.uint64(7 * j)).astype(np.uint8) & 0x7F
+        byte |= (width[index] > j + 1).view(np.uint8) << 7
+        out[start[index] + j] = byte
+    body = out.tobytes()
+    row_ends = end[d - 1::d].tolist()
+    return [header + body[a:b] for a, b in zip([0] + row_ends[:-1], row_ends)]
+
+
+def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
+    """The (m, d) array of m quantized payloads, each of exactly d values.
+
+    The bodies are decoded joined, so each must end exactly at its d-th
+    value: a payload that is short, runs on, or has another count raises
+    ParameterError rather than shifting the payloads after it.
+    """
+    m = len(payloads)
+    raw = np.frombuffer(_bodies(payloads, d), dtype=np.uint8)
+    last = np.flatnonzero(raw < 0x80)  # each value's last byte
+    body_ends = np.cumsum([len(p) - 4 for p in payloads], dtype=np.intp)
+    value_ends = last[d - 1::d] + 1 if d else np.zeros(m, dtype=np.intp)
+    if last.size != m * d or not np.array_equal(value_ends, body_ends):
+        raise ParameterError(f"a quantized payload does not hold exactly {d} values")
+    if last.size == 0:
+        return np.empty((m, d))
+    width = np.diff(last, prepend=-1)
+    if width.max() > 10:
+        raise ParameterError("quantized payload has a varint longer than 64 bits")
+    # walk back from each value's last byte, most significant group first
+    z = raw[last].astype(np.uint64)
+    for j in range(1, int(width.max())):
+        index = np.flatnonzero(width > j)
+        z[index] = (z[index] << np.uint64(7)) | (raw[last[index] - j] & 0x7F)
+    q = (z >> np.uint64(1)).view(np.int64) ^ -(z & np.uint64(1)).view(np.int64)  # inverse zigzag
+    return (q * step).reshape(m, d)
+
+
+def encode_quantized(v: np.ndarray, step: float) -> bytes:
+    """Variable-width integer encoding of a grid-valued vector."""
+    return encode_quantized_block(np.asarray(v)[None], step)[0]
 
 
 def decode_quantized(data: bytes, step: float) -> np.ndarray:
     (count,) = struct.unpack_from("<I", data, 0)
-    if count == 0:
-        return np.empty(0)
-    raw = np.frombuffer(data, dtype=np.uint8, offset=4)
-    ends = np.flatnonzero(raw < 0x80)[:count] + 1  # one past each value's last byte
-    if ends.size < count:
-        raise ParameterError(f"quantized payload holds fewer than {count} values")
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1]
-    lengths = ends - starts
-    if lengths.max() > 10:
-        raise ParameterError("quantized payload has a varint longer than 64 bits")
-    shift = 7 * (np.arange(ends[-1]) - np.repeat(starts, lengths))
-    parts = (raw[:ends[-1]] & 0x7F).astype(np.uint64) << shift.astype(np.uint64)
-    z = np.bitwise_or.reduceat(parts, starts)
-    q = (z >> 1).view(np.int64) ^ -(z & 1).view(np.int64)  # inverse zigzag
-    return q * step
+    return decode_quantized_block([data], count, step)[0]
 
 
 def encode_accept(accept: bool) -> bytes:
@@ -153,10 +206,13 @@ def decode_id_set(data: bytes) -> list[str]:
 
 
 def encode_reply_batch(entries: list[tuple[str, np.ndarray]]) -> bytes:
-    out = bytearray(struct.pack("<I", len(entries)))
-    for cid, y in entries:
-        out += _encode_id(cid) + encode_vector(y)
-    return bytes(out)
+    """One batch of (client id, reply) entries; the replies share one length k."""
+    parts = [struct.pack("<I", len(entries))]
+    if entries:
+        ids, replies = zip(*entries)
+        for cid, payload in zip(ids, encode_vector_block(np.array(replies))):
+            parts += (_encode_id(cid), payload)
+    return b"".join(parts)
 
 
 def decode_reply_batch(data: bytes) -> list[tuple[str, np.ndarray]]:

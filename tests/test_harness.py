@@ -32,14 +32,18 @@ from privsum.transcript import (
     decode_id_set,
     decode_matrix,
     decode_quantized,
+    decode_quantized_block,
     decode_reply_batch,
     decode_vector,
+    decode_vector_block,
     encode_accept,
     encode_id_set,
     encode_matrix,
     encode_quantized,
+    encode_quantized_block,
     encode_reply_batch,
     encode_vector,
+    encode_vector_block,
     id_set_bytes,
     matrix_bytes,
     reply_batch_bytes,
@@ -60,6 +64,18 @@ def small_params(**overrides):
                     beta=0.05, S=2, k=16, d=8)
     defaults.update(overrides)
     return calibrate(**defaults).params
+
+
+def reference_quantized(grid: list[int]) -> bytes:
+    """The quantized payload of integer grid points, one value at a time."""
+    out = bytearray(len(grid).to_bytes(4, "little"))
+    for q in grid:
+        z = 2 * q if q >= 0 else -2 * q - 1
+        while z >= 0x80:
+            out.append(z & 0x7F | 0x80)
+            z >>= 7
+        out.append(z)
+    return bytes(out)
 
 
 def quantized_golden_run():
@@ -117,20 +133,76 @@ class TestCodecs:
     def test_quantized_matches_reference_loop(self, values):
         v = np.array(values, dtype=np.float64)
         grid = [int(x) for x in v]  # the integers float64 holds
-        expected = bytearray(len(grid).to_bytes(4, "little"))
-        for q in grid:
-            z = 2 * q if q >= 0 else -2 * q - 1
-            while z >= 0x80:
-                expected.append(z & 0x7F | 0x80)
-                z >>= 7
-            expected.append(z)
-        assert encode_quantized(v, 1.0) == bytes(expected)
-        assert decode_quantized(bytes(expected), 1.0).tolist() == [float(q) for q in grid]
+        expected = reference_quantized(grid)
+        assert encode_quantized(v, 1.0) == expected
+        assert decode_quantized(expected, 1.0).tolist() == [float(q) for q in grid]
+
+    @given(st.integers(0, 4), st.integers(1, 6), st.data())
+    def test_quantized_block_matches_reference_loop(self, m, d, data):
+        values = data.draw(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=m * d,
+                                    max_size=m * d))
+        V = np.array(values, dtype=np.float64).reshape(m, d)
+        expected = [reference_quantized([int(x) for x in row]) for row in V]
+        assert encode_quantized_block(V, 1.0) == expected
+        np.testing.assert_array_equal(decode_quantized_block(expected, d, 1.0), V)
+
+    def test_quantized_block_covers_every_width(self):
+        # the smallest and largest zigzag value of each width, 1 to 10 bytes
+        zigzag = [0, 0x7F]
+        for width in range(2, 11):
+            zigzag += [1 << 7 * (width - 1), min(1 << 7 * width, 1 << 64) - 1]
+        grid = [z // 2 if z % 2 == 0 else -(z + 1) // 2 for z in zigzag]
+        V = np.array(grid, dtype=np.float64).reshape(4, 5)
+        assert [int(x) for x in V.ravel()] == grid  # float64 holds each exactly
+        expected = [reference_quantized(grid[5 * r:5 * r + 5]) for r in range(4)]
+        assert sorted({len(reference_quantized([q])) - 4 for q in grid}) == list(range(1, 11))
+        assert encode_quantized_block(V, 1.0) == expected
+        np.testing.assert_array_equal(decode_quantized_block(expected, 5, 1.0), V)
+
+    def test_empty_blocks(self):
+        assert encode_quantized_block(np.empty((0, 3)), 1.0) == []
+        assert encode_vector_block(np.empty((0, 3))) == []
+        assert decode_quantized_block([], 3, 1.0).shape == (0, 3)
+        assert decode_vector_block([], 3).shape == (0, 3)
+
+    def test_vector_block_matches_one_row_calls(self):
+        V = substream(3, "block").standard_normal((4, 3))
+        payloads = encode_vector_block(V)
+        assert payloads == [encode_vector(row) for row in V]
+        np.testing.assert_array_equal(decode_vector_block(payloads, 3), V)
 
     def test_truncated_quantized_payload_rejected(self):
         data = encode_quantized(np.array([8192.0, 1.0]), 1.0)
         with pytest.raises(ParameterError):
             decode_quantized(data[:-2], 1.0)
+
+    def test_trailing_bytes_rejected(self):
+        # a one-payload decode must end exactly at its last value
+        data = encode_quantized(np.array([8192.0, 1.0]), 1.0)
+        for extra in (b"\x01", b"\x80"):
+            with pytest.raises(ParameterError):
+                decode_quantized(data + extra, 1.0)
+        with pytest.raises(ParameterError):
+            decode_vector(encode_vector(np.ones(2)) + b"\x00")
+
+    @pytest.mark.parametrize("fault", ["short", "trailing 0x80", "count"])
+    def test_malformed_payload_in_a_block_rejected(self, fault):
+        # block decoding joins the bodies, so a payload that does not end at
+        # its d-th value must raise instead of shifting its neighbours
+        V = np.array([[1.0, -200.0, 3.0], [8192.0, 5.0, -6.0], [7.0, 8.0, 9.0]])
+        quantized = encode_quantized_block(V, 1.0)
+        vectors = encode_vector_block(V)
+        if fault == "short":
+            quantized[1], vectors[1] = quantized[1][:-1], vectors[1][:-1]
+        elif fault == "trailing 0x80":
+            quantized[1], vectors[1] = quantized[1] + b"\x80", vectors[1] + b"\x80"
+        else:
+            quantized[1] = encode_quantized(V[1, :2], 1.0)
+            vectors[1] = encode_vector(V[1, :2])
+        with pytest.raises(ParameterError):
+            decode_quantized_block(quantized, 3, 1.0)
+        with pytest.raises(ParameterError):
+            decode_vector_block(vectors, 3)
 
     def test_long_ids_rejected(self):
         longest = "x" * MAX_ID_BYTES
@@ -282,7 +354,7 @@ class TestDeterminism:
                 return run_scenario(scenario, params, 5)
         runs = []
         for budget in (1, 1 << 40):
-            monkeypatch.setattr(aggregation, "_CHUNK_BYTES", budget, raising=False)
+            monkeypatch.setattr(aggregation, "_CHUNK_BYTES", budget)
             runs.append(run())
         (r1, t1), (r2, t2) = runs
         assert t1.sha256() == t2.sha256()

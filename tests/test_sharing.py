@@ -107,7 +107,7 @@ class TestBatchKernels:
         sigma, d, m = 3.0, 5, 4
         x = substream(51, "x").standard_normal((m, d))
         blinds = substream(51, "batch").standard_normal((m, 2, d))
-        shares = split_shares(x, sigma * blinds)
+        shares = split_shares(x, blinds, sigma)
         rng = substream(51, "batch")
         for r in range(m):
             np.testing.assert_array_equal(shares[r], share_vector(x[r], 3, sigma, rng))
