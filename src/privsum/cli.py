@@ -22,7 +22,7 @@ import numpy as np
 from . import audit as audit_mod
 from .aggregation import run_norm_verification
 from .core import CalibrationReport, ProtocolParams, calibrate, finite
-from .errors import ProtocolError, ScenarioError
+from .errors import ParameterError, ProtocolError, ScenarioError
 from .harness import Scenario, integral, measured_traffic, run_scenario
 from .rng import substream
 from .sharing import share_vector
@@ -148,6 +148,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_share(args) -> int:
+    if args.d < 1:
+        raise ParameterError(f"--d must be >= 1, got {args.d}")
     rng = substream(args.seed, "cli-share")
     u = rng.standard_normal(args.d)
     x = args.norm * u / np.linalg.norm(u)
@@ -297,6 +299,8 @@ def _audit_rows(samples: int, seed: int) -> list[audit_mod.CheckResult]:
 
 
 def cmd_audit(args) -> int:
+    if args.samples < 1:
+        raise ParameterError(f"--samples must be >= 1, got {args.samples}")
     rows = _audit_rows(args.samples, args.seed)
     lines = [f"# schema: {AUDIT_SCHEMA}", "check\tparams\tstatistic\tthreshold\tverdict"]
     lines += [f"{r.check}\t{r.params}\t{r.statistic:.6g}\t{r.threshold:.6g}\t{r.verdict}"

@@ -311,9 +311,15 @@ MALFORMED = {
                                  "--beta", "0.05", "--S", "2", "--k", "16", "--d", "8")),
     "share --sigma-ss nan": ({}, ("share", "--d", "8", "--S", "2", "--sigma-ss", "nan")),
     "share --sigma-ss inf": ({}, ("share", "--d", "8", "--S", "2", "--sigma-ss", "inf")),
+    "share --sigma-ss 1e308": ({}, ("share", "--d", "8", "--S", "3", "--sigma-ss", "1e308")),
+    "share --d -1": ({}, ("share", "--d", "-1", "--S", "2", "--sigma-ss", "1")),
+    "audit --samples 0": ({}, ("audit", "--samples", "0")),
+    "audit --samples -3": ({}, ("audit", "--samples", "-3")),
 }
 
 
+# a warning would print to stderr before the error line; here it fails the test
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("files, argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_is_one_error_line(capsys, tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)
