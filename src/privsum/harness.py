@@ -181,6 +181,17 @@ def random_direction(d: int, rng: np.random.Generator) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
+def _shares_of(g: np.ndarray, norms, sigma_ss: float) -> np.ndarray:
+    """Shares (m, S, d) of the inputs of the given norms, from each row of
+    standard normals g (m, S, d): row 0 is the direction, rows 1.. the blinds."""
+    u = g[:, 0]
+    # row norms from dot products, as np.linalg.norm takes them for one vector
+    x = np.array(norms)[:, None] * (u / np.sqrt(np.vecdot(u, u))[:, None])
+    shares = split_shares(x, g[:, 1:], sigma_ss)
+    check_shares(shares)
+    return shares
+
+
 def build_submissions(behaviors, client_ids, scenario: Scenario, params: ProtocolParams,
                       rngs) -> list[ClientSubmission]:
     """Realize a block of clients' payloads, each from its own private stream.
@@ -191,27 +202,24 @@ def build_submissions(behaviors, client_ids, scenario: Scenario, params: Protoco
     client, its S unrelated shares), and the rest is row-wise arithmetic.
     """
     S, d = scenario.S, scenario.d
-    draws = np.empty((len(behaviors), S, d))
+    block = np.empty((len(behaviors), S, d))
     sharing, norms = [], []
     for row, (behavior, rng) in enumerate(zip(behaviors, rngs)):
         if behavior.kind == BEHAVIOR_INCONSISTENT:
-            draws[row] = rng.normal(0.0, params.sigma_ss * behavior.scale, size=(S, d))
+            block[row] = rng.normal(0.0, params.sigma_ss * behavior.scale, size=(S, d))
         else:
-            rng.standard_normal(out=draws[row])
+            rng.standard_normal(out=block[row])
             sharing.append(row)
             norms.append(behavior.norm)
-    rows = slice(None) if len(sharing) == len(behaviors) else sharing
-    g = draws[rows]
-    u = g[:, 0]
-    # row norms from dot products, as np.linalg.norm takes them for one vector
-    x = np.array(norms)[:, None] * (u / np.sqrt(np.vecdot(u, u))[:, None])
-    shares = split_shares(x, g[:, 1:], params.sigma_ss)
-    check_shares(shares)
-    draws[rows] = shares
+    # rebinding rather than copying frees the raw normals before truncation
+    if len(sharing) == len(behaviors):
+        block = _shares_of(block, norms, params.sigma_ss)
+    else:
+        block[sharing] = _shares_of(block[sharing], norms, params.sigma_ss)
     if params.trunc_b is not None:
-        draws = truncate_share(draws, params.trunc_b, params.quant_step)
+        block = truncate_share(block, params.trunc_b, params.quant_step)
     submissions = []
-    for behavior, client_id, z in zip(behaviors, client_ids, draws):
+    for behavior, client_id, z in zip(behaviors, client_ids, block):
         payloads = dict(enumerate(z))
         if behavior.kind == BEHAVIOR_PARTIAL_SEND:
             for i in behavior.skip:
