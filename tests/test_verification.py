@@ -1,5 +1,6 @@
 """Norm verification: projections, decisions, protocol runs, simulator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from privsum import (
     DimensionMismatch,
     MissingReply,
     ParameterError,
+    ProtocolParams,
     calibrate,
     norm_verification_rate,
     project_reply,
@@ -274,6 +276,44 @@ class TestRunNormVerification:
             run_norm_verification(np.zeros((1, params.d)), params, 0)
         with pytest.raises(ParameterError):
             run_norm_verification(np.full((2, params.d), np.nan), params, 0)
+
+
+# S, T, seed, whether the coalition shoves its replies by +4, then the pinned
+# sha256 of the blinds' and W's bytes, the accept bit and v_sim
+SIMULATOR_PINS = [
+    (2, (1,), 0, False, "f5360246386077b994d93ec2abb3c026dd63c1da6f125b2d101a8ae7035855fb", True,
+     [-1.5493294423445771, -1.5978538061484542, -0.22077193151231872, 1.5173294834782192]),
+    (2, (1,), 1, False, "cdf87f6711fc57f979b9a62bc2e017fde0ba5a1489a77379a804ff744eaa5dd5", True,
+     [-0.05018876405092747, 1.3678667554681574, -1.0386172114022063, -0.5556021914618254]),
+    (3, (1,), 2, False, "f4334fe77fc1ebdef230c9cd88a185b7bc37b795ffc43115df99d01dce444eb7", True,
+     [-0.7319777864129672, -1.3883335112565791, -2.096426573965646, -0.5081790666880384]),
+    (3, (1,), 3, False, "f9a19dacbc5a898799b1f09c1f0a5e5aac4c353171855d7cbc4e7b3a13c2327e", False,
+     [-1.1242820676813086, -3.595232615800489, 0.13126037062230367, 1.7140057350686018]),
+    (3, (1, 2), 4, False, "f29a545f21df2df0fc492a13e9651192229f267c3b70d46db25ffd18656abc90", True,
+     [-1.5376147972783736, 0.9966392553858581, -0.6798140783667115, -1.414853243893056]),
+    (3, (1, 2), 5, False, "616cc9a6e62f2c5b4b9c6b590cb6dbf8ccdcf2e1f556228b9ff99228eb3e119f", False,
+     [-2.2558975589220145, -0.7508003915781984, -2.5125753737646166, -0.5335826586242147]),
+    (3, (1, 2), 6, True, "5ae291fce8233dd8c106bdecf334f67d349fbafa6e853cd25ad014b3836a2938", False,
+     [5.770937205527546, 6.117332533910175, 6.712640287029311, 8.89047010900648]),
+]
+
+
+@pytest.mark.parametrize("S, T, seed, shove, digest, accept, v_sim", SIMULATOR_PINS)
+def test_simulator_pinned(S, T, seed, shove, digest, accept, v_sim):
+    params = ProtocolParams(S=S, n=1, d=3, k=4, eps=1.0, delta=1e-2, eps_ss=1.0,
+                            delta_ss=1e-2, beta=0.05, sigma_ss=2.0, sigma_v=1.0,
+                            tau=3.0, rho=10.0)
+
+    def shoved_reply(i, g_i, W, rng):
+        return W.project(g_i) + rng.normal(0.0, 1.0, size=W.k) + 4.0
+
+    run = simulate_norm_verification(T, params, seed,
+                                     reply_fn=shoved_reply if shove else None)
+    blinds = b"".join(run.shares[i].tobytes() for i in sorted(run.shares))
+    assert sorted(run.shares) == list(T)
+    assert hashlib.sha256(blinds + run.matrix.entries.tobytes()).hexdigest() == digest
+    assert run.accept is accept
+    np.testing.assert_allclose(run.v_sim, v_sim, rtol=0, atol=1e-12)
 
 
 class TestSimulateNormVerification:
