@@ -215,7 +215,7 @@ def _verify(submissions, params: ProtocolParams, seed: int, w_mode: str,
 
     # round 1: matrix broadcast
     W = session_matrix(params, seed, w_mode)
-    w_payload = encode_matrix(W.entries)
+    w_payload = encode_matrix(W)
     for i in range(1, S):
         bus.send(verifier_party(0), verifier_party(i), 1, KIND_MATRIX, w_payload)
 
@@ -223,8 +223,8 @@ def _verify(submissions, params: ProtocolParams, seed: int, w_mode: str,
     Y = [None] * S
     for i in range(1, S):
         rngs = (substream(seed, "verifier", i, "reply", cid) for cid in ids[i])
-        Y[i] = project_replies(R[i], W.entries,
-                               noise_rows(rngs, params.sigma_v, (len(ids[i]), W.k)))
+        Y[i] = project_replies(R[i], W,
+                               noise_rows(rngs, params.sigma_v, (len(ids[i]), params.k)))
 
     # verifier 0 decides for clients that reached everyone
     position = [dict(zip(ids[i], range(len(ids[i])))) for i in range(S)]
@@ -233,7 +233,7 @@ def _verify(submissions, params: ProtocolParams, seed: int, w_mode: str,
     rngs = (substream(seed, "verifier", 0, "decide", cid) for cid in J)
     v_norms = decide_norms(_rows(R[0], J_rows[0]),
                            [_rows(Y[i], J_rows[i]) for i in range(1, S)],
-                           W.entries, noise_rows(rngs, params.sigma_v, (len(J), W.k)))
+                           W, noise_rows(rngs, params.sigma_v, (len(J), params.k)))
     accept = v_norms < params.tau
     outcomes = {
         cid: VerificationOutcome(client_id=cid, accept=a, v_norm=v, tau=params.tau)

@@ -72,14 +72,6 @@ class ProjectionMatrix:
     def d(self) -> int:
         return self.entries.shape[1]
 
-    def project(self, z: np.ndarray) -> np.ndarray:
-        z = as_vector(z, name="z")
-        if z.shape[0] != self.d:
-            raise DimensionMismatch(
-                f"cannot project dimension {z.shape[0]} with a {self.k}x{self.d} matrix"
-            )
-        return self.entries @ z
-
 
 @dataclass(frozen=True)
 class ProtocolParams:

@@ -11,29 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import ProjectionMatrix, ProtocolParams, as_vector, sample_projection
 from .errors import DimensionMismatch, MissingReply, ParameterError
 from .rng import as_generator, substream
-from .transcript import (
-    KIND_ACCEPT,
-    KIND_MATRIX,
-    KIND_SHARE,
-    Message,
-    MessageBus,
-    client_party,
-    encode_accept,
-    encode_matrix,
-    encode_vector,
-    verifier_party,
-)
+from .sharing import simulated_view
 
 # stay bound here, where perfbench/tracing.py counts their calls
 from .sharing import truncate_share  # noqa: F401
-from .transcript import encode_quantized  # noqa: F401
+from .transcript import encode_accept, encode_matrix, encode_quantized, encode_vector  # noqa: F401
 
 W_MODE_SHARED = "shared"
 W_MODE_VERIFIER0 = "verifier0"
@@ -57,14 +46,12 @@ class VerificationOutcome:
     tau: float
 
 
-@dataclass(frozen=True, eq=False)
-class SimulatedNormRun:
-    """Transcript fragment produced by the coalition simulator."""
+class SimulatedNormRun(NamedTuple):
+    """A simulated coalition view: each member's blind, the (k, d) projection
+    W, and verifier 0's v_sim and accept bit."""
 
-    subset: frozenset[int]
-    messages: tuple[Message, ...]
     shares: dict[int, np.ndarray]
-    matrix: ProjectionMatrix
+    W: np.ndarray
     v_sim: np.ndarray
     accept: bool
 
@@ -170,18 +157,18 @@ def verifier0_decide(z_0, replies, W: ProjectionMatrix, sigma_v: float,
 
 
 def session_matrix(params: ProtocolParams, session_seed: int,
-                   w_mode: str) -> ProjectionMatrix:
-    """Sample the session projection from the stream selected by w_mode."""
+                   w_mode: str) -> np.ndarray:
+    """The session's (k, d) projection, from the stream selected by w_mode."""
     if w_mode == W_MODE_SHARED:
         rng = substream(session_seed, "shared-randomness")
     elif w_mode == W_MODE_VERIFIER0:
         rng = substream(session_seed, "verifier", 0, "matrix")
     else:
         raise ParameterError(f"w_mode must be one of {W_MODES}, got {w_mode!r}")
-    return sample_projection(params.k, params.d, rng)
+    return sample_projection(params.k, params.d, rng).entries
 
 
-ReplyFn = Callable[[int, np.ndarray, ProjectionMatrix, np.random.Generator], np.ndarray]
+ReplyFn = Callable[[int, np.ndarray, np.ndarray, np.random.Generator], np.ndarray]
 
 
 def simulate_norm_verification(T, params: ProtocolParams, seed,
@@ -190,11 +177,12 @@ def simulate_norm_verification(T, params: ProtocolParams, seed,
     """Simulate a coalition T's view of the protocol without any secret.
 
     Requires 0 not in T (coalitions containing verifier 0 compose this
-    with the share-view simulator). Sends each i in T a fresh blind g_i,
-    broadcasts a fresh projection W, collects T's replies via reply_fn
-    (honest noisy projections of the g_i when None), then computes
-    v_sim = sum_{i in T} (y_i - W g_i) + N(0, (S-|T|) sigma_v^2 I_k) and
-    thresholds at tau.
+    with the share-view simulator). Gives each i in T a fresh blind g_i,
+    draws a fresh projection W, collects T's replies Y via
+    reply_fn(i, g_i, W, rng) (honest noisy projections of the g_i when
+    None), then computes v_sim = sum_{i in T} (y_i - W g_i) +
+    N(0, (S-|T|) sigma_v^2 I_k) and thresholds it at tau. T's messages
+    are the encodings of these blinds, this W and the accept bit.
     """
     subset = frozenset(int(i) for i in T)
     if not subset:
@@ -209,37 +197,19 @@ def simulate_norm_verification(T, params: ProtocolParams, seed,
             f"T={sorted(subset)} must be a proper subset of 0..{params.S - 1}"
         )
 
+    members = sorted(subset)
     rng = as_generator(seed)
-    bus = MessageBus()
-    sim0 = verifier_party(0)
-
-    shares: dict[int, np.ndarray] = {}
-    for i in sorted(subset):
-        g = rng.normal(0.0, params.sigma_ss, size=params.d)
-        shares[i] = g
-        bus.send(client_party("sim"), verifier_party(i), 0, KIND_SHARE,
-                 encode_vector(g))
-
-    W = sample_projection(params.k, params.d, rng)
-    w_payload = encode_matrix(W.entries)
-    for i in sorted(subset):
-        bus.send(sim0, verifier_party(i), 1, KIND_MATRIX, w_payload)
-
-    v_sim = np.zeros(params.k)
-    for i in sorted(subset):
-        if reply_fn is None:
-            y = W.project(shares[i]) + rng.normal(0.0, params.sigma_v, size=params.k)
-        else:
-            y = as_vector(reply_fn(i, shares[i], W, rng), name="reply")
-        v_sim = v_sim + (y - W.project(shares[i]))
-    v_sim = v_sim + rng.normal(
-        0.0, math.sqrt(params.S - len(subset)) * params.sigma_v, size=params.k
-    )
+    shares = simulated_view(subset, params.S, params.sigma_ss,
+                            rng.standard_normal((len(members), params.d)))
+    W = sample_projection(params.k, params.d, rng).entries
+    G = np.array([shares[i] for i in members])
+    if reply_fn is None:
+        Y = project_replies(G, W, params.sigma_v * rng.standard_normal((len(members), params.k)))
+    else:
+        Y = np.empty((len(members), params.k))
+        for row, i in enumerate(members):
+            Y[row] = as_vector(reply_fn(i, shares[i], W, rng), name="reply")
+    v_sim = (Y - G @ W.T).sum(axis=0)
+    v_sim += math.sqrt(params.S - len(subset)) * params.sigma_v * rng.standard_normal(params.k)
     accept = float(np.linalg.norm(v_sim)) < params.tau
-
-    bit = encode_accept(accept)
-    for i in sorted(subset):
-        bus.send(sim0, verifier_party(i), 3, KIND_ACCEPT, bit)
-
-    return SimulatedNormRun(subset=subset, messages=bus.messages, shares=shares,
-                            matrix=W, v_sim=v_sim, accept=accept)
+    return SimulatedNormRun(shares=shares, W=W, v_sim=v_sim, accept=accept)

@@ -259,7 +259,7 @@ class TestSampleProjection:
 
     def test_zero_maps_to_zero(self):
         W = sample_projection(8, 16, 1)
-        assert np.linalg.norm(W.project(np.zeros(16))) == 0.0
+        assert np.linalg.norm(W.entries @ np.zeros(16)) == 0.0
 
     def test_norm_concentration(self):
         # Pr[||Wx|| > c_delta] <= delta for unit x, checked at delta = 1e-2
@@ -271,7 +271,7 @@ class TestSampleProjection:
         exceed = 0
         for _ in range(trials):
             W = sample_projection(k, d, rng)
-            if np.linalg.norm(W.project(x)) ** 2 > bound**2:
+            if np.linalg.norm(W.entries @ x) ** 2 > bound**2:
                 exceed += 1
         se = math.sqrt(1e-2 * (1 - 1e-2) / trials)
         assert exceed / trials <= 1e-2 + 3 * se
@@ -285,7 +285,7 @@ class TestSampleProjection:
         samples = np.empty(trials)
         for t in range(trials):
             W = sample_projection(k, d, rng)
-            samples[t] = k * np.linalg.norm(W.project(x)) ** 2
+            samples[t] = k * np.linalg.norm(W.entries @ x) ** 2
         result = stats.kstest(samples, stats.chi2(df=k).cdf)
         assert result.pvalue > 1e-3
 

@@ -67,7 +67,7 @@ class TestProjectReply:
         b = project_reply(np.zeros(10), W, 1.5, 77).y
         # identical noise under the same seed; difference is W z up to
         # one f64 rounding per coordinate
-        np.testing.assert_allclose(a - b, W.project(z), atol=1e-12)
+        np.testing.assert_allclose(a - b, W.entries @ z, atol=1e-12)
 
     def test_dimension_mismatch(self):
         W = sample_projection(4, 6, 0)
@@ -305,13 +305,13 @@ def test_simulator_pinned(S, T, seed, shove, digest, accept, v_sim):
                             tau=3.0, rho=10.0)
 
     def shoved_reply(i, g_i, W, rng):
-        return W.project(g_i) + rng.normal(0.0, 1.0, size=W.k) + 4.0
+        return W @ g_i + rng.normal(0.0, 1.0, size=W.shape[0]) + 4.0
 
     run = simulate_norm_verification(T, params, seed,
                                      reply_fn=shoved_reply if shove else None)
     blinds = b"".join(run.shares[i].tobytes() for i in sorted(run.shares))
     assert sorted(run.shares) == list(T)
-    assert hashlib.sha256(blinds + run.matrix.entries.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(blinds + run.W.tobytes()).hexdigest() == digest
     assert run.accept is accept
     np.testing.assert_allclose(run.v_sim, v_sim, rtol=0, atol=1e-12)
 
@@ -332,9 +332,9 @@ class TestSimulateNormVerification:
             injected = {}
 
             def honest_reply(i, g_i, W, reply_rng):
-                y = W.project(g_i) + reply_rng.normal(0.0, params.sigma_v,
-                                                      size=W.k)
-                injected[i] = (y, W.project(g_i))
+                y = W @ g_i + reply_rng.normal(0.0, params.sigma_v,
+                                               size=W.shape[0])
+                injected[i] = (y, W @ g_i)
                 return y
 
             run = simulate_norm_verification({1}, params, rng,
@@ -361,7 +361,7 @@ class TestSimulateNormVerification:
             real_w[i] = sample_projection(params.k, params.d, rng_real).entries.ravel()
             run = simulate_norm_verification({1}, params, rng_sim)
             sim_g[i] = run.shares[1]
-            sim_w[i] = run.matrix.entries.ravel()
+            sim_w[i] = run.W.ravel()
         for j in range(params.d):
             assert stats.ks_2samp(real_g[:, j], sim_g[:, j]).pvalue > 1e-4
         # spot-check a few W entries, all i.i.d. N(0, 1/k)
