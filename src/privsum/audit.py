@@ -26,7 +26,7 @@ from .core import (
 )
 from .errors import DimensionMismatch, ParameterError
 from .rng import as_generator, seed_int, substream
-from .sharing import check_shares, clamp_probability, simulated_view, split_shares
+from .sharing import check_shares, clamp_probability, scale_to_norm, simulated_view, split_shares
 from .verification import decide_norms, project_replies
 
 # the per-trial forms stay bound here, where perfbench/tracing.py counts their calls
@@ -257,15 +257,6 @@ def _normal_chunks(rng: np.random.Generator, trials: int, *shapes: tuple[int, ..
                for shape, size, end in zip(shapes, sizes, ends)]
 
 
-def _unit_rows(u: np.ndarray, norm: float = 1.0) -> np.ndarray:
-    """Rows of u rescaled to the given norm.
-
-    Row norms come from dot products, as np.linalg.norm takes them for one
-    vector, so each row equals its one-vector result bit for bit.
-    """
-    return norm * u / np.sqrt(np.vecdot(u, u))[:, None]
-
-
 def _verification_norms(params: ProtocolParams, target_norm: float, trials: int,
                         seed, pattern: str):
     """Verifier 0's ||v|| for each trial of norm_verification_rate, per chunk."""
@@ -289,7 +280,7 @@ def _verification_norms(params: ProtocolParams, target_norm: float, trials: int,
     # the (m, S, d) share stack and the QR's copy of it share the chunk budget
     for draws in _normal_chunks(rng, trials, *shapes, extra=2 * S * d):
         if pattern == PATTERN_RANDOM:
-            x = _unit_rows(draws.pop(0), target_norm)
+            x = scale_to_norm(draws.pop(0), target_norm)
         # G, the noise and (by split_shares) the blinds are scaled in place
         # in the sampler's block, which the next chunk refills, so no copy
         # of them adds to peak memory
@@ -409,8 +400,8 @@ def share_simulation_check(S: int, T: tuple[int, ...], sigma_ss: float,
         out = np.empty((count, len(T) * d))
         row = 0
         for u, blinds in _normal_chunks(rng, count, (d,), (S - 1, d)):
-            out[row:row + len(u)] = (split_shares(_unit_rows(u), blinds, sigma_ss)[:, list(T)]
-                                     .reshape(len(u), -1))
+            shares = split_shares(scale_to_norm(u, 1.0), blinds, sigma_ss)
+            out[row:row + len(u)] = shares[:, list(T)].reshape(len(u), -1)
             row += len(u)
         return out
 

@@ -25,7 +25,7 @@ from .core import CalibrationReport, ProtocolParams, calibrate, finite
 from .errors import ParameterError, ProtocolError, ScenarioError
 from .harness import Scenario, integral, measured_traffic, run_scenario
 from .rng import substream
-from .sharing import share_vector
+from .sharing import scale_to_norm, share_vector
 from .verification import W_MODE_SHARED, W_MODES
 
 # stays bound here, where perfbench/tracing.py counts its calls
@@ -151,8 +151,7 @@ def cmd_share(args) -> int:
     if args.d < 1:
         raise ParameterError(f"--d must be >= 1, got {args.d}")
     rng = substream(args.seed, "cli-share")
-    u = rng.standard_normal(args.d)
-    x = args.norm * u / np.linalg.norm(u)
+    x = scale_to_norm(rng.standard_normal(args.d), args.norm)
     shares = share_vector(x, args.S, args.sigma_ss, rng)
     err = float(np.max(np.abs(shares.sum(axis=0) - x)))
     S, d = shares.shape
@@ -171,8 +170,7 @@ def cmd_share(args) -> int:
 def cmd_verify_norm(args) -> int:
     params = _calibrate_from_args(args).params
     rng = substream(args.seed, "cli-verify-input")
-    u = rng.standard_normal(args.d)
-    x = args.norm * u / np.linalg.norm(u)
+    x = scale_to_norm(rng.standard_normal(args.d), args.norm)
     shares = share_vector(x, args.S, params.sigma_ss, rng)
     outcome, transcript = run_norm_verification(shares, params, args.seed,
                                                 w_mode=args.w_mode, client_id="cli")

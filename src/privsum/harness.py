@@ -27,7 +27,7 @@ from .aggregation import (
 from .core import ProtocolParams, integral as _integral
 from .errors import ScenarioError
 from .rng import substream
-from .sharing import check_shares, split_shares, truncate_share
+from .sharing import check_shares, scale_to_norm, split_shares, truncate_share
 # stays bound here, where perfbench/tracing.py counts its calls
 from .sharing import share_vector  # noqa: F401
 from .transcript import (
@@ -184,10 +184,7 @@ def random_direction(d: int, rng: np.random.Generator) -> np.ndarray:
 def _shares_of(g: np.ndarray, norms, sigma_ss: float) -> np.ndarray:
     """Shares (m, S, d) of the inputs of the given norms, from each row of
     standard normals g (m, S, d): row 0 is the direction, rows 1.. the blinds."""
-    u = g[:, 0]
-    # row norms from dot products, as np.linalg.norm takes them for one vector
-    x = np.array(norms)[:, None] * (u / np.sqrt(np.vecdot(u, u))[:, None])
-    shares = split_shares(x, g[:, 1:], sigma_ss)
+    shares = split_shares(scale_to_norm(g[:, 0], norms), g[:, 1:], sigma_ss)
     check_shares(shares)
     return shares
 

@@ -34,6 +34,15 @@ def share_vector(x, S: int, sigma_ss: float, seed) -> np.ndarray:
     return shares
 
 
+def scale_to_norm(u: np.ndarray, norm) -> np.ndarray:
+    """Inputs (..., d) of the given norm (a number, or one per row) along the rows of u.
+
+    Row norms come from dot products, as np.linalg.norm takes them for one
+    vector, so each row equals its one-vector result bit for bit.
+    """
+    return np.asarray(norm)[..., None] * (u / np.sqrt(np.vecdot(u, u))[..., None])
+
+
 def split_shares(x: np.ndarray, g: np.ndarray, sigma_ss) -> np.ndarray:
     """Shares (..., S, d) of inputs x (..., d) from standard normals g (..., S-1, d).
 
