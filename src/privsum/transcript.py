@@ -143,10 +143,13 @@ def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
     if last.size == 0:
         return np.empty((m, d))
     width = np.diff(last, prepend=-1)
-    if width.max() > 10:
-        raise ParameterError("quantized payload has a varint longer than 64 bits")
+    top = raw[last]  # each value's most significant group
+    # one payload per value: no zero top group past the first byte, and a
+    # 10-byte value has one bit left of its 64
+    if width.max() > 10 or ((width > 1) & (top == 0)).any() or ((width == 10) & (top > 1)).any():
+        raise ParameterError("quantized payload has an over-long or non-canonical varint")
     # walk back from each value's last byte, most significant group first
-    z = raw[last].astype(np.uint64)
+    z = top.astype(np.uint64)
     for j in range(1, int(width.max())):
         index = np.flatnonzero(width > j)
         z[index] = (z[index] << np.uint64(7)) | (raw[last[index] - j] & 0x7F)

@@ -185,6 +185,19 @@ class TestCodecs:
         with pytest.raises(ParameterError):
             decode_vector(encode_vector(np.ones(2)) + b"\x00")
 
+    @pytest.mark.parametrize("body", ["8000", "ffffffffffffffffff7f", "ffffffffffffffffff02"])
+    def test_non_canonical_varint_rejected(self, body):
+        # 0 in two bytes, a 70-bit value, and 65 bits in ten bytes: the first
+        # decoded like "00" and the others to a wrapped int64
+        with pytest.raises(ParameterError):
+            decode_quantized(bytes.fromhex("01000000" + body), 1.0)
+
+    def test_largest_grid_values_round_trip(self):
+        v = np.array([2.0 ** 62, -2.0 ** 62])  # zigzag 2^63 in ten bytes, 2^63 - 1 in nine
+        data = encode_quantized(v, 1.0)
+        assert data == bytes.fromhex("02000000" "80808080808080808001" "ffffffffffffffff7f")
+        assert decode_quantized(data, 1.0).tolist() == v.tolist()
+
     @pytest.mark.parametrize("fault", ["short", "trailing 0x80", "count"])
     def test_malformed_payload_in_a_block_rejected(self, fault):
         # block decoding joins the bodies, so a payload that does not end at
