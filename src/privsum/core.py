@@ -128,6 +128,11 @@ class ProtocolParams:
             raise ParameterError("trunc_b must be > 0 when set")
         if self.quant_step <= 0:
             raise ParameterError("quant_step must be > 0")
+        # a step above trunc_b truncates every share to 0; past 2^53 steps the
+        # grid leaves float64's exact integers and the codec's int64 cast overflows
+        if self.trunc_b is not None and not 1 <= self.trunc_b / self.quant_step <= 2**53:
+            raise ParameterError(f"trunc_b / quant_step must lie in [1, 2^53], got "
+                                 f"{self.trunc_b} / {self.quant_step}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -104,6 +104,10 @@ class Scenario:
         for c in self.clients:
             if c.kind not in CLIENT_BEHAVIORS:
                 raise ScenarioError(f"unknown behavior {c.kind!r}")
+            if not np.isfinite(c.norm):
+                raise ScenarioError(f"client norm must be finite, got {c.norm}")
+            if not 0 <= c.scale < np.inf:
+                raise ScenarioError(f"client scale must be finite and >= 0, got {c.scale}")
             if any(i < 0 or i >= self.S for i in c.skip):
                 raise ScenarioError(f"skip indices {c.skip} outside 0..{self.S - 1}")
             if c.client_id is not None and (

@@ -271,10 +271,16 @@ PARAMS = calibrate(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2, beta=0.05,
                    S=2, k=16, d=8).params.to_dict()
 WITH_PARAMS = ("aggregate", "--config", "s.json", "--params", "p.json")
 EXPERIMENT = ("experiment", "--config", "e.json")
+CALIBRATE = ("calibrate", "--eps", "1", "--delta", "1e-2", "--beta", "0.05",
+             "--S", "2", "--k", "16", "--d", "8")
 
 
 def params_file(**overrides) -> dict:
     return {"s.json": SCENARIO, "p.json": json.dumps({"params": {**PARAMS, **overrides}})}
+
+
+def scenario_file(**client) -> dict:
+    return {"s.json": json.dumps({"n": 1, "S": 2, "d": 8, "clients": [client]})}
 
 
 def experiment_file(**overrides) -> dict:
@@ -315,6 +321,14 @@ MALFORMED = {
     "share --d -1": ({}, ("share", "--d", "-1", "--S", "2", "--sigma-ss", "1")),
     "audit --samples 0": ({}, ("audit", "--samples", "0")),
     "audit --samples -3": ({}, ("audit", "--samples", "-3")),
+    "calibrate --quant-step above --trunc-b": ({}, (*CALIBRATE, "--trunc-b", "1",
+                                                   "--quant-step", "4")),
+    "calibrate --quant-step 1e-300": ({}, (*CALIBRATE, "--trunc-b", "64",
+                                          "--quant-step", "1e-300")),
+    "params quant_step above trunc_b": (params_file(trunc_b=1.0, quant_step=4.0), WITH_PARAMS),
+    "params quant_step 1e-300": (params_file(trunc_b=64.0, quant_step=1e-300), WITH_PARAMS),
+    "negative client scale": (scenario_file(behavior="inconsistent-shares", scale=-1.0),
+                              AGGREGATE),
 }
 
 

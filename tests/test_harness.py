@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -306,6 +307,13 @@ class TestScenarioConfig:
                 ClientBehavior(client_id="x" * (MAX_ID_BYTES + 1)),))
         with pytest.raises(ScenarioError):
             with_adversary(honest_scenario(1, 2, 4), ClientBehavior(kind="bogus"))
+
+    @pytest.mark.parametrize("field, value", [("norm", math.nan), ("norm", -math.inf),
+                                              ("scale", -1.0), ("scale", math.nan),
+                                              ("scale", math.inf)])
+    def test_client_norm_and_scale_checked(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            Scenario(n=1, S=2, d=4, clients=(ClientBehavior(**{field: value}),))
 
     def test_client_ids_stable_and_distinct(self):
         scenario = honest_scenario(20, 2, 4)
