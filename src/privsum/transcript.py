@@ -143,14 +143,15 @@ def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
     if last.size == 0:
         return np.empty((m, d))
     width = np.diff(last, prepend=-1)
-    top = raw[last]  # each value's most significant group
-    # one payload per value: no zero top group past the first byte, and a
-    # 10-byte value has one bit left of its 64
-    if width.max() > 10 or ((width > 1) & (top == 0)).any() or ((width == 10) & (top > 1)).any():
+    top, groups = raw[last], int(width.max())  # each value's most significant group
+    # one payload per value: only a one-byte value may end in 0x00, and a
+    # 10-byte value has one bit of its 64 left for its last byte
+    if (groups > 10 or (width[top == 0] > 1).any()
+            or groups == 10 and (top[width == 10] > 1).any()):
         raise ParameterError("quantized payload has an over-long or non-canonical varint")
     # walk back from each value's last byte, most significant group first
     z = top.astype(np.uint64)
-    for j in range(1, int(width.max())):
+    for j in range(1, groups):
         index = np.flatnonzero(width > j)
         z[index] = (z[index] << np.uint64(7)) | (raw[last[index] - j] & 0x7F)
     q = (z >> np.uint64(1)).view(np.int64) ^ -(z & np.uint64(1)).view(np.int64)  # inverse zigzag
