@@ -4,8 +4,8 @@ Clients secret-share their vectors across the verifiers; verifiers run
 one norm-verification decision per client that reached all of them,
 broadcast the accepted set J*, optionally check it is large enough, and
 sum the accepted shares so verifier 0 can release the total. A
-single-client norm check runs on the same rounds and stops after the
-decision.
+single-client norm check is rounds 0-3 of a one-client session: it stops
+after the accepted-set broadcast.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
 from .rng import substream
 from .sharing import check_shares, truncate_share
 from .transcript import (
-    KIND_ACCEPT,
     KIND_ACCEPTED_SET,
     KIND_MATRIX,
     KIND_PARTIAL_SUM,
@@ -38,7 +37,6 @@ from .transcript import (
     client_party,
     decode_quantized_block,
     decode_vector_block,
-    encode_accept,
     encode_id_set,
     encode_matrix,
     encode_quantized_block,
@@ -49,7 +47,6 @@ from .transcript import (
 )
 from .verification import (
     VerificationOutcome,
-    W_MODE_SHARED,
     decide_norms,
     noise_rows,
     project_replies,
@@ -151,31 +148,25 @@ def _deliverable(shares: list, d: int) -> tuple[list[int], np.ndarray]:
 
 
 class _Decided(NamedTuple):
-    """What rounds 0-1 and verifier 0's decision leave each verifier holding.
+    """What rounds 0-3 leave each verifier holding.
 
-    ids[i] lists the clients verifier i received a share from, sorted;
-    R[i] holds their decoded shares and Y[i] (i >= 1) verifier i's reply
-    rows, both aligned with ids[i]. n counts the submissions. outcomes
-    covers J, the clients that reached every verifier, in id order;
-    J_rows[i] are their rows in R[i] and accept their verdicts.
+    n counts the submissions and R[i] holds verifier i's decoded shares,
+    rows in id order. outcomes covers J, the clients that reached every
+    verifier, in id order; J_rows[i] are their rows in R[i] and accept
+    their verdicts.
     """
 
-    ids: list[list[str]]
     n: int
     R: list[np.ndarray]
-    Y: list[np.ndarray | None]
     J_rows: list[np.ndarray]
     accept: np.ndarray
     outcomes: dict[str, VerificationOutcome]
 
 
-def _verify(submissions, params: ProtocolParams, seed: int, w_mode: str,
+def _verify(submissions, params: ProtocolParams, seed: int,
             bus: MessageBus) -> _Decided:
-    """Rounds 0 and 1 on bus, then every reply and verifier 0's decisions.
-
-    Sends the share deliveries and the matrix broadcast; the caller sends
-    the round-2 replies in its own wire format.
-    """
+    """Rounds 0-3 on bus: share delivery, the matrix broadcast, every
+    verifier's reply batch, and verifier 0's accepted-set broadcast."""
     S, d = params.S, params.d
 
     # round 0: share delivery, a chunk of clients at a time; each verifier's
@@ -214,17 +205,19 @@ def _verify(submissions, params: ProtocolParams, seed: int, w_mode: str,
             start += len(part)
 
     # round 1: matrix broadcast
-    W = session_matrix(params, seed, w_mode)
+    W = session_matrix(params, seed)
     w_payload = encode_matrix(W)
     for i in range(1, S):
         bus.send(verifier_party(0), verifier_party(i), 1, KIND_MATRIX, w_payload)
 
-    # each verifier's replies for every client it heard from
+    # round 2: each verifier's reply batch for every client it heard from
     Y = [None] * S
     for i in range(1, S):
         rngs = (substream(seed, "verifier", i, "reply", cid) for cid in ids[i])
         Y[i] = project_replies(R[i], W,
                                noise_rows(rngs, params.sigma_v, (len(ids[i]), params.k)))
+        bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
+                 encode_reply_batch(list(zip(ids[i], Y[i]))))
 
     # verifier 0 decides for clients that reached everyone
     position = [dict(zip(ids[i], range(len(ids[i])))) for i in range(S)]
@@ -239,13 +232,17 @@ def _verify(submissions, params: ProtocolParams, seed: int, w_mode: str,
         cid: VerificationOutcome(client_id=cid, accept=a, v_norm=v, tau=params.tau)
         for cid, a, v in zip(J, accept.tolist(), v_norms.tolist())
     }
-    return _Decided(ids=ids, n=len(seen), R=R, Y=Y, J_rows=J_rows, accept=accept,
-                    outcomes=outcomes)
+
+    # round 3: accepted-set broadcast
+    set_payload = encode_id_set([cid for cid, o in outcomes.items() if o.accept])
+    for i in range(1, S):
+        bus.send(verifier_party(0), verifier_party(i), 3, KIND_ACCEPTED_SET,
+                 set_payload)
+    return _Decided(n=len(seen), R=R, J_rows=J_rows, accept=accept, outcomes=outcomes)
 
 
 def run_aggregation(submissions, params: ProtocolParams,
                     validity_threshold: float | None = None, seed: int = 0,
-                    w_mode: str = W_MODE_SHARED,
                     sigma_out: float | None = None,
                     ) -> tuple[AggregateResult, Transcript]:
     """Execute the server protocol over all submissions.
@@ -277,30 +274,16 @@ def run_aggregation(submissions, params: ProtocolParams,
 
     S, d = params.S, params.d
     bus = MessageBus()
-    ids, n, R, Y, J_rows, accept, outcomes = _verify(submissions, params, seed, w_mode, bus)
-
-    # round 2: per-verifier reply batches for every client they heard from
-    for i in range(1, S):
-        bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
-                 encode_reply_batch(list(zip(ids[i], Y[i]))))
-    J_star = [cid for cid, o in outcomes.items() if o.accept]
-
-    # round 3: accepted-set broadcast
-    set_payload = encode_id_set(J_star)
-    for i in range(1, S):
-        bus.send(verifier_party(0), verifier_party(i), 3, KIND_ACCEPTED_SET,
-                 set_payload)
-
-    accepted = frozenset(J_star)
-    if validity_threshold is not None and not validity_check(J_star, n,
+    n, R, J_rows, accept, outcomes = _verify(submissions, params, seed, bus)
+    accepted = frozenset(cid for cid, o in outcomes.items() if o.accept)
+    if validity_threshold is not None and not validity_check(accepted, n,
                                                              validity_threshold):
-        transcript = Transcript(messages=bus.messages, master_seed=seed)
-        result = AggregateResult(sum=None, accepted=accepted, aborted=True,
-                                 per_client_outcomes=outcomes)
-        return result, transcript
+        return (AggregateResult(sum=None, accepted=accepted, aborted=True,
+                                per_client_outcomes=outcomes),
+                Transcript(messages=bus.messages, master_seed=seed))
 
     # round 4: partial sums of the accepted rows, added in sorted-id order
-    partials = []
+    total = np.zeros(d)
     for i in range(S):
         s_i = np.zeros(d)
         for r in J_rows[i][accept]:
@@ -308,31 +291,22 @@ def run_aggregation(submissions, params: ProtocolParams,
         if sigma_out is not None:
             rng_out = substream(seed, "verifier", i, "sum-noise")
             s_i = s_i + rng_out.normal(0.0, sigma_out, size=d)
-        partials.append(s_i)
+        total = total + s_i
         if i >= 1:
             bus.send(verifier_party(i), verifier_party(0), 4, KIND_PARTIAL_SUM,
                      encode_vector(s_i))
-
-    total = np.zeros(d)
-    for s_i in partials:
-        total = total + s_i
-
-    transcript = Transcript(messages=bus.messages, master_seed=seed)
-    result = AggregateResult(sum=total, accepted=accepted, aborted=False,
-                             per_client_outcomes=outcomes)
-    return result, transcript
+    return (AggregateResult(sum=total, accepted=accepted, aborted=False,
+                            per_client_outcomes=outcomes),
+            Transcript(messages=bus.messages, master_seed=seed))
 
 
 def run_norm_verification(shares, params: ProtocolParams, session_seed: int,
-                          w_mode: str = W_MODE_SHARED, *, client_id: str = "",
+                          *, client_id: str = "",
                           ) -> tuple[VerificationOutcome, Transcript]:
-    """Run the single-client protocol on the session's rounds and record it.
+    """Rounds 0-3 of a one-client session, message for message.
 
-    Rounds: 0 share delivery to each verifier, 1 matrix broadcast,
-    2 one vector reply per verifier, 3 accept-bit broadcast. When
-    params.trunc_b is set the shares are truncated/quantized before
-    transmission and verifiers operate on what they received. shares is
-    the client's (S, d) share array, row i for verifier i.
+    shares is the client's (S, d) share array, row i for verifier i; when
+    params.trunc_b is set it is truncated/quantized before transmission.
     """
     shares = np.asarray(shares, dtype=np.float64)
     check_shares(shares)
@@ -344,15 +318,5 @@ def run_norm_verification(shares, params: ProtocolParams, session_seed: int,
         shares = truncate_share(shares, params.trunc_b, params.quant_step)
     sub = ClientSubmission(client_id=client_id, payloads=dict(enumerate(shares)))
     bus = MessageBus()
-    decided = _verify([sub], params, session_seed, w_mode, bus)
-
-    for i in range(1, params.S):
-        bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
-                 encode_vector(decided.Y[i][0]))
-    outcome = decided.outcomes[client_id]
-    bit = encode_accept(outcome.accept)
-    for i in range(1, params.S):
-        bus.send(verifier_party(0), verifier_party(i), 3, KIND_ACCEPT, bit)
-
-    transcript = Transcript(messages=bus.messages, master_seed=session_seed)
-    return outcome, transcript
+    outcome = _verify([sub], params, session_seed, bus).outcomes[client_id]
+    return outcome, Transcript(messages=bus.messages, master_seed=session_seed)

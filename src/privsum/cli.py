@@ -21,12 +21,11 @@ import numpy as np
 
 from . import audit as audit_mod
 from .aggregation import run_norm_verification
-from .core import CalibrationReport, ProtocolParams, calibrate, finite
+from .core import CalibrationReport, ProtocolParams, calibrate
 from .errors import ParameterError, ProtocolError, ScenarioError
-from .harness import Scenario, integral, measured_traffic, run_scenario
+from .harness import Scenario, finite, integral, measured_traffic, run_scenario
 from .rng import substream
 from .sharing import scale_to_norm, share_vector
-from .verification import W_MODE_SHARED, W_MODES
 
 # stays bound here, where perfbench/tracing.py counts its calls
 from .sharing import simulate_share_view  # noqa: F401
@@ -95,7 +94,7 @@ class ExperimentConfig:
         for name in ("S", "d", "n", "trials", "seed"):
             object.__setattr__(self, name, integral(getattr(self, name), name))
         for name in ("beta", "eps", "delta", "eps_ss", "delta_ss", "norm_factor"):
-            object.__setattr__(self, name, finite(getattr(self, name), name, ScenarioError))
+            object.__setattr__(self, name, finite(getattr(self, name), name))
         if not self.k_grid:
             raise ScenarioError("empty grid: provide --k-grid or --config")
 
@@ -172,8 +171,7 @@ def cmd_verify_norm(args) -> int:
     rng = substream(args.seed, "cli-verify-input")
     x = scale_to_norm(rng.standard_normal(args.d), args.norm)
     shares = share_vector(x, args.S, params.sigma_ss, rng)
-    outcome, transcript = run_norm_verification(shares, params, args.seed,
-                                                w_mode=args.w_mode, client_id="cli")
+    outcome, transcript = run_norm_verification(shares, params, args.seed, client_id="cli")
     print(f"accept={int(outcome.accept)} v_norm={outcome.v_norm:.6g} "
           f"tau={outcome.tau:.6g} transcript_sha256={transcript.sha256()}")
     if args.transcript:
@@ -351,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_privacy_flags(p)
     p.add_argument("--norm", type=float, default=1.0, help="input vector norm")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--w-mode", choices=W_MODES, default=W_MODE_SHARED)
     p.add_argument("--exact-cdf", action="store_true")
     p.add_argument("--transcript", default=None, help="write the transcript as JSONL")
     p.add_argument("--full-payloads", action="store_true",

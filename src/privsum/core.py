@@ -23,19 +23,22 @@ from .rng import as_generator
 
 
 def integral(value, name: str, error: type[Exception] = ParameterError) -> int:
-    """value as an int; error where int() would fail or truncate (1.7, 2.5)."""
-    try:
-        out = int(value)
-        if out == float(value):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """value as an int; error for a bool and where int() would fail or
+    truncate (1.7, 2.5)."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            out = int(value)
+            if out == float(value):
+                return out
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise error(f"{name} must be an integer, got {value!r}")
 
 
 def finite(value, name: str, error: type[Exception] = ParameterError) -> float:
-    """value as a float; error unless it is a finite real number."""
-    if isinstance(value, numbers.Real) and math.isfinite(value):
+    """value as a float; error unless it is a finite real number and not a bool."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
         return float(value)
     raise error(f"{name} must be a finite number, got {value!r}")
 

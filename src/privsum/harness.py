@@ -24,7 +24,7 @@ from .aggregation import (
     client_chunks,
     run_aggregation,
 )
-from .core import ProtocolParams, integral as _integral
+from .core import ProtocolParams, finite as _finite, integral as _integral
 from .errors import ScenarioError
 from .rng import substream
 from .sharing import check_shares, scale_to_norm, split_shares, truncate_share
@@ -43,14 +43,15 @@ from .transcript import (
     reply_batch_bytes,
     vector_bytes,
 )
-from .verification import W_MODES, W_MODE_SHARED
 
 SCENARIO_SCHEMA_VERSION = 1
 NONCE_BYTES = 8  # 16 hex chars per client id
 
 
-# scenario and experiment fields: a ScenarioError where int() would truncate
+# scenario and experiment fields: a ScenarioError where int() would truncate,
+# or for a value that is not a finite number (JSON true and false included)
 integral = partial(_integral, error=ScenarioError)
+finite = partial(_finite, error=ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,9 @@ class ClientBehavior:
     def from_dict(cls, data: dict) -> "ClientBehavior":
         return cls(
             kind=data.get("behavior", BEHAVIOR_HONEST),
-            norm=float(data.get("norm", 1.0)),
+            norm=finite(data.get("norm", 1.0), "norm"),
             skip=tuple(integral(i, "skip entry") for i in data.get("skip", ())),
-            scale=float(data.get("scale", 1.0)),
+            scale=finite(data.get("scale", 1.0), "scale"),
             client_id=data.get("id"),
         )
 
@@ -87,7 +88,6 @@ class Scenario:
     S: int
     d: int
     clients: tuple[ClientBehavior, ...]
-    w_mode: str = W_MODE_SHARED
     validity_threshold: float | None = None
     sigma_out: float | None = None
 
@@ -116,8 +116,6 @@ class Scenario:
                 raise ScenarioError(
                     f"client ids must be strings of at most {MAX_ID_BYTES} UTF-8 bytes"
                 )
-        if self.w_mode not in W_MODES:
-            raise ScenarioError(f"w_mode must be one of {W_MODES}")
         if self.validity_threshold is not None and not 0 < self.validity_threshold <= 1:
             raise ScenarioError("validity_threshold must lie in (0, 1]")
         if self.sigma_out is not None and self.sigma_out <= 0:
@@ -126,19 +124,18 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         version = data.get("schema_version", SCENARIO_SCHEMA_VERSION)
-        if version != SCENARIO_SCHEMA_VERSION:
+        if isinstance(version, bool) or version != SCENARIO_SCHEMA_VERSION:
             raise ScenarioError(f"unsupported scenario schema version {version}")
         clients = []
         for entry in data.get("clients", []):
             count = integral(entry.get("count", 1), "count")
             clients.extend([ClientBehavior.from_dict(entry)] * count)
+        options = {key: finite(data[key], key) for key in ("validity_threshold", "sigma_out")
+                   if data.get(key) is not None}
         return cls(
             n=integral(data["n"], "n"), S=integral(data["S"], "S"),
             d=integral(data["d"], "d"),
-            clients=tuple(clients),
-            w_mode=data.get("w_mode", W_MODE_SHARED),
-            validity_threshold=data.get("validity_threshold"),
-            sigma_out=data.get("sigma_out"),
+            clients=tuple(clients), **options,
         )
 
 
@@ -257,8 +254,7 @@ def run_scenario(scenario: Scenario, params: ProtocolParams,
 
     return run_aggregation(submissions(), params,
                            validity_threshold=scenario.validity_threshold,
-                           seed=master_seed, w_mode=scenario.w_mode,
-                           sigma_out=scenario.sigma_out)
+                           seed=master_seed, sigma_out=scenario.sigma_out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ fixed so traffic totals admit closed-form predictions:
   reply batch   u32 count, then per entry: u16 id length + id + u32 k + k float64
 
 The u16 length prefix limits client ids to 65,535 UTF-8 bytes; the id
-codecs raise ParameterError beyond that. The vector and quantized codecs
-work on blocks: the rows of an (m, d) array become m payloads, and m
-payloads of exactly d values each become an (m, d) array; the
-one-payload forms are their one-row calls.
+codecs raise ParameterError beyond that, and every decoder raises it for
+a payload that is short, has trailing bytes or holds an id that is not
+UTF-8. The vector and quantized codecs work on blocks: the rows of an
+(m, d) array become m payloads, and m payloads of exactly d values each
+become an (m, d) array; the one-payload forms are their one-row calls.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ from .errors import ParameterError, UnknownParty
 KIND_SHARE = "share"
 KIND_MATRIX = "matrix"
 KIND_REPLY = "reply"
-KIND_ACCEPT = "accept-bit"
 KIND_ACCEPTED_SET = "accepted-set"
 KIND_PARTIAL_SUM = "partial-sum"
 MESSAGE_KINDS = (
-    KIND_SHARE, KIND_MATRIX, KIND_REPLY, KIND_ACCEPT,
-    KIND_ACCEPTED_SET, KIND_PARTIAL_SUM,
+    KIND_SHARE, KIND_MATRIX, KIND_REPLY, KIND_ACCEPTED_SET, KIND_PARTIAL_SUM,
 )
 
 
@@ -50,6 +49,18 @@ def verifier_party(index: int) -> str:
 
 # ---------------------------------------------------------------------------
 # payload codecs
+
+def _unpack(fmt: str, data: bytes, pos: int) -> tuple:
+    try:
+        return struct.unpack_from(fmt, data, pos)
+    except struct.error:
+        raise ParameterError(f"payload of {len(data)} bytes ends inside a header") from None
+
+
+def _check_end(data: bytes, pos: int) -> None:
+    if pos != len(data):
+        raise ParameterError(f"payload has {len(data) - pos} trailing bytes")
+
 
 def _bodies(payloads, d: int) -> bytes:
     """The payloads' bodies joined, after checking each count header is d."""
@@ -80,7 +91,7 @@ def encode_vector(v: np.ndarray) -> bytes:
 
 
 def decode_vector(data: bytes) -> np.ndarray:
-    (count,) = struct.unpack_from("<I", data, 0)
+    (count,) = _unpack("<I", data, 0)
     return decode_vector_block([data], count)[0]
 
 
@@ -91,8 +102,10 @@ def encode_matrix(entries: np.ndarray) -> bytes:
 
 
 def decode_matrix(data: bytes) -> np.ndarray:
-    k, d = struct.unpack_from("<II", data, 0)
-    return np.frombuffer(data, dtype="<f8", count=k * d, offset=8).reshape(k, d).copy()
+    k, d = _unpack("<II", data, 0)
+    if len(data) != matrix_bytes(k, d):
+        raise ParameterError(f"matrix payload does not hold exactly {k}x{d} values")
+    return np.frombuffer(data, dtype="<f8", offset=8).reshape(k, d).copy()
 
 
 def encode_quantized_block(V: np.ndarray, step: float) -> list[bytes]:
@@ -164,16 +177,12 @@ def encode_quantized(v: np.ndarray, step: float) -> bytes:
 
 
 def decode_quantized(data: bytes, step: float) -> np.ndarray:
-    (count,) = struct.unpack_from("<I", data, 0)
+    (count,) = _unpack("<I", data, 0)
     return decode_quantized_block([data], count, step)[0]
 
 
 def encode_accept(accept: bool) -> bytes:
     return b"\x01" if accept else b"\x00"
-
-
-def decode_accept(data: bytes) -> bool:
-    return data[0] == 1
 
 
 MAX_ID_BYTES = 0xFFFF  # ids carry a u16 length prefix
@@ -188,24 +197,30 @@ def _encode_id(cid: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
+def _decode_id(data: bytes, pos: int) -> tuple[str, int]:
+    """The id that starts at pos, and the position after it."""
+    (length,) = _unpack("<H", data, pos)
+    end = pos + 2 + length
+    if end > len(data):
+        raise ParameterError(f"a {length}-byte client id runs past the payload's end")
+    try:
+        return data[pos + 2:end].decode("utf-8"), end
+    except UnicodeDecodeError:
+        raise ParameterError("a client id is not valid UTF-8") from None
+
+
 def encode_id_set(ids) -> bytes:
-    out = bytearray()
     ids = sorted(ids)
-    out += struct.pack("<I", len(ids))
-    for cid in ids:
-        out += _encode_id(cid)
-    return bytes(out)
+    return struct.pack("<I", len(ids)) + b"".join(_encode_id(cid) for cid in ids)
 
 
 def decode_id_set(data: bytes) -> list[str]:
-    (count,) = struct.unpack_from("<I", data, 0)
-    pos = 4
-    ids = []
+    (count,) = _unpack("<I", data, 0)
+    ids, pos = [], 4
     for _ in range(count):
-        (length,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        ids.append(data[pos:pos + length].decode("utf-8"))
-        pos += length
+        cid, pos = _decode_id(data, pos)
+        ids.append(cid)
+    _check_end(data, pos)
     return ids
 
 
@@ -220,19 +235,19 @@ def encode_reply_batch(entries: list[tuple[str, np.ndarray]]) -> bytes:
 
 
 def decode_reply_batch(data: bytes) -> list[tuple[str, np.ndarray]]:
-    (count,) = struct.unpack_from("<I", data, 0)
-    pos = 4
-    entries = []
+    """The batch's entries; every reply must have the first one's length k."""
+    (count,) = _unpack("<I", data, 0)
+    ids, payloads, pos, k = [], [], 4, 0
     for _ in range(count):
-        (length,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        cid = data[pos:pos + length].decode("utf-8")
-        pos += length
-        (k,) = struct.unpack_from("<I", data, pos)
-        y = np.frombuffer(data, dtype="<f8", count=k, offset=pos + 4).copy()
-        pos += 4 + 8 * k
-        entries.append((cid, y))
-    return entries
+        cid, pos = _decode_id(data, pos)
+        if not ids:
+            (k,) = _unpack("<I", data, pos)
+        ids.append(cid)
+        payloads.append(data[pos:pos + vector_bytes(k)])
+        pos += vector_bytes(k)
+    replies = decode_vector_block(payloads, k)
+    _check_end(data, pos)
+    return list(zip(ids, replies))
 
 
 def vector_bytes(d: int) -> int:

@@ -24,11 +24,6 @@ from .sharing import simulated_view
 from .sharing import truncate_share  # noqa: F401
 from .transcript import encode_accept, encode_matrix, encode_quantized, encode_vector  # noqa: F401
 
-W_MODE_SHARED = "shared"
-W_MODE_VERIFIER0 = "verifier0"
-W_MODES = (W_MODE_SHARED, W_MODE_VERIFIER0)
-
-
 @dataclass(frozen=True, eq=False)
 class ProjectionReply:
     """Noisy projected share returned by verifier i >= 1."""
@@ -94,11 +89,14 @@ def decide_norms(Z0: np.ndarray, replies, W: np.ndarray,
     Z0 holds verifier 0's share rows; every reply matrix, W stack and
     noise row is aligned with them row by row.
     """
-    v = _project(Z0, W)
-    for Y in replies:
-        v += Y
-    v += noise
-    return np.linalg.norm(v, axis=1)
+    # shares above ~1e154 overflow v or its square; an inf or nan norm is
+    # not below tau, so such a client is rejected, and needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _project(Z0, W)
+        for Y in replies:
+            v += Y
+        v += noise
+        return np.linalg.norm(v, axis=1)
 
 
 def _share_row(z, W: ProjectionMatrix, name: str) -> np.ndarray:
@@ -156,15 +154,9 @@ def verifier0_decide(z_0, replies, W: ProjectionMatrix, sigma_v: float,
                                v_norm=v_norm, tau=tau)
 
 
-def session_matrix(params: ProtocolParams, session_seed: int,
-                   w_mode: str) -> np.ndarray:
-    """The session's (k, d) projection, from the stream selected by w_mode."""
-    if w_mode == W_MODE_SHARED:
-        rng = substream(session_seed, "shared-randomness")
-    elif w_mode == W_MODE_VERIFIER0:
-        rng = substream(session_seed, "verifier", 0, "matrix")
-    else:
-        raise ParameterError(f"w_mode must be one of {W_MODES}, got {w_mode!r}")
+def session_matrix(params: ProtocolParams, session_seed: int) -> np.ndarray:
+    """The session's (k, d) projection, from its shared-randomness stream."""
+    rng = substream(session_seed, "shared-randomness")
     return sample_projection(params.k, params.d, rng).entries
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from privsum.cli import EXIT_ABORT, EXIT_OK, EXIT_USAGE, ExperimentConfig, main
 from privsum.core import calibrate
+from privsum.errors import ScenarioError
 from privsum.harness import Scenario, scenario_client_ids
 
 
@@ -84,6 +85,16 @@ class TestVerifyNormCommand:
         lines = transcript.read_text().strip().split("\n")
         assert len(lines) == 2 + 3 * 1  # S shares + 3(S-1) protocol messages
 
+    # a norm whose projection overflows is rejected without a numpy warning
+    @pytest.mark.filterwarnings("error")
+    def test_huge_norm_rejected_quietly(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify-norm", "--eps", "1", "--delta", "1e-2",
+            "--beta", "0.05", "--S", "2", "--k", "16", "--d", "8", "--norm", "1e200",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "accept=0" in out
+
 
 class TestAggregateCommand:
     def write_scenario(self, tmp_path, **overrides):
@@ -106,6 +117,18 @@ class TestAggregateCommand:
         assert code == EXIT_OK
         summary = json.loads(out[: out.rindex("}") + 1])
         assert summary["accepted_count"] == 4
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_norm_client_rejected_quietly(self, capsys, tmp_path):
+        config = self.write_scenario(tmp_path, n=3, clients=[
+            {"behavior": "honest", "count": 2},
+            {"behavior": "norm-inflating", "norm": 1e308, "id": "huge"},
+        ])
+        code, out, err = run_cli(capsys, "aggregate", "--config", str(config),
+                                 *self.flags(), "--seed", "5")
+        assert (code, err) == (EXIT_OK, "")
+        summary = json.loads(out[: out.rindex("}") + 1])
+        assert summary["accepted_count"] == 2 and "huge" not in summary["accepted"]
 
     def test_majority_malicious_aborts_with_exit_3(self, capsys, tmp_path):
         config = self.write_scenario(
@@ -223,6 +246,13 @@ class TestExperimentCommand:
                              "--out", str(out_file))
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("field", ["trials", "k_grid", "eps"])
+    def test_boolean_fields_refused(self, field):
+        # JSON true is not the number 1
+        value = [True] if field == "k_grid" else True
+        with pytest.raises(ScenarioError, match=f"{field}.* must be"):
+            ExperimentConfig.from_dict({"kind": "completeness", "k_grid": [16], field: value})
+
 
 class TestAuditCommand:
     def test_report_schema_and_verdicts(self, capsys, tmp_path):
@@ -329,6 +359,11 @@ MALFORMED = {
     "params quant_step 1e-300": (params_file(trunc_b=64.0, quant_step=1e-300), WITH_PARAMS),
     "negative client scale": (scenario_file(behavior="inconsistent-shares", scale=-1.0),
                               AGGREGATE),
+    # JSON true is not the number 1
+    "client norm true": (scenario_file(norm=True), AGGREGATE),
+    "params eps true": (params_file(eps=True), WITH_PARAMS),
+    "params n true": (params_file(n=True), WITH_PARAMS),
+    "experiment trials true": (experiment_file(trials=True), EXPERIMENT),
 }
 
 

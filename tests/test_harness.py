@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from privsum.harness import nonce_hex, scenario_client_ids
 from privsum.transcript import (
     KIND_SHARE,
     MAX_ID_BYTES,
-    decode_accept,
     decode_id_set,
     decode_matrix,
     decode_quantized,
@@ -228,9 +228,8 @@ class TestCodecs:
             encode_reply_batch([(too_long, np.zeros(2))])
 
     def test_accept_bit(self):
-        assert decode_accept(encode_accept(True)) is True
-        assert decode_accept(encode_accept(False)) is False
-        assert len(encode_accept(True)) == 1
+        assert encode_accept(True) == b"\x01"
+        assert encode_accept(False) == b"\x00"
 
     def test_id_set_roundtrip_and_size(self):
         ids = ["beta", "alpha", "gamma"]
@@ -248,13 +247,61 @@ class TestCodecs:
             assert np.array_equal(a, b)
         assert len(data) == reply_batch_bytes(["c1", "c2"], 4)
 
+    # one id "ab"; one reply of k = 1 to client "c"; a 1x1 matrix; 1.0 as <f8
+    ONE = struct.pack("<d", 1.0)
+    ID_SET = b"\x01\x00\x00\x00" b"\x02\x00ab"
+    REPLY_BATCH = b"\x01\x00\x00\x00" b"\x01\x00c" b"\x01\x00\x00\x00" + ONE
+    MATRIX = b"\x01\x00\x00\x00" b"\x01\x00\x00\x00" + ONE
+
+    def test_round_1_to_3_payload_bytes_are_pinned(self):
+        assert encode_id_set(["ab"]) == self.ID_SET
+        assert decode_id_set(self.ID_SET) == ["ab"]
+        assert encode_reply_batch([("c", np.ones(1))]) == self.REPLY_BATCH
+        assert [(cid, y.tolist()) for cid, y in decode_reply_batch(self.REPLY_BATCH)] == [
+            ("c", [1.0])]
+        assert encode_matrix(np.ones((1, 1))) == self.MATRIX
+        assert decode_matrix(self.MATRIX).tolist() == [[1.0]]
+        assert decode_id_set(b"\x00\x00\x00\x00") == []
+        assert decode_reply_batch(b"\x00\x00\x00\x00") == []
+
+    MALFORMED_PAYLOADS = {
+        "id set empty": (decode_id_set, b""),
+        "id set short count": (decode_id_set, b"\x01\x00"),
+        "id set one id of two": (decode_id_set, b"\x02\x00\x00\x00\x02\x00ab"),
+        "id set short id length": (decode_id_set, b"\x01\x00\x00\x00\x02"),
+        "id set short id": (decode_id_set, b"\x01\x00\x00\x00\x03\x00ab"),
+        "id set trailing byte": (decode_id_set, ID_SET + b"\x00"),
+        "id set id not UTF-8": (decode_id_set, b"\x01\x00\x00\x00\x02\x00a\xff"),
+        "reply batch empty": (decode_reply_batch, b""),
+        "reply batch no reply": (decode_reply_batch, REPLY_BATCH[:7]),
+        "reply batch short k": (decode_reply_batch, REPLY_BATCH[:9]),
+        "reply batch short reply": (decode_reply_batch, REPLY_BATCH[:-1]),
+        "reply batch trailing byte": (decode_reply_batch, REPLY_BATCH + b"\x00"),
+        "reply batch short id": (decode_reply_batch, b"\x01\x00\x00\x00\x02\x00c"),
+        "reply batch id not UTF-8": (decode_reply_batch,
+                                     REPLY_BATCH[:6] + b"\xff" + REPLY_BATCH[7:]),
+        "reply batch k differs by entry": (
+            decode_reply_batch,
+            b"\x02\x00\x00\x00" + REPLY_BATCH[4:] + b"\x01\x00d\x02\x00\x00\x00" + ONE * 2),
+        "matrix empty": (decode_matrix, b""),
+        "matrix no column count": (decode_matrix, MATRIX[:4]),
+        "matrix short body": (decode_matrix, MATRIX[:-1]),
+        "matrix trailing byte": (decode_matrix, MATRIX + b"\x00"),
+    }
+
+    @pytest.mark.parametrize("decode, data", MALFORMED_PAYLOADS.values(),
+                             ids=MALFORMED_PAYLOADS.keys())
+    def test_malformed_round_1_to_3_payload_rejected(self, decode, data):
+        with pytest.raises(ParameterError):
+            decode(data)
+
 
 class TestScenarioConfig:
     def test_json_roundtrip(self):
         # a schema-1 file that sets every field
         data = json.loads("""{
             "schema_version": 1, "n": 4, "S": 3, "d": 8,
-            "w_mode": "verifier0", "validity_threshold": 0.5, "sigma_out": 2.0,
+            "validity_threshold": 0.5, "sigma_out": 2.0,
             "clients": [
                 {"behavior": "honest", "norm": 1.0, "count": 2},
                 {"behavior": "inconsistent-shares", "norm": 1.0, "scale": 3.0},
@@ -269,12 +316,12 @@ class TestScenarioConfig:
                 ClientBehavior(kind="inconsistent-shares", scale=3.0),
                 ClientBehavior(kind="partial-send", norm=0.5, skip=(1, 2), client_id="ps"),
             ),
-            w_mode="verifier0", validity_threshold=0.5, sigma_out=2.0,
+            validity_threshold=0.5, sigma_out=2.0,
         )
         assert Scenario.from_dict(data) == scenario
-        # schema-1 files written before the unread coalition and trials keys
-        # were dropped still load
-        legacy = dict(data, coalition=[1], trials=5)
+        # schema-1 files written before the unread coalition, trials and
+        # w_mode keys were dropped still load
+        legacy = dict(data, coalition=[1], trials=5, w_mode="verifier0")
         assert Scenario.from_dict(legacy) == scenario
 
     def test_count_expansion(self):
@@ -296,12 +343,19 @@ class TestScenarioConfig:
             {"d": 4.5},
             {"n": 1, "clients": [{"count": 1.9}]},
             {"clients": [{"behavior": "partial-send", "skip": [1.7]}, {}]},
+            # JSON true is not the number 1
+            {"schema_version": True},
+            {"n": True},
+            {"clients": [{"norm": True}, {}]},
+            {"clients": [{"scale": False}, {}]},
+            {"validity_threshold": True},
+            {"sigma_out": True},
         ):
             with pytest.raises(ScenarioError):
                 Scenario.from_dict(dict(valid, **overrides))
         # every constructor validates, not only from_dict
         with pytest.raises(ScenarioError):
-            honest_scenario(2, 2, 8, w_mode="bogus")
+            honest_scenario(2, 2, 8, validity_threshold=1.5)
         with pytest.raises(ScenarioError):
             Scenario(n=1, S=2, d=4, clients=(
                 ClientBehavior(client_id="x" * (MAX_ID_BYTES + 1)),))

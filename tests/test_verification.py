@@ -27,12 +27,12 @@ from privsum import (
 )
 from privsum.audit import PATTERN_CONCENTRATED, binomial_se
 from privsum.transcript import (
-    KIND_ACCEPT,
+    KIND_ACCEPTED_SET,
     KIND_MATRIX,
     KIND_REPLY,
     KIND_SHARE,
 )
-from privsum.verification import W_MODE_VERIFIER0, W_MODES, decide_norms, project_replies
+from privsum.verification import decide_norms, project_replies
 
 
 def small_params(**overrides):
@@ -182,11 +182,12 @@ class TestBatchedKernels:
 
 
 class TestRunNormVerification:
-    # recorded on the per-client round loop, before verify-norm ran on the
-    # session's rounds; (S, trunc_b, quant_step) -> transcript sha256
+    # recorded when verify-norm became rounds 0-3 of a one-client session,
+    # reply batches and accepted-set broadcast included;
+    # (S, trunc_b, quant_step) -> transcript sha256
     TRANSCRIPT_SHA256 = {
-        (3, None, 1.0): "59485a43f6075662efdd28023633b2ce17eb085a4bf869a38c6a701fd99fc186",
-        (3, 8.0, 0.25): "8671be4bcb779b97a0a32eea2b50cf05c16eeb24eaf939c47772a3e73e47f6ea",
+        (3, None, 1.0): "842de1c6ff93ceaee82926bc03632597be63b19bca97f7f0ea03a2438c555d73",
+        (3, 8.0, 0.25): "ce9e73971f306de1a8dfbc502c7f72d97cd70c7471fa225693e90903212b8fc8",
     }
 
     @pytest.mark.parametrize("S, trunc_b, quant_step", list(TRANSCRIPT_SHA256))
@@ -199,8 +200,9 @@ class TestRunNormVerification:
 
     @pytest.mark.parametrize("S", [2, 3])
     @pytest.mark.parametrize("trunc_b", [None, 8.0])
-    @pytest.mark.parametrize("w_mode", W_MODES)
-    def test_outcome_matches_one_client_aggregation(self, S, trunc_b, w_mode):
+    def test_outcome_matches_one_client_aggregation(self, S, trunc_b):
+        # verify-norm is rounds 0-3 of the one-client session: same verdict,
+        # and the same messages up to the accepted-set broadcast
         params = small_params(S=S, trunc_b=trunc_b, quant_step=0.25)
         for seed in range(6):
             rng = substream(seed, "equivalence")
@@ -209,13 +211,13 @@ class TestRunNormVerification:
             norm = 1.0 if seed % 2 == 0 else 10.0 * params.rho
             shares = share_vector(norm * u / np.linalg.norm(u), params.S,
                                   params.sigma_ss, rng)
-            outcome, _ = run_norm_verification(shares, params, seed, w_mode=w_mode,
-                                               client_id="c0")
+            outcome, tr = run_norm_verification(shares, params, seed, client_id="c0")
             if trunc_b is not None:
                 shares = [truncate_share(z, trunc_b, params.quant_step) for z in shares]
             sub = ClientSubmission(client_id="c0", payloads=dict(enumerate(shares)))
-            result, _ = run_aggregation([sub], params, seed=seed, w_mode=w_mode)
+            result, session = run_aggregation([sub], params, seed=seed)
             assert outcome == result.per_client_outcomes["c0"]
+            assert tr.messages == tuple(m for m in session.messages if m.round <= 3)
             assert type(outcome.accept) is bool
             if trunc_b is None:  # clamping at trunc_b can pull an inflated norm under tau
                 assert outcome.accept == (seed % 2 == 0)
@@ -230,7 +232,7 @@ class TestRunNormVerification:
         assert kinds.count(KIND_SHARE) == S
         assert kinds.count(KIND_MATRIX) == S - 1
         assert kinds.count(KIND_REPLY) == S - 1
-        assert kinds.count(KIND_ACCEPT) == S - 1
+        assert kinds.count(KIND_ACCEPTED_SET) == S - 1
         assert len(tr.messages) == S + 3 * (S - 1)
 
     def test_deterministic_transcripts(self):
@@ -242,16 +244,6 @@ class TestRunNormVerification:
         assert tr1.sha256() == tr2.sha256()
         _, tr3 = run_norm_verification(shares, params, 43, client_id="c0")
         assert tr1.sha256() != tr3.sha256()
-
-    def test_w_modes_give_different_matrices(self):
-        params = small_params()
-        shares = share_vector(np.zeros(params.d), params.S, params.sigma_ss, 5)
-        _, tr_shared = run_norm_verification(shares, params, 7, w_mode="shared")
-        _, tr_private = run_norm_verification(shares, params, 7,
-                                              w_mode=W_MODE_VERIFIER0)
-        w_shared = [m for m in tr_shared.messages if m.kind == KIND_MATRIX][0]
-        w_private = [m for m in tr_private.messages if m.kind == KIND_MATRIX][0]
-        assert w_shared.payload != w_private.payload
 
     def test_honest_accept_rate_meets_completeness(self):
         params = small_params(k=64, d=32, S=2, beta=0.01)
