@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from privsum import (
     ClientBehavior,
@@ -17,6 +18,7 @@ from privsum import (
     calibrate,
     honest_scenario,
     measured_traffic,
+    norm_verification_rate,
     robustness_delta,
     run_scenario,
     substream,
@@ -24,6 +26,7 @@ from privsum import (
 )
 from privsum.audit import (
     PATTERN_CONCENTRATED,
+    PATTERN_RANDOM,
     PATTERN_SPREAD,
     VERDICT_CONSISTENT,
     binomial_se,
@@ -284,3 +287,38 @@ def test_c11_determinism():
     ok = report("11 determinism", same_bytes and same_hash and same_sum,
                 f"transcript sha256 {t1.sha256()}")
     assert ok
+
+
+def test_c12_exact_law_rates():
+    # v = W x + S noise rows, so ||v||^2 / (||x||^2/k + S sigma_v^2) is exactly
+    # chi^2_k: each accept rate is tested two-sided against its exact value,
+    # at every c01 point and, in both patterns, at every feasible c02 point
+    trials = 10_000
+    rows = []
+    for beta in (0.05, 0.01):
+        for k in (16, 64):
+            for S in (2, 3):
+                for d in (32, 1024):
+                    params, feasible = grid_params(beta, k, S, d)
+                    rows.append((params, 1.0, PATTERN_RANDOM))
+                    if feasible:
+                        rows += [(params, params.rho, pattern)
+                                 for pattern in (PATTERN_CONCENTRATED, PATTERN_SPREAD)]
+    level = 1e-3 / len(rows)
+    failures = []
+    least = 1.0
+    for params, norm, pattern in rows:
+        k, S, d = params.k, params.S, params.d
+        est = norm_verification_rate(params, norm, trials,
+                                     substream(112, "c12", params.beta, k, S, d, pattern),
+                                     pattern=pattern)
+        scale = norm ** 2 / k + S * params.sigma_v ** 2
+        exact = float(stats.chi2.cdf(params.tau ** 2 / scale, k))
+        p = stats.binomtest(round(est.rate * trials), trials, exact).pvalue
+        least = min(least, p)
+        if p < level:
+            failures.append((params.beta, k, S, d, pattern, est.rate, exact, p))
+    ok = report("12 exact-law-rates", not failures,
+                f"{len(rows)} rows x {trials} trials, two-sided binomial p >= "
+                f"1e-3/{len(rows)}, least p {least:.3g}")
+    assert ok, failures
