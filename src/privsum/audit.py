@@ -22,6 +22,7 @@ from .core import (
     c_delta,
     calibrate,
     chi2_thresholds,
+    finite,
     gaussian_sigma,
 )
 from .errors import DimensionMismatch, ParameterError
@@ -70,6 +71,19 @@ def _normal_ci95(rate: float, n: int) -> tuple[float, float]:
     return (max(0.0, rate - half), min(1.0, rate + half))
 
 
+def _loss_args(shift_norm, sigma, eps) -> tuple[float, float, float]:
+    """The shifted Gaussian pair's arguments as floats; ParameterError naming
+    the first that is not finite, or not >= 0 (shift_norm) or > 0."""
+    shift_norm = finite(shift_norm, "shift_norm")
+    sigma, eps = finite(sigma, "sigma"), finite(eps, "eps")
+    if shift_norm < 0:
+        raise ParameterError(f"shift_norm must be >= 0, got {shift_norm}")
+    for name, value in (("sigma", sigma), ("eps", eps)):
+        if value <= 0:
+            raise ParameterError(f"{name} must be > 0, got {value}")
+    return shift_norm, sigma, eps
+
+
 def privacy_loss_mc(shift_norm: float, sigma: float, k: int, eps: float,
                     samples: int, seed, *,
                     delta_target: float | None = None) -> PrivacyLossEstimate:
@@ -79,10 +93,7 @@ def privacy_loss_mc(shift_norm: float, sigma: float, k: int, eps: float,
     log-density ratio loss(y) = (<y, m> - ||m||^2 / 2) / sigma^2 against
     the N(0, sigma^2 I_k) hypothesis.
     """
-    if shift_norm < 0:
-        raise ParameterError("shift_norm must be >= 0")
-    if sigma <= 0 or eps <= 0:
-        raise ParameterError("sigma and eps must be > 0")
+    shift_norm, sigma, eps = _loss_args(shift_norm, sigma, eps)
     if samples < 1000:
         raise ParameterError(f"need at least 1000 samples, got {samples}")
     if k < 1:
@@ -107,8 +118,7 @@ def privacy_loss_tail(shift_norm: float, sigma: float, eps: float) -> float:
     loss ~ N(mu, 2 mu) with mu = shift_norm^2 / (2 sigma^2) under the
     shifted measure; the tail is a sum of two normal tails.
     """
-    if shift_norm < 0 or sigma <= 0 or eps <= 0:
-        raise ParameterError("need shift_norm >= 0, sigma > 0, eps > 0")
+    shift_norm, sigma, eps = _loss_args(shift_norm, sigma, eps)
     if shift_norm == 0.0:
         return 0.0
     mu = shift_norm ** 2 / (2.0 * sigma ** 2)
@@ -231,15 +241,13 @@ PATTERNS = (PATTERN_RANDOM, PATTERN_CONCENTRATED, PATTERN_SPREAD)
 _CHUNK_BYTES = 1 << 20
 
 
-def _normal_chunks(rng: np.random.Generator, trials: int, *shapes: tuple[int, ...],
-                   extra: int = 0):
+def _normal_chunks(rng: np.random.Generator, trials: int, *shapes: tuple[int, ...]):
     """Each trial's standard normals for shapes, drawn in that order, chunked.
 
     Yields, per chunk of m trials, one (m, *shape) array per shape, all
-    sliced from one (m, L) block: row r holds exactly the draws trial r
-    would make on its own, so results do not depend on the chunking.
-    A chunk's trials fit _CHUNK_BYTES together with the `extra` float64
-    values per trial that the caller allocates while working on them.
+    sliced from one (m, L) block of at most _CHUNK_BYTES: row r holds
+    exactly the draws trial r would make on its own, so results do not
+    depend on the chunking.
 
     The block is allocated once per call and refilled for every chunk, so
     a caller may scale the yielded arrays in place but must not keep them,
@@ -247,7 +255,7 @@ def _normal_chunks(rng: np.random.Generator, trials: int, *shapes: tuple[int, ..
     """
     sizes = [math.prod(shape) for shape in shapes]
     ends = list(itertools.accumulate(sizes))
-    per_chunk = max(1, min(trials, _CHUNK_BYTES // (8 * (ends[-1] + extra))))
+    per_chunk = max(1, min(trials, _CHUNK_BYTES // (8 * ends[-1])))
     buffer = np.empty((per_chunk, ends[-1]))
     for start in range(0, trials, per_chunk):
         m = min(per_chunk, trials - start)
@@ -259,43 +267,50 @@ def _normal_chunks(rng: np.random.Generator, trials: int, *shapes: tuple[int, ..
 
 def _verification_norms(params: ProtocolParams, target_norm: float, trials: int,
                         seed, pattern: str):
-    """Verifier 0's ||v|| for each trial of norm_verification_rate, per chunk."""
+    """Verifier 0's ||v|| for each trial of norm_verification_rate, per chunk.
+
+    A trial's shares are drawn as their r = min(S, d) coordinates in an
+    orthonormal basis of a space holding their span, whose first vector is
+    x's direction (any fixed one when x = 0): x is ||x|| e_1, and blind i is
+    sigma_ss (a_i e_1 + U[:, i]) with a_i ~ N(0, 1) and U the
+    min(d-1, S-1) x (S-1) upper-trapezoidal Bartlett factor of the blinds'
+    standard Gaussian (d-1) x (S-1) part orthogonal to x: U[j, j] ~
+    chi_{d-1-j} and N(0, 1) above the diagonal (Anderson, An Introduction
+    to Multivariate Statistical Analysis, ch. 7). So no draw of a trial is
+    d long.
+    """
     if trials < 100:
         raise ParameterError(f"need at least 100 trials, got {trials}")
-    if target_norm < 0:
+    if finite(target_norm, "target_norm") < 0:
         raise ParameterError("target_norm must be >= 0")
     if pattern not in PATTERNS:
         raise ParameterError(f"unknown pattern {pattern!r}")
     S, d, k = params.S, params.d, params.k
     r = min(S, d)
-    shapes = [(S - 1, d), (k, r), (S, k)]
-    if pattern == PATTERN_RANDOM:
-        shapes.insert(0, (d,))
-    elif pattern == PATTERN_CONCENTRATED:
-        x = np.zeros(d)
-        x[0] = target_norm
-    else:
-        x = np.full(d, target_norm / math.sqrt(d))
+    u = r - 1  # rows of U, min(d-1, S-1)
+    rows, cols = np.triu_indices(u, 1, S - 1)
+    diagonal = np.arange(u)
+    x = np.zeros(r)
+    x[0] = target_norm
     rng = as_generator(seed)
-    # the (m, S, d) share stack and the QR's copy of it share the chunk budget
-    for draws in _normal_chunks(rng, trials, *shapes, extra=2 * S * d):
-        if pattern == PATTERN_RANDOM:
-            x = scale_to_norm(draws.pop(0), target_norm)
-        # G, the noise and (by split_shares) the blinds are scaled in place
-        # in the sampler's block, which the next chunk refills, so no copy
-        # of them adds to peak memory
-        blinds, G, noise = draws
+    chi_rng = substream(seed_int(rng), "chi")
+    for a, upper, G, noise in _normal_chunks(rng, trials, (S - 1,), (len(rows),),
+                                             (k, r), (S, k)):
+        m = len(a)
+        blinds = np.zeros((m, S - 1, r))
+        blinds[:, :, 0] = a
+        blinds[:, cols, 1 + rows] = upper
+        blinds[:, diagonal, 1 + diagonal] = np.sqrt(
+            chi_rng.chisquare(d - 1 - diagonal, size=(m, u)))
+        # G and the noise are scaled in place in the sampler's block, which
+        # the next chunk refills, so no copy of them adds to peak memory;
+        # W applied to the span's orthonormal basis has the law of G / sqrt(k)
         G /= math.sqrt(k)
         noise *= params.sigma_v
         Z = split_shares(x, blinds, params.sigma_ss)
         check_shares(Z)
-        # Z^T = Q R with Q an orthonormal (d, r) basis of the shares' span:
-        # row i of R^T holds share i's coordinates C_i, W z_i = (W Q) C_i,
-        # and W Q has the law of G / sqrt(k) by the rotation invariance of W
-        C = np.linalg.qr(Z.swapaxes(1, 2), mode="r").swapaxes(1, 2)
-        del Z  # so the next chunk's stack does not coexist with this one
-        Y = [project_replies(C[:, i], G, noise[:, i - 1]) for i in range(1, S)]
-        yield decide_norms(C[:, 0], Y, G, noise[:, S - 1])
+        Y = [project_replies(Z[:, i], G, noise[:, i - 1]) for i in range(1, S)]
+        yield decide_norms(Z[:, 0], Y, G, noise[:, S - 1])
 
 
 def norm_verification_rate(params: ProtocolParams, target_norm: float,
@@ -303,18 +318,23 @@ def norm_verification_rate(params: ProtocolParams, target_norm: float,
                            pattern: str = PATTERN_RANDOM) -> RateEstimate:
     """Accept rate of the norm-verification decision at a given share-sum norm.
 
-    Each trial shares a fresh vector of the requested norm and pattern and
-    projects its S shares with a fresh N(0, 1/k) projection. The decision
-    depends on W only through W Q, for Q an orthonormal basis of the
-    shares' span (from a thin QR of the shares), and W Q is itself an
-    i.i.d. N(0, 1/k) k x r matrix, r = min(S, d). So a trial draws that
-    k x r matrix G / sqrt(k) in place of the k x d W, and runs the
-    session's reply and decide kernels on the shares' coordinates in Q:
-    the same law of outcomes as a full session projection, at a cost
-    independent of k d. Trials run in chunks; a trial draws the direction
-    (random pattern only), the S-1 blinds, G, the replies' noise rows for
-    verifiers 1..S-1 and verifier 0's noise row, in that order. This is
-    the Monte Carlo driver behind the completeness and soundness checks.
+    Each trial shares a fresh input of norm target_norm and projects its S
+    shares with a fresh N(0, 1/k) projection. The decision depends on W
+    only through W Q, for Q an orthonormal (d, r) basis of the shares'
+    span, r = min(S, d), and W Q is itself an i.i.d. N(0, 1/k) k x r
+    matrix. So a trial draws that k x r matrix G / sqrt(k) in place of the
+    k x d W, and the shares' coordinates in Q from their exact law, and
+    runs the session's reply and decide kernels on them: the same law of
+    outcomes as a full session projection, at a cost independent of d.
+    By rotation invariance the law depends on the input only through its
+    norm, so pattern is checked but draws nothing and changes no result.
+
+    Trials run in chunks; the trial stream first gives one integer that
+    seeds the chunks' chi variates (their own stream), then each trial
+    draws a (the S-1 blinds' components along x), the normals above U's
+    diagonal, G, the replies' noise rows for verifiers 1..S-1 and
+    verifier 0's noise row, in that order. This is the Monte Carlo
+    driver behind the completeness and soundness checks.
     """
     accepts = sum(int(np.count_nonzero(v_norms < params.tau))
                   for v_norms in _verification_norms(params, target_norm, trials,
@@ -422,7 +442,7 @@ def share_simulation_check(S: int, T: tuple[int, ...], sigma_ss: float,
 
 
 def completeness_check(params: ProtocolParams, trials: int, seed) -> CheckResult:
-    """Rejection rate of unit-norm random-direction inputs against beta."""
+    """Rejection rate of unit-norm inputs against beta."""
     est = norm_verification_rate(params, 1.0, trials, seed)
     return CheckResult("completeness-rate", f"beta={params.beta:g},k={params.k}",
                        1.0 - est.rate, params.beta + 3 * binomial_se(params.beta, trials))
@@ -430,7 +450,11 @@ def completeness_check(params: ProtocolParams, trials: int, seed) -> CheckResult
 
 def soundness_check(params: ProtocolParams, pattern: str, trials: int,
                     seed) -> CheckResult:
-    """Accept rate of inputs at norm rho in the given pattern against beta."""
+    """Accept rate of inputs at norm rho against beta.
+
+    The rate depends on an input only through its norm, so pattern is
+    checked but changes no result.
+    """
     est = norm_verification_rate(params, params.rho, trials, seed, pattern=pattern)
     return CheckResult("soundness-rate", f"beta={params.beta:g},k={params.k}",
                        est.rate, params.beta + 3 * binomial_se(params.beta, trials))

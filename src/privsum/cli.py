@@ -239,15 +239,10 @@ def cmd_experiment(args) -> int:
         params = calibrate(eps=config.eps, delta=config.delta,
                            eps_ss=config.eps_ss, delta_ss=config.delta_ss,
                            beta=config.beta, S=config.S, k=k, d=config.d).params
-        if config.kind == "completeness":
-            target = 1.0
-            pattern = audit_mod.PATTERN_RANDOM
-        else:
-            target = config.norm_factor * params.rho
-            pattern = audit_mod.PATTERN_CONCENTRATED
+        target = 1.0 if config.kind == "completeness" else config.norm_factor * params.rho
         est = audit_mod.norm_verification_rate(
             params, target, config.trials,
-            substream(config.seed, "experiment", config.kind, k), pattern=pattern,
+            substream(config.seed, "experiment", config.kind, k),
         )
         rows.append({
             "kind": config.kind, "k": k, "S": config.S, "d": config.d,

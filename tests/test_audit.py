@@ -75,6 +75,23 @@ class TestPrivacyLossTail:
         assert privacy_loss_tail(1.0, 2.0, 1.0) < privacy_loss_tail(1.0, 1.0, 1.0)
 
 
+class TestNonFiniteArguments:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["shift_norm", "sigma", "eps"])
+    def test_privacy_loss_audits_name_the_argument(self, name, value):
+        args = {"shift_norm": 1.0, "sigma": 1.0, "eps": 1.0, name: value}
+        with pytest.raises(ParameterError, match=f"^{name} must be a finite number"):
+            privacy_loss_mc(**args, k=8, samples=1000, seed=0)
+        with pytest.raises(ParameterError, match=f"^{name} must be a finite number"):
+            privacy_loss_tail(**args)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_norm_verification_names_target_norm(self, value):
+        with pytest.raises(ParameterError, match="^target_norm must be a finite number"):
+            norm_verification_rate(pin_params(), value, 100, 0)
+
+
 class TestConditionedProjectionPrivacy:
     def test_zero_vector_has_zero_rates(self):
         params = calibrate(eps=1, delta=1e-2, eps_ss=1, delta_ss=1e-2,
@@ -164,9 +181,9 @@ class TestNumpyIntegerSeeds:
                     == privacy_loss_mc(1.0, 2.0, 4, 0.5, 1000, 5))
             assert (conditioned_projection_privacy(params, x, 1000, seed)
                     == conditioned_projection_privacy(params, x, 1000, 5))
-        # recorded when each trial first drew a k x min(S, d) projection of its
-        # shares' span in place of the k x d W
-        assert norm_verification_rate(params, 50.0, 400, 5).rate == 0.5375
+        # recorded when each trial first drew its shares' span coordinates from
+        # their exact law in place of d-dimensional shares
+        assert norm_verification_rate(params, 50.0, 400, 5).rate == 0.5475
 
 
 def pin_params():
@@ -199,9 +216,9 @@ def pinned_projection_rates():
 
 
 class TestChunkedDraws:
-    # recorded when each trial first drew a k x min(S, d) projection of its
-    # shares' span in place of the k x d W
-    RATES = [0.489, 0.476, 0.481]
+    # recorded when each trial first drew its shares' span coordinates from
+    # their exact law in place of d-dimensional shares
+    RATES = [0.463, 0.509, 0.444]
     SHARE_STATISTICS = [0.038000000000000034, 0.0605]
     # recorded when each sample first drew k normals for ||W x|| in place of W
     PROJECTION_RATES = [0.0, 0.0, 0.164, 0.1628]
@@ -223,6 +240,14 @@ class TestChunkedDraws:
         assert pinned_rates() == rates
         assert pinned_share_statistics() == statistics
         assert pinned_projection_rates() == self.PROJECTION_RATES
+
+    def test_pattern_changes_no_result(self):
+        # the law depends on the input only through its norm, so the pattern
+        # draws nothing
+        rates = {norm_verification_rate(pin_params(), 65.0, 1000, substream(4, "pin"),
+                                        pattern=pattern)
+                 for pattern in audit.PATTERNS}
+        assert len(rates) == 1
 
     def test_bad_pattern_and_norm_raise(self):
         with pytest.raises(ParameterError):

@@ -273,12 +273,12 @@ class TestAuditCommand:
 
     def test_report_bytes_are_pinned(self, capsys):
         # like the golden transcript hash, specific to the platform and numpy build;
-        # recorded when the rate and projection-privacy rows first drew only in
-        # the span of their inputs
+        # recorded when the rate rows first drew their shares' span coordinates
+        # from their exact law
         code, out, _ = run_cli(capsys, "audit", "--samples", "2000", "--seed", "0")
         assert code == EXIT_OK
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "e3ebe9f84ffbf1bbf70f72f9e3889e1529f96b36e0c3c4d3e174a36182ae872f")
+                == "84c6c2b51a92c24b9a4bb4619839555bf10b66c698253b62a61c2bf1185932dd")
 
 
 class TestOutputDirOverride:
