@@ -86,17 +86,12 @@ class TestReconstruct:
         sigma, B, step = 10.0, 80.0, 1.0
         trials, d = 100_000, 1
         rng = substream(23, "trunc-recon")
-        hits = 0
-        for _ in range(trials):
-            x = rng.uniform(-1, 1, size=d)
-            shares = share_vector(x, 2, sigma, rng)
-            trunc = np.vstack([
-                truncate_share(shares[0], B, step),
-                truncate_share(shares[1], B, step),
-            ])
-            err = np.abs(trunc.sum(axis=0) - x)
-            if np.all(err <= step):
-                hits += 1
+        # every trial's input, then every trial's blind, as one block each
+        x = rng.uniform(-1, 1, size=(trials, d))
+        shares = split_shares(x, rng.standard_normal((trials, 1, d)), sigma)
+        check_shares(shares)
+        err = np.abs(truncate_share(shares, B, step).sum(axis=1) - x)
+        hits = int(np.count_nonzero(np.all(err <= step, axis=1)))
         assert hits / trials >= 0.9999
 
 
