@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .core import (
     ProtocolParams,
@@ -71,9 +71,18 @@ def _normal_ci95(rate: float, n: int) -> tuple[float, float]:
     return (max(0.0, rate - half), min(1.0, rate + half))
 
 
+def _square(value: float, name: str) -> float:
+    """value ** 2; ParameterError naming value where the square overflows."""
+    try:
+        return value ** 2
+    except OverflowError:
+        raise ParameterError(f"{name}**2 overflows, got {name}={value}") from None
+
+
 def _loss_args(shift_norm, sigma, eps) -> tuple[float, float, float]:
     """The shifted Gaussian pair's arguments as floats; ParameterError naming
-    the first that is not finite, or not >= 0 (shift_norm) or > 0."""
+    the first that is not finite, or not >= 0 (shift_norm) or > 0, and where
+    sigma**2 under- or overflows or shift_norm**2 / sigma**2 overflows."""
     shift_norm = finite(shift_norm, "shift_norm")
     sigma, eps = finite(sigma, "sigma"), finite(eps, "eps")
     if shift_norm < 0:
@@ -81,6 +90,14 @@ def _loss_args(shift_norm, sigma, eps) -> tuple[float, float, float]:
     for name, value in (("sigma", sigma), ("eps", eps)):
         if value <= 0:
             raise ParameterError(f"{name} must be > 0, got {value}")
+    # the loss is (<y, m> - shift_norm**2 / 2) / sigma**2 with <y, m> about
+    # shift_norm**2: it stays finite iff these two do
+    sigma_sq = _square(sigma, "sigma")
+    if sigma_sq == 0.0:
+        raise ParameterError(f"sigma**2 underflows to 0, got sigma={sigma}")
+    if not math.isfinite(_square(shift_norm, "shift_norm") / sigma_sq):
+        raise ParameterError(f"shift_norm**2 / sigma**2 overflows, got "
+                             f"shift_norm={shift_norm}, sigma={sigma}")
     return shift_norm, sigma, eps
 
 
@@ -122,8 +139,13 @@ def privacy_loss_tail(shift_norm: float, sigma: float, eps: float) -> float:
     if shift_norm == 0.0:
         return 0.0
     mu = shift_norm ** 2 / (2.0 * sigma ** 2)
+    if mu == 0.0:
+        raise ParameterError(f"shift_norm**2 / (2 sigma**2) underflows to 0, got "
+                             f"shift_norm={shift_norm}, sigma={sigma}")
     sd = math.sqrt(2.0 * mu)
-    return float(stats.norm.sf((eps - mu) / sd) + stats.norm.sf((eps + mu) / sd))
+    lo, hi = (eps - mu) / sd, (eps + mu) / sd
+    # the normal tail at x is ndtr(-x), as scipy.stats.norm.sf computes it
+    return float(special.ndtr(-lo) + special.ndtr(-hi))
 
 
 def _projected_norms(rng: np.random.Generator, m: int, x: np.ndarray,
@@ -201,6 +223,26 @@ def ks_two_sample_threshold(n: int, m: int, alpha: float) -> float:
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((n + m) / (n * m))
 
 
+def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample KS statistic sup_x |F_a(x) - F_b(x)| of two 1-d samples.
+
+    Equal bit for bit to scipy.stats.ks_2samp's statistic: the empirical
+    CDFs are counts over sizes, read at the last position of each run of
+    equal values in the pooled sorted sample, which is where ks_2samp
+    reads them with searchsorted(side="right").
+    """
+    n, m = len(a), len(b)
+    pooled = np.concatenate([a, b])
+    from_a = np.argsort(pooled) < n
+    values = np.sort(pooled)
+    last = np.append(values[1:] != values[:-1], True)
+    cp = np.cumsum(from_a)[last]
+    cq = np.flatnonzero(last) + 1 - cp
+    diffs = cp / n - cq / m
+    hi, lo = diffs.max(), np.clip(-diffs.min(), 0, 1)
+    return float(lo if lo > hi else hi)
+
+
 def two_sample_closeness(view_sampler_p: ViewSampler, view_sampler_q: ViewSampler,
                          marginals: int, samples: int, seed) -> ClosenessReport:
     """Per-marginal two-sample KS tests with Bonferroni correction.
@@ -220,12 +262,12 @@ def two_sample_closeness(view_sampler_p: ViewSampler, view_sampler_q: ViewSample
         raise DimensionMismatch(
             f"samplers must emit shape {expected}, got {p.shape} and {q.shape}"
         )
+    for side, view in (("p", p), ("q", q)):
+        if not np.isfinite(view).all():
+            raise ParameterError(f"view_sampler_{side} emitted a non-finite value")
     threshold = ks_two_sample_threshold(samples, samples,
                                         CLOSENESS_ALPHA / marginals)
-    statistics = tuple(
-        float(stats.ks_2samp(p[:, j], q[:, j], method="asymp").statistic)
-        for j in range(marginals)
-    )
+    statistics = tuple(_ks_statistic(p[:, j], q[:, j]) for j in range(marginals))
     verdict = VERDICT_REJECTED if max(statistics) > threshold else VERDICT_CONSISTENT
     return ClosenessReport(statistics=statistics, threshold=threshold,
                            samples=samples, verdict=verdict)

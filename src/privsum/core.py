@@ -16,7 +16,7 @@ import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DimensionMismatch, InfeasibleParameters, ParameterError
 from .rng import as_generator
@@ -242,7 +242,7 @@ def completeness_tau(k: int, S: int, sigma_v: float, beta: float,
         raise ParameterError(f"k must be an integer >= 1, got {k}")
     scale = 1.0 / k + S * sigma_v ** 2
     if exact_cdf:
-        q = stats.chi2.ppf(1.0 - beta, df=k)
+        q = 2.0 * special.gammaincinv(k / 2, 1.0 - beta)
     else:
         lb = math.log(1.0 / beta)
         q = k + 2.0 * lb + 2.0 * math.sqrt(k * lb)
@@ -263,7 +263,7 @@ def soundness_rho(k: int, S: int, sigma_v: float, tau: float, beta: float,
     if not 0 < beta < 1:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
     if exact_cdf:
-        q_lo = stats.chi2.ppf(beta, df=k)
+        q_lo = 2.0 * special.gammaincinv(k / 2, beta)
         rho_sq = k * tau ** 2 / q_lo - k * S * sigma_v ** 2
     else:
         lb = math.log(1.0 / beta)

@@ -1,6 +1,7 @@
 """Audit machinery: privacy-loss estimators, closeness tests, rate drivers."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -74,6 +75,17 @@ class TestPrivacyLossTail:
     def test_monotone_in_sigma(self):
         assert privacy_loss_tail(1.0, 2.0, 1.0) < privacy_loss_tail(1.0, 1.0, 1.0)
 
+    def test_matches_scipy_stats_normal_tails(self):
+        grid = list(itertools.product([1e-3, 0.1, 1.0, 3.0, 40.0],
+                                      [0.05, 0.5, 1.0, 7.0, 1e3], [1e-3, 0.5, 1.0, 8.0]))
+        expected = []
+        for shift_norm, sigma, eps in grid:
+            mu = shift_norm ** 2 / (2.0 * sigma ** 2)
+            sd = math.sqrt(2.0 * mu)
+            expected.append(float(stats.norm.sf((eps - mu) / sd)
+                                  + stats.norm.sf((eps + mu) / sd)))
+        assert [privacy_loss_tail(*point) for point in grid] == expected
+
 
 class TestNonFiniteArguments:
     @pytest.mark.filterwarnings("error")
@@ -85,6 +97,25 @@ class TestNonFiniteArguments:
             privacy_loss_mc(**args, k=8, samples=1000, seed=0)
         with pytest.raises(ParameterError, match=f"^{name} must be a finite number"):
             privacy_loss_tail(**args)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shift_norm, sigma, match", [
+        (1.0, 1e-200, r"^sigma\*\*2 underflows"),
+        (1e200, 1.0, r"^shift_norm\*\*2 overflows"),
+        (1.0, 1e200, r"^sigma\*\*2 overflows"),
+        (1e150, 1e-10, r"^shift_norm\*\*2 / sigma\*\*2 overflows"),
+    ])
+    def test_squares_out_of_float_range_name_the_argument(self, shift_norm, sigma, match):
+        with pytest.raises(ParameterError, match=match):
+            privacy_loss_mc(shift_norm, sigma, 8, 1.0, 1000, 0)
+        with pytest.raises(ParameterError, match=match):
+            privacy_loss_tail(shift_norm, sigma, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shift_norm, sigma", [(1e-200, 1.0), (1.0, 1e154)])
+    def test_tail_mean_underflow_names_the_arguments(self, shift_norm, sigma):
+        with pytest.raises(ParameterError, match=r"^shift_norm\*\*2 / \(2 sigma\*\*2\) underflows"):
+            privacy_loss_tail(shift_norm, sigma, 1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_norm_verification_names_target_norm(self, value):
@@ -166,6 +197,45 @@ class TestTwoSampleCloseness:
 
         with pytest.raises(Exception):
             two_sample_closeness(p, q, 2, 100, 0)
+
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_non_finite_sample_raises(self, side):
+        def good(rng, count):
+            return rng.normal(size=(count, 2))
+
+        def bad(rng, count):
+            view = rng.normal(5.0, 1.0, size=(count, 2))
+            view[0, 0] = math.nan
+            return view
+
+        samplers = (bad, good) if side == "p" else (good, bad)
+        with pytest.raises(ParameterError, match=f"^view_sampler_{side} emitted a non-finite"):
+            two_sample_closeness(*samplers, 2, 1000, 0)
+
+
+def ks_samples():
+    rng = substream(12, "ks")
+    x = rng.normal(size=4000)
+    return {
+        "continuous": (rng.normal(size=3000), rng.normal(0.05, 1.0, size=3000)),
+        "ties": (np.round(rng.normal(size=3000), 1), np.round(rng.normal(0.1, 1.0, size=3000), 1)),
+        "few-values": (rng.integers(0, 4, 500).astype(float),
+                       rng.integers(0, 4, 700).astype(float)),
+        "n-not-m": (rng.normal(size=1200), rng.normal(0.2, 1.1, size=2900)),
+        "identical": (x, x.copy()),
+        "permuted": (x, x[::-1].copy()),
+        "disjoint": (np.zeros(50), np.ones(80)),
+    }
+
+
+class TestKSStatistic:
+    @pytest.mark.parametrize("case", sorted(ks_samples()))
+    def test_equals_scipy_ks_2samp(self, case):
+        # scipy.stats stays the oracle here, out of privsum's own imports
+        a, b = ks_samples()[case]
+        expected = float(stats.ks_2samp(a, b, method="asymp").statistic)
+        assert audit._ks_statistic(a, b) == expected
+        assert audit._ks_statistic(b, a) == float(stats.ks_2samp(b, a, method="asymp").statistic)
 
 
 class TestNumpyIntegerSeeds:

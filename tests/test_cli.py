@@ -3,7 +3,10 @@
 import csv
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -407,3 +410,16 @@ def test_readme_cli_block_runs_as_written(capsys, tmp_path, monkeypatch):
             assert scenario.clients[-1].kind == "norm-inflating"
             assert adversary not in summary["accepted"]
             assert summary["accepted_count"] < scenario.n
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # privsum needs only scipy.special at runtime; scipy.stats costs about a
+    # second and 45 MiB of start-up, and only the tests use it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, privsum, privsum.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

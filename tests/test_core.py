@@ -180,6 +180,21 @@ class TestCalibrate:
                            beta=0.01, S=2, k=16, d=64, exact_cdf=True)
         assert report.params.rho > 1.0
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 16, 64, 257, 1024])
+    def test_exact_cdf_matches_scipy_stats_quantiles(self, k):
+        # scipy.stats stays the oracle here, out of privsum's own imports
+        S, betas = 3, (1e-9, 1e-5, 1e-3, 0.01, 0.05, 0.2, 0.3)
+        got, expected = [], []
+        for beta in betas:
+            params = calibrate(eps=1, delta=1e-2, eps_ss=1, delta_ss=1e-2,
+                               beta=beta, S=S, k=k, d=8, exact_cdf=True).params
+            sigma_v = params.sigma_v
+            tau = math.sqrt((1.0 / k + S * sigma_v ** 2) * stats.chi2.ppf(1.0 - beta, df=k))
+            rho_sq = k * tau ** 2 / stats.chi2.ppf(beta, df=k) - k * S * sigma_v ** 2
+            got.append((params.tau, params.rho))
+            expected.append((tau, math.sqrt(rho_sq)))
+        assert got == expected
+
     def test_monotone_in_sigma_v(self):
         k, S, beta = 64, 2, 0.05
         taus = [completeness_tau(k, S, sv, beta) for sv in (1.0, 2.0, 4.0)]
