@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ProtocolParams
+from .core import ProtocolParams, positive
 from .errors import (
     AbortedInput,
     DimensionMismatch,
@@ -269,8 +269,8 @@ def run_aggregation(submissions, params: ProtocolParams,
     verifier and is left out of J, as a client that withheld the share
     would be. A repeated client id raises DuplicateClientId.
     """
-    if sigma_out is not None and sigma_out <= 0:
-        raise ParameterError("sigma_out must be > 0 when set")
+    if sigma_out is not None:
+        positive(sigma_out, "sigma_out")
 
     S, d = params.S, params.d
     bus = MessageBus()

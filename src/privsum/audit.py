@@ -22,8 +22,10 @@ from .core import (
     c_delta,
     calibrate,
     chi2_thresholds,
+    count,
     finite,
     gaussian_sigma,
+    positive,
 )
 from .errors import DimensionMismatch, ParameterError
 from .rng import as_generator, seed_int, substream
@@ -84,14 +86,11 @@ def _loss_args(shift_norm, sigma, eps) -> tuple[float, float, float]:
     the first that is not finite, or not >= 0 (shift_norm) or > 0, and where
     sigma**2 under- or overflows or shift_norm**2 / sigma**2 overflows."""
     shift_norm = finite(shift_norm, "shift_norm")
-    sigma, eps = finite(sigma, "sigma"), finite(eps, "eps")
+    sigma, eps = positive(sigma, "sigma"), positive(eps, "eps")
     if shift_norm < 0:
         raise ParameterError(f"shift_norm must be >= 0, got {shift_norm}")
-    for name, value in (("sigma", sigma), ("eps", eps)):
-        if value <= 0:
-            raise ParameterError(f"{name} must be > 0, got {value}")
-    # the loss is (<y, m> - shift_norm**2 / 2) / sigma**2 with <y, m> about
-    # shift_norm**2: it stays finite iff these two do
+    # the loss has mean shift_norm**2 / (2 sigma**2), which privacy_loss_tail
+    # computes from the two squares: it stays finite iff these do
     sigma_sq = _square(sigma, "sigma")
     if sigma_sq == 0.0:
         raise ParameterError(f"sigma**2 underflows to 0, got sigma={sigma}")
@@ -111,19 +110,17 @@ def privacy_loss_mc(shift_norm: float, sigma: float, k: int, eps: float,
     the N(0, sigma^2 I_k) hypothesis.
     """
     shift_norm, sigma, eps = _loss_args(shift_norm, sigma, eps)
-    if samples < 1000:
-        raise ParameterError(f"need at least 1000 samples, got {samples}")
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    samples, k = count(samples, "samples", least=1000), count(k, "k")
     rng = as_generator(seed)
     if shift_norm == 0.0:
         exceed = 0
     else:
-        # by rotational symmetry the shift sits on the first axis
-        m = np.zeros(k)
-        m[0] = shift_norm
-        y = m + rng.normal(0.0, sigma, size=(samples, k))
-        loss = (y @ m - shift_norm ** 2 / 2.0) / sigma ** 2
+        # by rotational symmetry the shift sits on the first axis, so the loss
+        # is (y_1 / sigma - r / 2) r with r = shift_norm / sigma; in sigma
+        # units it stays finite wherever the shift and sigma are
+        y1 = shift_norm + rng.normal(0.0, sigma, size=(samples, k))[:, 0]
+        r = shift_norm / sigma
+        loss = (y1 / sigma - r / 2.0) * r
         exceed = int(np.sum(np.abs(loss) > eps))
     return PrivacyLossEstimate(delta_target=delta_target,
                                empirical_exceed_rate=exceed / samples, samples=samples)
@@ -188,8 +185,7 @@ def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
         raise ParameterError("input norm must be <= 1")
     if x.shape[0] != params.d:
         raise DimensionMismatch(f"x has dimension {x.shape[0]}, params.d={params.d}")
-    if samples < 1000:
-        raise ParameterError(f"need at least 1000 samples, got {samples}")
+    samples = count(samples, "samples", least=1000)
     k = params.k
     cd = c_delta(k, params.delta)
     sigma = params.sigma_v  # (S - |T|) = 1 at the worst case
@@ -252,8 +248,7 @@ def two_sample_closeness(view_sampler_p: ViewSampler, view_sampler_q: ViewSample
     `rejected` iff some marginal's KS statistic exceeds the corrected
     critical value.
     """
-    if marginals < 1 or samples < 2:
-        raise ParameterError("need marginals >= 1 and samples >= 2")
+    marginals, samples = count(marginals, "marginals"), count(samples, "samples", least=2)
     base = seed_int(seed)
     p = np.asarray(view_sampler_p(substream(base, "closeness", 0), samples))
     q = np.asarray(view_sampler_q(substream(base, "closeness", 1), samples))
@@ -321,8 +316,7 @@ def _verification_norms(params: ProtocolParams, target_norm: float, trials: int,
     to Multivariate Statistical Analysis, ch. 7). So no draw of a trial is
     d long.
     """
-    if trials < 100:
-        raise ParameterError(f"need at least 100 trials, got {trials}")
+    trials = count(trials, "trials", least=100)
     if finite(target_norm, "target_norm") < 0:
         raise ParameterError("target_norm must be >= 0")
     if pattern not in PATTERNS:

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import audit as audit_mod
 from .aggregation import run_norm_verification
-from .core import CalibrationReport, ProtocolParams, calibrate
-from .errors import ParameterError, ProtocolError, ScenarioError
+from .core import CalibrationReport, ProtocolParams, calibrate, count
+from .errors import ProtocolError, ScenarioError
 from .harness import Scenario, finite, integral, measured_traffic, run_scenario
 from .rng import substream
 from .sharing import scale_to_norm, share_vector
@@ -147,8 +147,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_share(args) -> int:
-    if args.d < 1:
-        raise ParameterError(f"--d must be >= 1, got {args.d}")
+    count(args.d, "--d")
     rng = substream(args.seed, "cli-share")
     x = scale_to_norm(rng.standard_normal(args.d), args.norm)
     shares = share_vector(x, args.S, args.sigma_ss, rng)
@@ -290,8 +289,7 @@ def _audit_rows(samples: int, seed: int) -> list[audit_mod.CheckResult]:
 
 
 def cmd_audit(args) -> int:
-    if args.samples < 1:
-        raise ParameterError(f"--samples must be >= 1, got {args.samples}")
+    count(args.samples, "--samples")
     rows = _audit_rows(args.samples, args.seed)
     lines = [f"# schema: {AUDIT_SCHEMA}", "check\tparams\tstatistic\tthreshold\tverdict"]
     lines += [f"{r.check}\t{r.params}\t{r.statistic:.6g}\t{r.threshold:.6g}\t{r.verdict}"

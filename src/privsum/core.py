@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -41,6 +42,30 @@ def finite(value, name: str, error: type[Exception] = ParameterError) -> float:
             and math.isfinite(value)):
         return float(value)
     raise error(f"{name} must be a finite number, got {value!r}")
+
+
+def count(value, name: str, least: int = 1,
+          error: type[Exception] = ParameterError) -> int:
+    """value as an int >= least; error for a string, a bool, a value int()
+    would truncate (2.5) and one below least."""
+    out = integral(value, name, error) if isinstance(value, numbers.Real) else None
+    if out is None or out < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return out
+
+
+def positive(value, name: str, error: type[Exception] = ParameterError) -> float:
+    """value as a float; error unless it is a finite number > 0."""
+    if finite(value, name, error) > 0:
+        return float(value)
+    raise error(f"{name} must be > 0, got {value!r}")
+
+
+def probability(value, name: str, error: type[Exception] = ParameterError) -> float:
+    """value as a float; error unless it is a finite number in (0, 1)."""
+    if 0 < finite(value, name, error) < 1:
+        return float(value)
+    raise error(f"{name} must lie in (0, 1), got {value!r}")
 
 
 def as_vector(x, *, name: str = "x") -> np.ndarray:
@@ -103,34 +128,17 @@ class ProtocolParams:
     quant_step: float = 1.0
 
     def __post_init__(self):
-        # integral sizes run as ints (8.0 as 8); NaN would pass every range check
-        for nm in ("S", "n", "d", "k"):
-            object.__setattr__(self, nm, integral(getattr(self, nm), nm))
-        for nm in ("eps", "delta", "eps_ss", "delta_ss", "beta", "sigma_ss", "sigma_v",
-                   "tau", "rho", "quant_step"):
-            object.__setattr__(self, nm, finite(getattr(self, nm), nm))
+        # sizes run as ints (8.0 as 8), the rest as floats
+        checks = {"S": partial(count, least=2), "n": count, "d": count, "k": count,
+                  "delta": probability, "delta_ss": probability, "beta": probability,
+                  "rho": finite, "eps": positive, "eps_ss": positive, "sigma_ss": positive,
+                  "sigma_v": positive, "tau": positive, "quant_step": positive}
         if self.trunc_b is not None:
-            object.__setattr__(self, "trunc_b", finite(self.trunc_b, "trunc_b"))
-        if self.S < 2:
-            raise ParameterError(f"need at least 2 verifiers, got S={self.S}")
-        if self.k < 1 or self.n < 1 or self.d < 1:
-            raise ParameterError("k, n, d must all be >= 1")
-        for nm in ("eps", "eps_ss"):
-            if getattr(self, nm) <= 0:
-                raise ParameterError(f"{nm} must be > 0")
-        for nm in ("delta", "delta_ss", "beta"):
-            v = getattr(self, nm)
-            if not 0 < v < 1:
-                raise ParameterError(f"{nm} must lie in (0, 1), got {v}")
-        for nm in ("sigma_ss", "sigma_v", "tau"):
-            if getattr(self, nm) <= 0:
-                raise ParameterError(f"{nm} must be > 0")
+            checks["trunc_b"] = positive
+        for nm, check in checks.items():
+            object.__setattr__(self, nm, check(getattr(self, nm), nm))
         if self.rho < 1:
             raise ParameterError(f"rho must be >= 1, got {self.rho}")
-        if self.trunc_b is not None and self.trunc_b <= 0:
-            raise ParameterError("trunc_b must be > 0 when set")
-        if self.quant_step <= 0:
-            raise ParameterError("quant_step must be > 0")
         # a step above trunc_b truncates every share to 0; past 2^53 steps the
         # grid leaves float64's exact integers and the codec's int64 cast overflows
         if self.trunc_b is not None and not 1 <= self.trunc_b / self.quant_step <= 2**53:
@@ -163,13 +171,8 @@ def gaussian_sigma(eps: float, delta: float, sensitivity: float = 1.0) -> float:
     Returns sensitivity * 2 * sqrt(ln(2/delta)) / eps; scales linearly in
     sensitivity and as 1/eps.
     """
-    if eps <= 0:
-        raise ParameterError(f"eps must be > 0, got {eps}")
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    if sensitivity <= 0:
-        raise ParameterError(f"sensitivity must be > 0, got {sensitivity}")
-    return sensitivity * 2.0 * math.sqrt(math.log(2.0 / delta)) / eps
+    eps, delta = positive(eps, "eps"), probability(delta, "delta")
+    return positive(sensitivity, "sensitivity") * 2.0 * math.sqrt(math.log(2.0 / delta)) / eps
 
 
 def chi2_thresholds(k: int, x: float) -> tuple[float, float]:
@@ -180,10 +183,7 @@ def chi2_thresholds(k: int, x: float) -> tuple[float, float]:
     threshold may be negative for x > k/4, in which case its bound is
     vacuous.
     """
-    if int(k) != k or k < 1:
-        raise ParameterError(f"k must be an integer >= 1, got {k}")
-    if x <= 0:
-        raise ParameterError(f"x must be > 0, got {x}")
+    k, x = count(k, "k"), positive(x, "x")
     r = math.sqrt(x / k)
     lower = k * (1.0 - 2.0 * r)
     upper = k * (1.0 + 2.0 * r + 2.0 * x / k)
@@ -195,20 +195,14 @@ def c_delta(k: int, delta: float) -> float:
 
     Pr[||Wx|| >= c_delta] <= delta. Always > 1, decreasing in k.
     """
-    if int(k) != k or k < 1:
-        raise ParameterError(f"k must be an integer >= 1, got {k}")
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+    k, delta = count(k, "k"), probability(delta, "delta")
     lk = math.log(1.0 / delta) / k
     return math.sqrt(1.0 + 2.0 * math.sqrt(lk) + 2.0 * lk)
 
 
 def min_sigma_v(k: int, delta: float, eps: float) -> float:
     """Minimal projection-noise std for (eps, delta) zero-knowledge of the replies."""
-    if eps <= 0:
-        raise ParameterError(f"eps must be > 0, got {eps}")
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+    eps = positive(eps, "eps")
     return 2.0 * c_delta(k, delta) * math.sqrt(math.log(4.0 / delta)) / eps
 
 
@@ -219,9 +213,10 @@ def min_sigma_ss(eps_ss: float, delta_ss: float, honest_verifiers: int = 1) -> f
     the default honest_verifiers=1 is the worst case of a coalition of all
     but one verifier.
     """
-    if honest_verifiers < 1:
-        raise ParameterError("need at least one honest verifier")
-    return gaussian_sigma(eps_ss, delta_ss) / math.sqrt(honest_verifiers)
+    honest_verifiers = count(honest_verifiers, "honest_verifiers")
+    # checked here, so that an error names eps_ss and not gaussian_sigma's eps
+    sigma = gaussian_sigma(positive(eps_ss, "eps_ss"), probability(delta_ss, "delta_ss"))
+    return sigma / math.sqrt(honest_verifiers)
 
 
 def completeness_tau(k: int, S: int, sigma_v: float, beta: float,
@@ -232,14 +227,8 @@ def completeness_tau(k: int, S: int, sigma_v: float, beta: float,
     With exact_cdf=True the chi-square tail bound is replaced by the exact
     quantile, giving a strictly smaller tau.
     """
-    if S < 2:
-        raise ParameterError(f"need S >= 2, got {S}")
-    if sigma_v <= 0:
-        raise ParameterError("sigma_v must be > 0")
-    if not 0 < beta < 1:
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    if int(k) != k or k < 1:
-        raise ParameterError(f"k must be an integer >= 1, got {k}")
+    k, S = count(k, "k"), count(S, "S", least=2)
+    sigma_v, beta = positive(sigma_v, "sigma_v"), probability(beta, "beta")
     scale = 1.0 / k + S * sigma_v ** 2
     if exact_cdf:
         q = 2.0 * special.gammaincinv(k / 2, 1.0 - beta)
@@ -258,10 +247,9 @@ def soundness_rho(k: int, S: int, sigma_v: float, tau: float, beta: float,
     and InfeasibleParameters is raised. With exact_cdf=True the exact
     lower chi-square quantile is used instead and any k is feasible.
     """
-    if tau <= 0:
-        raise ParameterError("tau must be > 0")
-    if not 0 < beta < 1:
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
+    k, S = count(k, "k"), count(S, "S", least=2)
+    sigma_v, tau = positive(sigma_v, "sigma_v"), positive(tau, "tau")
+    beta = probability(beta, "beta")
     if exact_cdf:
         q_lo = 2.0 * special.gammaincinv(k / 2, beta)
         rho_sq = k * tau ** 2 / q_lo - k * S * sigma_v ** 2
@@ -295,21 +283,15 @@ def calibrate(eps: float, delta: float, eps_ss: float, delta_ss: float,
 
     Raises InfeasibleParameters when k <= 4 ln(1/beta) in closed-form mode.
     """
-    if S < 2:
-        raise ParameterError(f"need S >= 2, got {S}")
-    if int(k) != k or k < 1 or int(d) != d or d < 1 or int(n) != n or n < 1:
-        raise ParameterError("k, d, n must be integers >= 1")
-    if not 0 < beta < 1:
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-
-    beta_eff = beta / n if session_calibrated else beta
+    # the callees check each argument by its own name, and ProtocolParams the rest
+    beta_eff = probability(beta, "beta") / count(n, "n") if session_calibrated else beta
 
     cd = c_delta(k, delta)
-    lam = math.sqrt(math.log(1.0 / beta_eff)) / k
     sigma_v = min_sigma_v(k, delta, eps)
     sigma_ss = min_sigma_ss(eps_ss, delta_ss, honest_verifiers=1)
     tau = completeness_tau(k, S, sigma_v, beta_eff, exact_cdf=exact_cdf)
     rho = soundness_rho(k, S, sigma_v, tau, beta_eff, exact_cdf=exact_cdf)
+    lam = math.sqrt(math.log(1.0 / beta_eff)) / k
 
     # first-order expansion of rho^2 in sqrt(ln(1/beta)/k) = lambda*sqrt(k)
     a = k * S * sigma_v ** 2
@@ -340,8 +322,7 @@ def calibrate(eps: float, delta: float, eps_ss: float, delta_ss: float,
 
 def sample_projection(k: int, d: int, seed) -> ProjectionMatrix:
     """Sample a k x d matrix of i.i.d. N(0, 1/k) entries, deterministic in seed."""
-    if int(k) != k or k < 1 or int(d) != d or d < 1:
-        raise ParameterError("k and d must be integers >= 1")
+    k, d = count(k, "k"), count(d, "d")
     rng = as_generator(seed)
     entries = rng.standard_normal((k, d)) / math.sqrt(k)
     return ProjectionMatrix(entries=entries)

@@ -24,7 +24,7 @@ from .aggregation import (
     client_chunks,
     run_aggregation,
 )
-from .core import ProtocolParams, finite as _finite, integral as _integral
+from .core import ProtocolParams, count, finite as _finite, integral as _integral, positive
 from .errors import ScenarioError
 from .rng import substream
 from .sharing import check_shares, scale_to_norm, split_shares, truncate_share
@@ -95,8 +95,9 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
-        if self.S < 2 or self.d < 1 or self.n < 0:
-            raise ScenarioError(f"bad sizes: n={self.n}, S={self.S}, d={self.d}")
+        count(self.n, "n", least=0, error=ScenarioError)
+        count(self.S, "S", least=2, error=ScenarioError)
+        count(self.d, "d", error=ScenarioError)
         if len(self.clients) != self.n:
             raise ScenarioError(
                 f"scenario declares n={self.n} but lists {len(self.clients)} clients"
@@ -104,10 +105,9 @@ class Scenario:
         for c in self.clients:
             if c.kind not in CLIENT_BEHAVIORS:
                 raise ScenarioError(f"unknown behavior {c.kind!r}")
-            if not np.isfinite(c.norm):
-                raise ScenarioError(f"client norm must be finite, got {c.norm}")
-            if not 0 <= c.scale < np.inf:
-                raise ScenarioError(f"client scale must be finite and >= 0, got {c.scale}")
+            finite(c.norm, "client norm")
+            if finite(c.scale, "client scale") < 0:
+                raise ScenarioError(f"client scale must be >= 0, got {c.scale}")
             if any(i < 0 or i >= self.S for i in c.skip):
                 raise ScenarioError(f"skip indices {c.skip} outside 0..{self.S - 1}")
             if c.client_id is not None and (
@@ -118,8 +118,8 @@ class Scenario:
                 )
         if self.validity_threshold is not None and not 0 < self.validity_threshold <= 1:
             raise ScenarioError("validity_threshold must lie in (0, 1]")
-        if self.sigma_out is not None and self.sigma_out <= 0:
-            raise ScenarioError("sigma_out must be > 0 when set")
+        if self.sigma_out is not None:
+            positive(self.sigma_out, "sigma_out", error=ScenarioError)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -175,11 +175,6 @@ def scenario_client_ids(scenario: Scenario, master_seed: int) -> list[str]:
     if len(set(ids)) != len(ids):
         raise ScenarioError("explicit client ids collide")
     return ids
-
-
-def random_direction(d: int, rng: np.random.Generator) -> np.ndarray:
-    u = rng.standard_normal(d)
-    return u / np.linalg.norm(u)
 
 
 def _shares_of(g: np.ndarray, norms, sigma_ss: float) -> np.ndarray:
@@ -272,8 +267,7 @@ class TrafficBreakdown:
 
 
 def predicted_traffic(scenario: Scenario, params: ProtocolParams,
-                      master_seed: int, *, aborted: bool = False,
-                      accepted_ids=None) -> TrafficBreakdown:
+                      master_seed: int, *, accepted_ids=None) -> TrafficBreakdown:
     """Closed-form payload byte totals for a run of the scenario.
 
     Assumes every client in reach passes verification unless accepted_ids
@@ -306,7 +300,7 @@ def predicted_traffic(scenario: Scenario, params: ProtocolParams,
     mat_bytes = matrix_bytes(k, d) * (S - 1)
     reply_bytes = sum(reply_batch_bytes(reached[i], k) for i in range(1, S))
     set_bytes = id_set_bytes(accepted) * (S - 1)
-    sum_bytes = 0 if aborted else vector_bytes(d) * (S - 1)
+    sum_bytes = vector_bytes(d) * (S - 1)
 
     by_kind = {
         KIND_SHARE: share_bytes,

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import as_vector
+from .core import as_vector, count, positive
 from .errors import DimensionMismatch, ParameterError
 from .rng import as_generator
 
@@ -23,11 +23,7 @@ def share_vector(x, S: int, sigma_ss: float, seed) -> np.ndarray:
     The norm contract ||x|| <= 1 is an honest-client promise and is not
     enforced here; adversarial callers may violate it.
     """
-    x = as_vector(x)
-    if S < 2:
-        raise ParameterError(f"need at least 2 shares, got S={S}")
-    if sigma_ss <= 0:
-        raise ParameterError(f"sigma_ss must be > 0, got {sigma_ss}")
+    x, S, sigma_ss = as_vector(x), count(S, "S", least=2), positive(sigma_ss, "sigma_ss")
     g = as_generator(seed).standard_normal((S - 1, x.shape[0]))
     shares = split_shares(x, g, sigma_ss)
     check_shares(shares)
@@ -75,21 +71,19 @@ def simulate_share_view(T, S: int, sigma_ss: float, d: int,
     messages with g ~ N(0, (S-|T|) sigma_ss^2 I_d). T must be a proper,
     non-empty subset of {0..S-1}.
     """
-    subset = frozenset(int(i) for i in T)
-    if S < 2:
-        raise ParameterError(f"need S >= 2, got S={S}")
-    if sigma_ss <= 0:
-        raise ParameterError(f"sigma_ss must be > 0, got {sigma_ss}")
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
-    if not subset:
-        raise ParameterError("coalition T must be non-empty")
-    if not subset < set(range(S)):
-        raise ParameterError(
-            f"T={sorted(subset)} must be a proper subset of verifier indices 0..{S - 1}"
-        )
+    S, sigma_ss, d = count(S, "S", least=2), positive(sigma_ss, "sigma_ss"), count(d, "d")
+    subset = coalition(T, S)
     g = as_generator(seed).standard_normal((len(subset), d))
     return simulated_view(subset, S, sigma_ss, g)
+
+
+def coalition(T, S: int) -> frozenset[int]:
+    """T as a set of verifier indices; ParameterError unless it is a proper,
+    non-empty subset of 0..S-1."""
+    subset = frozenset(count(i, "T entry", least=0) for i in T)
+    if subset and subset < set(range(S)):
+        return subset
+    raise ParameterError(f"T={sorted(subset)} must be a proper, non-empty subset of 0..{S - 1}")
 
 
 def simulated_view(subset: frozenset[int], S: int, sigma_ss: float,
@@ -123,10 +117,7 @@ def truncate_share(share, B: float, step: float) -> np.ndarray:
         )
     if not np.isfinite(share).all():
         raise ParameterError("share must contain only finite values")
-    if B <= 0:
-        raise ParameterError(f"B must be > 0, got {B}")
-    if step <= 0:
-        raise ParameterError(f"step must be > 0, got {step}")
+    B, step = positive(B, "B"), positive(step, "step")
     # B / step may round across a grid point; n * step is what a payload decodes to
     n = math.floor(B / step) + 1
     while n * step > B:
@@ -141,6 +132,5 @@ def clamp_probability(B: float, sigma: float) -> float:
 
     Evaluates 2*Phi(-B/sigma) analytically via erfc; no sampling.
     """
-    if B <= 0 or sigma <= 0:
-        raise ParameterError("B and sigma must be > 0")
+    B, sigma = positive(B, "B"), positive(sigma, "sigma")
     return math.erfc(B / (sigma * math.sqrt(2.0)))

@@ -15,10 +15,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ProjectionMatrix, ProtocolParams, as_vector, sample_projection
+from .core import ProjectionMatrix, ProtocolParams, as_vector, count, positive, sample_projection
 from .errors import DimensionMismatch, MissingReply, ParameterError
 from .rng import as_generator, substream
-from .sharing import simulated_view
+from .sharing import coalition, simulated_view
 
 # stay bound here, where perfbench/tracing.py counts their calls
 from .sharing import truncate_share  # noqa: F401
@@ -111,10 +111,8 @@ def _share_row(z, W: ProjectionMatrix, name: str) -> np.ndarray:
 def project_reply(z_i, W: ProjectionMatrix, sigma_v: float, seed, *,
                   verifier_index: int = 1, client_id: str = "") -> ProjectionReply:
     """Compute y = W z_i + N(0, sigma_v^2 I_k), deterministic in seed."""
-    if sigma_v <= 0:
-        raise ParameterError(f"sigma_v must be > 0, got {sigma_v}")
-    if verifier_index < 1:
-        raise ParameterError("replies come from verifier indices >= 1")
+    sigma_v = positive(sigma_v, "sigma_v")
+    verifier_index = count(verifier_index, "verifier_index")
     z_i = _share_row(z_i, W, "z_i")
     y = project_replies(z_i, W.entries, noise_rows([as_generator(seed)], sigma_v, (1, W.k)))[0]
     return ProjectionReply(client_id=client_id, verifier_index=verifier_index, y=y)
@@ -129,10 +127,10 @@ def verifier0_decide(z_0, replies, W: ProjectionMatrix, sigma_v: float,
     Exactly one reply per verifier index 1..S-1 is required (S inferred
     from the reply count unless expected_verifiers is given).
     """
-    if sigma_v <= 0 or tau <= 0:
-        raise ParameterError("sigma_v and tau must be > 0")
+    sigma_v, tau = positive(sigma_v, "sigma_v"), positive(tau, "tau")
     replies = list(replies)
-    S = expected_verifiers if expected_verifiers is not None else len(replies) + 1
+    S = (len(replies) + 1 if expected_verifiers is None
+         else count(expected_verifiers, "expected_verifiers", least=2))
     seen = {r.verifier_index for r in replies}
     expected = set(range(1, S))
     if seen != expected or len(replies) != len(expected):
@@ -176,17 +174,11 @@ def simulate_norm_verification(T, params: ProtocolParams, seed,
     N(0, (S-|T|) sigma_v^2 I_k) and thresholds it at tau. T's messages
     are the encodings of these blinds, this W and the accept bit.
     """
-    subset = frozenset(int(i) for i in T)
-    if not subset:
-        raise ParameterError("coalition T must be non-empty")
+    subset = coalition(T, params.S)
     if 0 in subset:
         raise ParameterError(
-            "simulator requires 0 not in T; compose with the share-view "
-            "simulator for coalitions containing verifier 0"
-        )
-    if not subset < set(range(params.S)):
-        raise ParameterError(
-            f"T={sorted(subset)} must be a proper subset of 0..{params.S - 1}"
+            "T must not contain verifier 0; compose with the share-view "
+            "simulator for coalitions containing it"
         )
 
     members = sorted(subset)

@@ -45,7 +45,8 @@ from privsum.core import (
     min_sigma_v,
     soundness_rho,
 )
-from privsum.harness import build_submission, random_direction, scenario_client_ids
+from privsum.harness import build_submission, scenario_client_ids
+from privsum.sharing import scale_to_norm
 
 pytestmark = pytest.mark.acceptance
 
@@ -176,7 +177,7 @@ def test_c04_correctness():
             expected = np.zeros(params.d)
             for cid in ids:
                 rng = substream(seed, "client", cid)
-                expected += random_direction(params.d, rng)
+                expected += scale_to_norm(rng.standard_normal(params.d), 1.0)
             max_err = max(max_err, float(np.linalg.norm(result.sum - expected)))
     rate = all_accepted / trials
     floor = 1.0 - n * params.beta - 3 * binomial_se(min(n * params.beta, 1.0), trials)

@@ -10,6 +10,8 @@ from privsum import (
     ClientBehavior,
     ClientSubmission,
     DuplicateClientId,
+    ParameterError,
+    ScenarioError,
     calibrate,
     honest_scenario,
     robustness_delta,
@@ -173,6 +175,17 @@ class TestRunAggregation:
         assert diff > 0.0
         # S independent N(0, I_d) vectors: norm concentrates near sqrt(S d)
         assert diff < 10 * math.sqrt(params.S * params.d)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma_out", [math.nan, math.inf])
+    def test_non_finite_sigma_out_is_refused(self, sigma_out):
+        # such a sigma_out released a sum of nan or -inf
+        params = small_params()
+        with pytest.raises(ScenarioError, match="^sigma_out must be a finite number"):
+            honest_scenario(3, 2, 8, sigma_out=sigma_out)
+        subs = [s for _, s in honest_submissions(3, params, 21)]
+        with pytest.raises(ParameterError, match="^sigma_out must be a finite number"):
+            run_aggregation(subs, params, seed=6, sigma_out=sigma_out)
 
 
 class TestRobustness:

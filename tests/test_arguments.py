@@ -1,0 +1,191 @@
+"""Every public entry point refuses a bad scalar argument by that argument's name.
+
+One table lists each function, a valid call and the kind of each scalar
+argument; every bad value of that kind must raise the function's error
+with a message that starts with the argument's name.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from privsum import (
+    ParameterError,
+    ProtocolParams,
+    ScenarioError,
+    c_delta,
+    calibrate,
+    chi2_thresholds,
+    clamp_probability,
+    conditioned_projection_privacy,
+    gaussian_sigma,
+    norm_verification_rate,
+    privacy_loss_mc,
+    privacy_loss_tail,
+    project_reply,
+    run_aggregation,
+    sample_projection,
+    share_vector,
+    simulate_norm_verification,
+    simulate_share_view,
+    truncate_share,
+    two_sample_closeness,
+    verifier0_decide,
+)
+from privsum.core import completeness_tau, min_sigma_ss, min_sigma_v, soundness_rho
+from privsum.harness import Scenario
+
+CALIBRATION = dict(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2, beta=0.05, S=3, k=16, d=8)
+PARAMS = calibrate(**CALIBRATION).params
+W = sample_projection(4, 6, 0)
+REPLY = project_reply(np.ones(6), W, 1.0, 1)
+X = np.eye(PARAMS.d)[0]
+
+
+def _normal_view(rng, count):
+    return rng.standard_normal((count, 1))
+
+
+# what each kind of argument must refuse; a bool is not the number 1
+REFUSED_BY_ALL = [math.nan, math.inf, -math.inf, True, np.True_]
+BAD = {
+    "count": REFUSED_BY_ALL + [0, -1, 2.5],
+    "positive": REFUSED_BY_ALL + [0, -1.0],
+    "probability": REFUSED_BY_ALL + [0, -1.0, 1.0, 1.5],
+    "nonnegative": REFUSED_BY_ALL + [-1.0],
+    "rho": REFUSED_BY_ALL + [0, 0.5],
+    # Scenario takes n = 0, so n refuses only the rest of a count's values
+    "size": REFUSED_BY_ALL + [-1, 2.5],
+}
+
+# (function, valid keyword arguments, {argument: kind}, error type)
+TABLE = {
+    "ProtocolParams": (ProtocolParams, {**PARAMS.to_dict(), "trunc_b": 64.0}, {
+        "S": "count", "n": "count", "d": "count", "k": "count",
+        "eps": "positive", "eps_ss": "positive", "sigma_ss": "positive",
+        "sigma_v": "positive", "tau": "positive", "quant_step": "positive",
+        "trunc_b": "positive", "delta": "probability", "delta_ss": "probability",
+        "beta": "probability", "rho": "rho"}, ParameterError),
+    "gaussian_sigma": (gaussian_sigma, dict(eps=1.0, delta=1e-2, sensitivity=1.0), {
+        "eps": "positive", "delta": "probability", "sensitivity": "positive"},
+        ParameterError),
+    "chi2_thresholds": (chi2_thresholds, dict(k=8, x=1.0), {
+        "k": "count", "x": "positive"}, ParameterError),
+    "c_delta": (c_delta, dict(k=16, delta=1e-2), {
+        "k": "count", "delta": "probability"}, ParameterError),
+    "min_sigma_v": (min_sigma_v, dict(k=16, delta=1e-2, eps=1.0), {
+        "k": "count", "delta": "probability", "eps": "positive"}, ParameterError),
+    "min_sigma_ss": (min_sigma_ss, dict(eps_ss=1.0, delta_ss=1e-2, honest_verifiers=1), {
+        "eps_ss": "positive", "delta_ss": "probability", "honest_verifiers": "count"},
+        ParameterError),
+    "completeness_tau": (completeness_tau, dict(k=16, S=3, sigma_v=PARAMS.sigma_v, beta=0.05), {
+        "k": "count", "S": "count", "sigma_v": "positive", "beta": "probability"},
+        ParameterError),
+    "soundness_rho": (soundness_rho, dict(k=16, S=3, sigma_v=PARAMS.sigma_v, tau=PARAMS.tau,
+                                          beta=0.05), {
+        "k": "count", "S": "count", "sigma_v": "positive", "tau": "positive",
+        "beta": "probability"}, ParameterError),
+    "calibrate": (calibrate, dict(CALIBRATION, n=1), {
+        "eps": "positive", "delta": "probability", "eps_ss": "positive",
+        "delta_ss": "probability", "beta": "probability", "S": "count", "k": "count",
+        "d": "count", "n": "count"}, ParameterError),
+    "calibrate-session": (calibrate, dict(CALIBRATION, k=32, n=4, session_calibrated=True), {
+        "beta": "probability", "n": "count"}, ParameterError),
+    "sample_projection": (sample_projection, dict(k=4, d=6, seed=0), {
+        "k": "count", "d": "count"}, ParameterError),
+    "share_vector": (share_vector, dict(x=X, S=3, sigma_ss=1.0, seed=0), {
+        "S": "count", "sigma_ss": "positive"}, ParameterError),
+    "simulate_share_view": (simulate_share_view, dict(T=(1,), S=3, sigma_ss=1.0, d=4, seed=0), {
+        "S": "count", "sigma_ss": "positive", "d": "count"}, ParameterError),
+    "truncate_share": (truncate_share, dict(share=[1.0], B=2.0, step=1.0), {
+        "B": "positive", "step": "positive"}, ParameterError),
+    "clamp_probability": (clamp_probability, dict(B=2.0, sigma=1.0), {
+        "B": "positive", "sigma": "positive"}, ParameterError),
+    "project_reply": (project_reply, dict(z_i=np.ones(6), W=W, sigma_v=1.0, seed=0,
+                                          verifier_index=1), {
+        "sigma_v": "positive", "verifier_index": "count"}, ParameterError),
+    "verifier0_decide": (verifier0_decide, dict(z_0=np.ones(6), replies=[REPLY], W=W,
+                                                sigma_v=1.0, tau=5.0, seed=0,
+                                                expected_verifiers=2), {
+        "sigma_v": "positive", "tau": "positive", "expected_verifiers": "count"},
+        ParameterError),
+    "privacy_loss_mc": (privacy_loss_mc, dict(shift_norm=1.0, sigma=1.0, k=8, eps=1.0,
+                                              samples=1000, seed=0), {
+        "shift_norm": "nonnegative", "sigma": "positive", "k": "count", "eps": "positive",
+        "samples": "count"}, ParameterError),
+    "privacy_loss_tail": (privacy_loss_tail, dict(shift_norm=1.0, sigma=1.0, eps=1.0), {
+        "shift_norm": "nonnegative", "sigma": "positive", "eps": "positive"},
+        ParameterError),
+    "conditioned_projection_privacy": (conditioned_projection_privacy,
+                                       dict(params=PARAMS, x=X, samples=1000, seed=0), {
+        "samples": "count"}, ParameterError),
+    "two_sample_closeness": (two_sample_closeness,
+                             dict(view_sampler_p=_normal_view, view_sampler_q=_normal_view,
+                                  marginals=1, samples=100, seed=0), {
+        "marginals": "count", "samples": "count"}, ParameterError),
+    "norm_verification_rate": (norm_verification_rate,
+                               dict(params=PARAMS, target_norm=1.0, trials=100, seed=0), {
+        "target_norm": "nonnegative", "trials": "count"}, ParameterError),
+    "run_aggregation": (run_aggregation, dict(submissions=[], params=PARAMS, sigma_out=1.0), {
+        "sigma_out": "positive"}, ParameterError),
+    "Scenario": (Scenario, dict(n=0, S=2, d=8, clients=(), sigma_out=1.0), {
+        "n": "size", "S": "count", "d": "count", "sigma_out": "positive"}, ScenarioError),
+}
+
+CASES = [pytest.param(fn, valid, name, value, error, id=f"{label}-{name}-{value!r}")
+         for label, (fn, valid, kinds, error) in TABLE.items()
+         for name, kind in kinds.items()
+         for value in BAD[kind]]
+
+
+@pytest.mark.parametrize("label", TABLE)
+def test_valid_call_runs(label):
+    fn, valid, _, _ = TABLE[label]
+    fn(**valid)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, valid, name, value, error", CASES)
+def test_bad_argument_is_refused_by_name(fn, valid, name, value, error):
+    with pytest.raises(error) as info:
+        fn(**{**valid, name: value})
+    assert str(info.value).startswith(f"{name} must"), str(info.value)
+
+
+def test_calibrate_names_eps_ss():
+    # eps_ss reaches the Gaussian calibration, whose own argument is eps
+    with pytest.raises(ParameterError, match="^eps_ss must be a finite number"):
+        calibrate(**{**CALIBRATION, "eps_ss": math.inf})
+
+
+@pytest.mark.parametrize("fn, T", [(simulate_share_view, T) for T in
+                                   [(), (0, 1, 2), (3,), (-1,), (1.5,), (math.nan,), (True,)]]
+                         + [(simulate_norm_verification, T) for T in
+                            [(), (1, 2, 0), (3,), (2.5,), (0,)]])
+def test_coalition_must_be_a_proper_nonempty_subset(fn, T):
+    with pytest.raises(ParameterError, match="^T"):
+        if fn is simulate_share_view:
+            fn(T, 3, 1.0, 4, 0)
+        else:
+            fn(T, PARAMS, 0)
+
+
+# each was refused before, the last two with a TypeError; strings stay
+# refused although the CLI's --k-grid parses "16" as 16
+@pytest.mark.parametrize("call", [
+    lambda: c_delta("16", 0.1),
+    lambda: chi2_thresholds(np.float64(8.5), 1.0),
+    lambda: share_vector(X, 1, 1.0, 0),
+    lambda: simulate_share_view((1,), 2, 1.0, 0, 0),
+    lambda: min_sigma_ss(1.0, 1e-2, honest_verifiers=0),
+    lambda: calibrate(**{**CALIBRATION, "S": 1}),
+    lambda: ProtocolParams(**{**PARAMS.to_dict(), "trunc_b": 1.0, "quant_step": 4.0}),
+    lambda: c_delta(16, "0.1"),
+    lambda: gaussian_sigma("1", 0.1),
+], ids=["c_delta k string", "chi2 k 8.5", "share_vector S=1", "simulate_share_view d=0",
+        "min_sigma_ss no honest verifier", "calibrate S=1", "quant_step above trunc_b",
+        "c_delta delta string", "gaussian_sigma eps string"])
+def test_inputs_refused_before_stay_refused(call):
+    with pytest.raises(ParameterError):
+        call()

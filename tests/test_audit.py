@@ -117,6 +117,13 @@ class TestNonFiniteArguments:
         with pytest.raises(ParameterError, match=r"^shift_norm\*\*2 / \(2 sigma\*\*2\) underflows"):
             privacy_loss_tail(shift_norm, sigma, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_loss_in_sigma_units_is_scale_invariant(self):
+        # a shift and sigma near 1e154 overflowed <y, m> and read 0.215
+        big = privacy_loss_mc(1e154, 1e154, 8, 10.0, 1000, 0)
+        assert big == privacy_loss_mc(1.0, 1.0, 8, 10.0, 1000, 0)
+        assert big.empirical_exceed_rate == 0.0
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_norm_verification_names_target_norm(self, value):
         with pytest.raises(ParameterError, match="^target_norm must be a finite number"):
