@@ -44,6 +44,7 @@ from .errors import (
     InfeasibleParameters,
     MissingReply,
     ParameterError,
+    ParameterOverflow,
     ProtocolError,
     ScenarioError,
     UnknownParty,
@@ -86,6 +87,7 @@ __all__ = [
     "Message",
     "MissingReply",
     "ParameterError",
+    "ParameterOverflow",
     "PrivacyLossEstimate",
     "ProjectionMatrix",
     "ProjectionReply",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .core import (
     ProtocolParams,
@@ -141,6 +140,8 @@ def privacy_loss_tail(shift_norm: float, sigma: float, eps: float) -> float:
                              f"shift_norm={shift_norm}, sigma={sigma}")
     sd = math.sqrt(2.0 * mu)
     lo, hi = (eps - mu) / sd, (eps + mu) / sd
+    from scipy import special  # only this analytic tail needs scipy; sessions never load it
+
     # the normal tail at x is ndtr(-x), as scipy.stats.norm.sf computes it
     return float(special.ndtr(-lo) + special.ndtr(-hi))
 

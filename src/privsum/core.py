@@ -17,9 +17,13 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import special
 
-from .errors import DimensionMismatch, InfeasibleParameters, ParameterError
+from .errors import (
+    DimensionMismatch,
+    InfeasibleParameters,
+    ParameterError,
+    ParameterOverflow,
+)
 from .rng import as_generator
 
 
@@ -66,6 +70,24 @@ def probability(value, name: str, error: type[Exception] = ParameterError) -> fl
     if 0 < finite(value, name, error) < 1:
         return float(value)
     raise error(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def in_float_range(result: float, what: str, name: str, value,
+                   size: str = "small") -> float:
+    """result where it is finite; else ParameterOverflow naming the argument
+    (name=value) whose size took what past the float range."""
+    if math.isfinite(result):
+        return result
+    raise ParameterOverflow(f"{name} must be {size} enough that {what} is finite, "
+                            f"got {value!r}")
+
+
+def _square(x: float) -> float:
+    """x ** 2, and inf where that leaves the float range (there ** raises)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def as_vector(x, *, name: str = "x") -> np.ndarray:
@@ -203,7 +225,8 @@ def c_delta(k: int, delta: float) -> float:
 def min_sigma_v(k: int, delta: float, eps: float) -> float:
     """Minimal projection-noise std for (eps, delta) zero-knowledge of the replies."""
     eps = positive(eps, "eps")
-    return 2.0 * c_delta(k, delta) * math.sqrt(math.log(4.0 / delta)) / eps
+    sigma_v = 2.0 * c_delta(k, delta) * math.sqrt(math.log(4.0 / delta)) / eps
+    return in_float_range(sigma_v, "sigma_v", "eps", eps, size="large")
 
 
 def min_sigma_ss(eps_ss: float, delta_ss: float, honest_verifiers: int = 1) -> float:
@@ -215,7 +238,9 @@ def min_sigma_ss(eps_ss: float, delta_ss: float, honest_verifiers: int = 1) -> f
     """
     honest_verifiers = count(honest_verifiers, "honest_verifiers")
     # checked here, so that an error names eps_ss and not gaussian_sigma's eps
-    sigma = gaussian_sigma(positive(eps_ss, "eps_ss"), probability(delta_ss, "delta_ss"))
+    eps_ss = positive(eps_ss, "eps_ss")
+    sigma = gaussian_sigma(eps_ss, probability(delta_ss, "delta_ss"))
+    sigma = in_float_range(sigma, "sigma_ss", "eps_ss", eps_ss, size="large")
     return sigma / math.sqrt(honest_verifiers)
 
 
@@ -229,13 +254,17 @@ def completeness_tau(k: int, S: int, sigma_v: float, beta: float,
     """
     k, S = count(k, "k"), count(S, "S", least=2)
     sigma_v, beta = positive(sigma_v, "sigma_v"), probability(beta, "beta")
-    scale = 1.0 / k + S * sigma_v ** 2
+    scale = 1.0 / k + S * _square(sigma_v)
     if exact_cdf:
-        q = 2.0 * special.gammaincinv(k / 2, 1.0 - beta)
+        from scipy import special  # only exact quantiles need scipy; sessions never load it
+
+        q = 2.0 * float(special.gammaincinv(k / 2, 1.0 - beta))
+        if q == math.inf:
+            raise ParameterError(f"beta must be large enough that 1 - beta < 1, got {beta!r}")
     else:
         lb = math.log(1.0 / beta)
         q = k + 2.0 * lb + 2.0 * math.sqrt(k * lb)
-    return math.sqrt(scale * q)
+    return in_float_range(math.sqrt(scale * q), "tau", "sigma_v", sigma_v)
 
 
 def soundness_rho(k: int, S: int, sigma_v: float, tau: float, beta: float,
@@ -251,17 +280,22 @@ def soundness_rho(k: int, S: int, sigma_v: float, tau: float, beta: float,
     sigma_v, tau = positive(sigma_v, "sigma_v"), positive(tau, "tau")
     beta = probability(beta, "beta")
     if exact_cdf:
-        q_lo = 2.0 * special.gammaincinv(k / 2, beta)
-        rho_sq = k * tau ** 2 / q_lo - k * S * sigma_v ** 2
+        from scipy import special  # only exact quantiles need scipy; sessions never load it
+
+        q_lo = 2.0 * float(special.gammaincinv(k / 2, beta))
+        if q_lo == 0.0:
+            raise ParameterError(f"beta must be large enough that the lower quantile "
+                                 f"is > 0, got {beta!r}")
     else:
         lb = math.log(1.0 / beta)
-        denom = k - 2.0 * math.sqrt(k * lb)
-        if denom <= 0:
+        q_lo = k - 2.0 * math.sqrt(k * lb)
+        if q_lo <= 0:
             raise InfeasibleParameters(
                 f"k <= 4*ln(1/beta) (k={k}, 4*ln(1/beta)={4 * lb:.4f}): "
                 "the lower tail bound is vacuous and no sound rho exists"
             )
-        rho_sq = k * tau ** 2 / denom - k * S * sigma_v ** 2
+    noise = in_float_range(k * S * _square(sigma_v), "k*S*sigma_v**2", "sigma_v", sigma_v)
+    rho_sq = in_float_range(k * _square(tau) / q_lo - noise, "rho", "tau", tau)
     if rho_sq < 1.0:
         # cannot happen for tau at or above its completeness minimum
         raise InfeasibleParameters(f"derived rho^2 = {rho_sq:.6g} < 1")
@@ -289,8 +323,13 @@ def calibrate(eps: float, delta: float, eps_ss: float, delta_ss: float,
     cd = c_delta(k, delta)
     sigma_v = min_sigma_v(k, delta, eps)
     sigma_ss = min_sigma_ss(eps_ss, delta_ss, honest_verifiers=1)
-    tau = completeness_tau(k, S, sigma_v, beta_eff, exact_cdf=exact_cdf)
-    rho = soundness_rho(k, S, sigma_v, tau, beta_eff, exact_cdf=exact_cdf)
+    try:
+        tau = completeness_tau(k, S, sigma_v, beta_eff, exact_cdf=exact_cdf)
+        rho = soundness_rho(k, S, sigma_v, tau, beta_eff, exact_cdf=exact_cdf)
+    except ParameterOverflow as exc:
+        # sigma_v, and tau with it, grows as 1/eps
+        raise ParameterOverflow(f"eps must be large enough that tau and rho are finite, "
+                                f"got {eps!r}") from exc
     lam = math.sqrt(math.log(1.0 / beta_eff)) / k
 
     # first-order expansion of rho^2 in sqrt(ln(1/beta)/k) = lambda*sqrt(k)

@@ -9,6 +9,10 @@ class ParameterError(ProtocolError, ValueError):
     """A parameter violates its documented precondition."""
 
 
+class ParameterOverflow(ParameterError):
+    """A parameter is so extreme that a quantity derived from it leaves the float range."""
+
+
 class InfeasibleParameters(ParameterError):
     """The requested calibration point admits no sound threshold pair."""
 

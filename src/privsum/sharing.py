@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import as_vector, count, positive
+from .core import as_vector, count, in_float_range, positive
 from .errors import DimensionMismatch, ParameterError
 from .rng import as_generator
 
@@ -119,7 +119,7 @@ def truncate_share(share, B: float, step: float) -> np.ndarray:
         raise ParameterError("share must contain only finite values")
     B, step = positive(B, "B"), positive(step, "step")
     # B / step may round across a grid point; n * step is what a payload decodes to
-    n = math.floor(B / step) + 1
+    n = math.floor(in_float_range(B / step, "B / step", "step", step, size="large")) + 1
     while n * step > B:
         n -= 1
     edge = n * step

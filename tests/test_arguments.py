@@ -189,3 +189,45 @@ def test_coalition_must_be_a_proper_nonempty_subset(fn, T):
 def test_inputs_refused_before_stay_refused(call):
     with pytest.raises(ParameterError):
         call()
+
+
+# each left the float range and escaped as an OverflowError or an inf, or
+# was refused under the name of a derived quantity
+OVERFLOWS = {
+    "completeness_tau sigma_v**2": (lambda: completeness_tau(16, 2, 1e300, 0.05), "sigma_v"),
+    "completeness_tau tau": (lambda: completeness_tau(16, 2, 1e154, 0.05), "sigma_v"),
+    "soundness_rho sigma_v**2": (lambda: soundness_rho(16, 2, 1e200, 1e201, 0.05), "sigma_v"),
+    "soundness_rho tau**2": (lambda: soundness_rho(16, 2, 0.1, 1e200, 0.05), "tau"),
+    "min_sigma_v": (lambda: min_sigma_v(16, 1e-2, 1e-320), "eps"),
+    "min_sigma_ss": (lambda: min_sigma_ss(1e-320, 1e-2), "eps_ss"),
+    "calibrate eps 1e-300": (lambda: calibrate(**{**CALIBRATION, "eps": 1e-300}), "eps"),
+    "calibrate eps 1e-153": (lambda: calibrate(**{**CALIBRATION, "eps": 1e-153}), "eps"),
+    "calibrate eps 1e-320": (lambda: calibrate(**{**CALIBRATION, "eps": 1e-320}), "eps"),
+    "calibrate eps_ss 1e-320": (lambda: calibrate(**{**CALIBRATION, "eps_ss": 1e-320}),
+                                "eps_ss"),
+    "truncate_share B / step": (lambda: truncate_share([1.0], 1e308, 1e-308), "step"),
+    # 1 - beta rounds to 1, and the exact upper quantile is inf
+    "exact completeness_tau beta": (
+        lambda: completeness_tau(16, 2, 0.1, 1e-17, exact_cdf=True), "beta"),
+    "exact calibrate beta": (
+        lambda: calibrate(**{**CALIBRATION, "beta": 1e-17}, exact_cdf=True), "beta"),
+    # the exact lower quantile underflows to 0
+    "exact soundness_rho beta": (
+        lambda: soundness_rho(1, 2, 0.1, 1.0, 1e-300, exact_cdf=True), "beta"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, name", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_overflow_names_the_callers_argument(call, name):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value).startswith(f"{name} must"), str(info.value)
+
+
+def test_calibration_near_the_float_range_keeps_its_values():
+    # at eps = 1e-150 sigma_v**2 is about 1e303, near the float range; tau
+    # and rho keep the values they had before the overflow checks
+    params = calibrate(**{**CALIBRATION, "S": 2, "eps": 1e-150}).params
+    assert (params.tau, params.rho) == (6.745187580841234e+151, 1.7825011074076536e+152)
+    assert truncate_share([1.0, -3e300], 1e300, 1e-5).tolist() == [1.0, -1e300]

@@ -61,6 +61,18 @@ class TestCalibrateCommand:
 
         assert tau_of("--exact-cdf") < tau_of()
 
+    # sigma_v ~ 1/eps overflows in tau, sigma_ss ~ 1/eps_ss in itself
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--eps", "1e-300", "eps"), ("--eps", "1e-320", "eps"),
+        ("--eps-ss", "1e-320", "eps_ss")])
+    def test_overflowing_epsilon_is_named(self, capsys, flag, value, name):
+        code, _, err = run_cli(
+            capsys, "calibrate", "--eps", "1", "--delta", "1e-2", "--beta", "0.05",
+            "--S", "2", "--k", "16", "--d", "8", flag, value,
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {name} must be large enough"), err
+
 
 class TestShareCommand:
     def test_writes_bundle(self, capsys, tmp_path):
@@ -354,6 +366,10 @@ MALFORMED = {
     "share --d -1": ({}, ("share", "--d", "-1", "--S", "2", "--sigma-ss", "1")),
     "audit --samples 0": ({}, ("audit", "--samples", "0")),
     "audit --samples -3": ({}, ("audit", "--samples", "-3")),
+    # sigma_v ~ 1/eps, and sigma_v**2 leaves the float range
+    "calibrate --eps 1e-300": ({}, ("calibrate", "--eps", "1e-300", "--delta", "1e-2",
+                                    "--beta", "0.05", "--S", "2", "--k", "16", "--d", "8")),
+    "calibrate --eps-ss 1e-320": ({}, (*CALIBRATE, "--eps-ss", "1e-320")),
     "calibrate --quant-step above --trunc-b": ({}, (*CALIBRATE, "--trunc-b", "1",
                                                    "--quant-step", "4")),
     "calibrate --quant-step 1e-300": ({}, (*CALIBRATE, "--trunc-b", "64",
@@ -413,8 +429,8 @@ def test_readme_cli_block_runs_as_written(capsys, tmp_path, monkeypatch):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # privsum needs only scipy.special at runtime; scipy.stats costs about a
-    # second and 45 MiB of start-up, and only the tests use it
+    # privsum never loads scipy.stats; it costs about a second and 45 MiB of
+    # start-up, and only the tests use it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -423,3 +439,41 @@ def test_import_leaves_scipy_stats_unloaded():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SESSIONS_WITHOUT_SCIPY = """
+import sys
+import privsum, privsum.cli
+from privsum import calibrate, honest_scenario, norm_verification_rate, privacy_loss_tail
+from privsum import run_scenario
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+params = calibrate(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2, beta=0.05,
+                   S=2, k=16, d=8, n=4).params
+result, _ = run_scenario(honest_scenario(4, 2, 8), params, 0)
+assert len(result.accepted) == 4, result.accepted
+assert 0 < norm_verification_rate(params, 1.0, 100, 0).rate <= 1
+assert privsum.cli.main(["verify-norm", "--eps", "1", "--delta", "1e-2", "--beta", "0.05",
+                         "--S", "2", "--k", "16", "--d", "8", "--seed", "3"]) == 0
+print(scipy_modules())
+exact = calibrate(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2, beta=0.05,
+                  S=2, k=16, d=8, exact_cdf=True).params
+assert 1 <= exact.rho < params.rho and exact.tau < params.tau
+assert 0 < privacy_loss_tail(1.0, 1.0, 1.0) < 1
+print("scipy.special" in scipy_modules())
+"""
+
+
+def test_sessions_leave_scipy_unloaded():
+    # scipy.special adds about 0.25 s and 18 MiB to start-up; only exact
+    # chi-square quantiles and the audit's analytic tail load it, on first use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SESSIONS_WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[-2:] == ["[]", "True"], proc.stdout
