@@ -18,8 +18,6 @@ from .aggregation import (
     validity_check,
 )
 from .audit import (
-    ClosenessReport,
-    PrivacyLossEstimate,
     RateEstimate,
     conditioned_projection_privacy,
     norm_verification_rate,
@@ -80,7 +78,6 @@ __all__ = [
     "CalibrationReport",
     "ClientBehavior",
     "ClientSubmission",
-    "ClosenessReport",
     "DimensionMismatch",
     "DuplicateClientId",
     "InfeasibleParameters",
@@ -88,7 +85,6 @@ __all__ = [
     "MissingReply",
     "ParameterError",
     "ParameterOverflow",
-    "PrivacyLossEstimate",
     "ProjectionMatrix",
     "ProjectionReply",
     "ProtocolError",

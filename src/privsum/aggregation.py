@@ -17,13 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ProtocolParams, positive
-from .errors import (
-    AbortedInput,
-    DimensionMismatch,
-    DuplicateClientId,
-    ParameterError,
-)
+from .core import ProtocolParams, fraction, positive
+from .errors import AbortedInput, DimensionMismatch, DuplicateClientId
 from .rng import substream
 from .sharing import check_shares, truncate_share
 from .transcript import (
@@ -103,11 +98,7 @@ class AggregateResult:
 
 def validity_check(J_star, n: int, threshold_fraction: float) -> bool:
     """True iff the accepted set is at least threshold_fraction of n clients."""
-    if not 0 < threshold_fraction <= 1:
-        raise ParameterError(
-            f"threshold_fraction must lie in (0, 1], got {threshold_fraction}"
-        )
-    return len(J_star) >= threshold_fraction * n
+    return len(J_star) >= fraction(threshold_fraction, "threshold_fraction") * n
 
 
 def robustness_delta(result_with: AggregateResult,
@@ -269,6 +260,8 @@ def run_aggregation(submissions, params: ProtocolParams,
     verifier and is left out of J, as a client that withheld the share
     would be. A repeated client id raises DuplicateClientId.
     """
+    if validity_threshold is not None:
+        fraction(validity_threshold, "validity_threshold")
     if sigma_out is not None:
         positive(sigma_out, "sigma_out")
 

@@ -42,21 +42,6 @@ VERDICT_REJECTED = "rejected"
 
 
 @dataclass(frozen=True)
-class PrivacyLossEstimate:
-    delta_target: float | None
-    empirical_exceed_rate: float
-    samples: int
-
-
-@dataclass(frozen=True)
-class ClosenessReport:
-    statistics: tuple[float, ...]
-    threshold: float
-    samples: int
-    verdict: str
-
-
-@dataclass(frozen=True)
 class RateEstimate:
     rate: float
     ci95: tuple[float, float]
@@ -100,8 +85,7 @@ def _loss_args(shift_norm, sigma, eps) -> tuple[float, float, float]:
 
 
 def privacy_loss_mc(shift_norm: float, sigma: float, k: int, eps: float,
-                    samples: int, seed, *,
-                    delta_target: float | None = None) -> PrivacyLossEstimate:
+                    samples: int, seed) -> float:
     """Monte Carlo rate of |privacy loss| > eps for a shifted Gaussian pair.
 
     Samples y ~ N(m, sigma^2 I_k) with ||m|| = shift_norm and evaluates the
@@ -121,8 +105,7 @@ def privacy_loss_mc(shift_norm: float, sigma: float, k: int, eps: float,
         r = shift_norm / sigma
         loss = (y1 / sigma - r / 2.0) * r
         exceed = int(np.sum(np.abs(loss) > eps))
-    return PrivacyLossEstimate(delta_target=delta_target,
-                               empirical_exceed_rate=exceed / samples, samples=samples)
+    return exceed / samples
 
 
 def privacy_loss_tail(shift_norm: float, sigma: float, eps: float) -> float:
@@ -146,23 +129,6 @@ def privacy_loss_tail(shift_norm: float, sigma: float, eps: float) -> float:
     return float(special.ndtr(-lo) + special.ndtr(-hi))
 
 
-def _projected_norms(rng: np.random.Generator, m: int, x: np.ndarray,
-                     k: int) -> np.ndarray:
-    """||W x|| for m fresh k x d projections W with N(0, 1/k) entries.
-
-    By rotation invariance W x has the law of ||x|| g / sqrt(k) with
-    g ~ N(0, I_k), so each sample draws only its k normals g, in blocks
-    of at most _CHUNK_BYTES.
-    """
-    norms = np.empty(m)
-    row = 0
-    for (g,) in _normal_chunks(rng, m, (k,)):
-        norms[row:row + len(g)] = np.sqrt(np.vecdot(g, g))
-        row += len(g)
-    norms *= float(np.linalg.norm(x)) / math.sqrt(k)
-    return norms
-
-
 # samples per round of conditioned_projection_privacy: their ||Wx|| draws,
 # then the loss noise of the good ones; it fixes the stream order, so the
 # pinned results depend on it
@@ -170,16 +136,18 @@ _PRIVACY_CHUNK = 1000
 
 
 def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
-                                   seed) -> PrivacyLossEstimate:
+                                   seed) -> float:
     """Joint bad-event + loss-exceed rate for the noisy-projection mechanism.
 
     Each sample draws ||Wx|| for a fresh k x d projection W, as
-    ||x|| ||g|| / sqrt(k) from k standard normals g, flags ||Wx|| > c_delta
-    as bad, and otherwise draws one privacy-loss sample with shift ||Wx||
+    ||x|| ||g|| / sqrt(k) from k standard normals g (by rotation invariance
+    Wx has the law of ||x|| g / sqrt(k)), flags ||Wx|| > c_delta as bad,
+    and otherwise draws one privacy-loss sample with shift ||Wx||
     and noise variance (S - |T|) sigma_v^2 at the worst coalition
-    |T| = S - 1. The combined rate is audited against 2 delta. Samples
-    run in chunks of _PRIVACY_CHUNK, each drawing its samples' g first and
-    then the loss noise for its good samples.
+    |T| = S - 1. Returns the combined rate, which the audit holds against
+    2 delta. Samples run in chunks of _PRIVACY_CHUNK, each drawing its
+    samples' g as one (m, k) block first and then the loss noise for its
+    good samples.
     """
     x = as_vector(x)
     if float(np.linalg.norm(x)) > 1.0 + 1e-12:
@@ -190,12 +158,15 @@ def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
     k = params.k
     cd = c_delta(k, params.delta)
     sigma = params.sigma_v  # (S - |T|) = 1 at the worst case
+    scale = float(np.linalg.norm(x)) / math.sqrt(k)
     rng = as_generator(seed)
 
     bad = 0
     exceed = 0
     for start in range(0, samples, _PRIVACY_CHUNK):
-        shifts = _projected_norms(rng, min(_PRIVACY_CHUNK, samples - start), x, k)
+        g = rng.standard_normal((min(_PRIVACY_CHUNK, samples - start), k))
+        shifts = np.sqrt(np.vecdot(g, g)) * scale
+        del g  # so the next round's block does not coexist with this one
         is_bad = shifts > cd
         bad += int(np.sum(is_bad))
         good = shifts[~is_bad]
@@ -204,9 +175,7 @@ def conditioned_projection_privacy(params: ProtocolParams, x, samples: int,
             y1 = good + rng.normal(0.0, sigma, size=good.size)
             loss = (y1 * good - good ** 2 / 2.0) / sigma ** 2
             exceed += int(np.sum(np.abs(loss) > params.eps))
-    return PrivacyLossEstimate(delta_target=2.0 * params.delta,
-                               empirical_exceed_rate=(bad + exceed) / samples,
-                               samples=samples)
+    return (bad + exceed) / samples
 
 
 ViewSampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -241,13 +210,13 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def two_sample_closeness(view_sampler_p: ViewSampler, view_sampler_q: ViewSampler,
-                         marginals: int, samples: int, seed) -> ClosenessReport:
+                         marginals: int, samples: int, seed) -> tuple[tuple[float, ...], float]:
     """Per-marginal two-sample KS tests with Bonferroni correction.
 
     Samplers take (generator, count) and return (count, marginals) arrays;
-    each side draws from its own substream of `seed`. The verdict is
-    `rejected` iff some marginal's KS statistic exceeds the corrected
-    critical value.
+    each side draws from its own substream of `seed`. Returns each
+    marginal's KS statistic and the corrected critical value: the two
+    samples are told apart iff some statistic exceeds it.
     """
     marginals, samples = count(marginals, "marginals"), count(samples, "samples", least=2)
     base = seed_int(seed)
@@ -263,10 +232,7 @@ def two_sample_closeness(view_sampler_p: ViewSampler, view_sampler_q: ViewSample
             raise ParameterError(f"view_sampler_{side} emitted a non-finite value")
     threshold = ks_two_sample_threshold(samples, samples,
                                         CLOSENESS_ALPHA / marginals)
-    statistics = tuple(_ks_statistic(p[:, j], q[:, j]) for j in range(marginals))
-    verdict = VERDICT_REJECTED if max(statistics) > threshold else VERDICT_CONSISTENT
-    return ClosenessReport(statistics=statistics, threshold=threshold,
-                           samples=samples, verdict=verdict)
+    return tuple(_ks_statistic(p[:, j], q[:, j]) for j in range(marginals)), threshold
 
 
 PATTERN_RANDOM = "random-direction"
@@ -416,10 +382,9 @@ def chi2_tail_checks(k: int, x: float, samples: int,
 
 def gaussian_mechanism_mc_check(samples: int, seed) -> CheckResult:
     """Sampled privacy-loss exceed rate of the Gaussian mechanism at delta = 1e-2."""
-    est = privacy_loss_mc(1.0, gaussian_sigma(1.0, 1e-2), 8, 1.0, samples, seed,
-                          delta_target=1e-2)
-    return CheckResult("gaussian-mech-mc", "eps=1,delta=1e-2", est.empirical_exceed_rate,
-                       1e-2 + 3 * binomial_se(1e-2, est.samples))
+    rate = privacy_loss_mc(1.0, gaussian_sigma(1.0, 1e-2), 8, 1.0, samples, seed)
+    return CheckResult("gaussian-mech-mc", "eps=1,delta=1e-2", rate,
+                       1e-2 + 3 * binomial_se(1e-2, samples))
 
 
 def gaussian_mechanism_analytic_check() -> CheckResult:
@@ -436,10 +401,9 @@ def projection_privacy_check(samples: int, seed) -> CheckResult:
     params = calibrate(**AUDIT_POINT).params
     x = np.zeros(params.d)
     x[0] = 1.0
-    est = conditioned_projection_privacy(params, x, samples, seed)
-    return CheckResult("projection-privacy", "eps=1,delta=1e-2,k=64",
-                       est.empirical_exceed_rate,
-                       2 * params.delta + 3 * binomial_se(2 * params.delta, est.samples))
+    rate = conditioned_projection_privacy(params, x, samples, seed)
+    return CheckResult("projection-privacy", "eps=1,delta=1e-2,k=64", rate,
+                       2 * params.delta + 3 * binomial_se(2 * params.delta, samples))
 
 
 def share_simulation_check(S: int, T: tuple[int, ...], sigma_ss: float,
@@ -473,9 +437,8 @@ def share_simulation_check(S: int, T: tuple[int, ...], sigma_ss: float,
             del view  # so the next chunk's view does not coexist with this one
         return out.reshape(count, -1)
 
-    rep = two_sample_closeness(real, sim, len(T) * d, samples, seed)
-    return CheckResult("share-sim-exact", f"S={S},T={T}", max(rep.statistics),
-                       rep.threshold)
+    statistics, threshold = two_sample_closeness(real, sim, len(T) * d, samples, seed)
+    return CheckResult("share-sim-exact", f"S={S},T={T}", max(statistics), threshold)
 
 
 def completeness_check(params: ProtocolParams, trials: int, seed) -> CheckResult:

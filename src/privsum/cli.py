@@ -79,8 +79,8 @@ class ExperimentConfig:
     beta: float = 0.05
     eps: float = 1.0
     delta: float = 1e-2
-    eps_ss: float = 1.0
-    delta_ss: float = 1e-2
+    eps_ss: float | None = None  # None runs as eps
+    delta_ss: float | None = None  # None runs as delta
     trials: int = 1000
     seed: int = 0
     norm_factor: float = 1.0  # soundness: adversary norm as a multiple of rho
@@ -93,6 +93,9 @@ class ExperimentConfig:
                            tuple(integral(k, "k_grid entry") for k in self.k_grid))
         for name in ("S", "d", "n", "trials", "seed"):
             object.__setattr__(self, name, integral(getattr(self, name), name))
+        for name, default in (("eps_ss", self.eps), ("delta_ss", self.delta)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         for name in ("beta", "eps", "delta", "eps_ss", "delta_ss", "norm_factor"):
             object.__setattr__(self, name, finite(getattr(self, name), name))
         if not self.k_grid:
@@ -224,9 +227,7 @@ def _experiment_config(args) -> ExperimentConfig:
         kind=args.kind,
         k_grid=tuple(k for k in args.k_grid.split(",") if k),
         S=args.S, d=args.d, beta=args.beta,
-        eps=args.eps, delta=args.delta,
-        eps_ss=args.eps_ss if args.eps_ss is not None else args.eps,
-        delta_ss=args.delta_ss if args.delta_ss is not None else args.delta,
+        eps=args.eps, delta=args.delta, eps_ss=args.eps_ss, delta_ss=args.delta_ss,
         trials=args.trials, seed=args.seed, norm_factor=args.norm_factor,
     )
 

@@ -72,6 +72,13 @@ def probability(value, name: str, error: type[Exception] = ParameterError) -> fl
     raise error(f"{name} must lie in (0, 1), got {value!r}")
 
 
+def fraction(value, name: str, error: type[Exception] = ParameterError) -> float:
+    """value as a float; error unless it is a finite number in (0, 1]."""
+    if 0 < finite(value, name, error) <= 1:
+        return float(value)
+    raise error(f"{name} must lie in (0, 1], got {value!r}")
+
+
 def in_float_range(result: float, what: str, name: str, value,
                    size: str = "small") -> float:
     """result where it is finite; else ParameterOverflow naming the argument
@@ -194,7 +201,13 @@ def gaussian_sigma(eps: float, delta: float, sensitivity: float = 1.0) -> float:
     sensitivity and as 1/eps.
     """
     eps, delta = positive(eps, "eps"), probability(delta, "delta")
-    return positive(sensitivity, "sensitivity") * 2.0 * math.sqrt(math.log(2.0 / delta)) / eps
+    sensitivity = positive(sensitivity, "sensitivity")
+    root = math.sqrt(math.log(2.0 / delta))
+    sigma = sensitivity * 2.0 * root / eps
+    # unit sensitivity leaves the float range only for a tiny eps
+    if math.isfinite(2.0 * root / eps):
+        return in_float_range(sigma, "sigma", "sensitivity", sensitivity)
+    return in_float_range(sigma, "sigma", "eps", eps, size="large")
 
 
 def chi2_thresholds(k: int, x: float) -> tuple[float, float]:
@@ -239,8 +252,11 @@ def min_sigma_ss(eps_ss: float, delta_ss: float, honest_verifiers: int = 1) -> f
     honest_verifiers = count(honest_verifiers, "honest_verifiers")
     # checked here, so that an error names eps_ss and not gaussian_sigma's eps
     eps_ss = positive(eps_ss, "eps_ss")
-    sigma = gaussian_sigma(eps_ss, probability(delta_ss, "delta_ss"))
-    sigma = in_float_range(sigma, "sigma_ss", "eps_ss", eps_ss, size="large")
+    try:
+        sigma = gaussian_sigma(eps_ss, probability(delta_ss, "delta_ss"))
+    except ParameterOverflow as exc:  # at sensitivity 1 only eps can overflow it
+        raise ParameterOverflow(f"eps_ss must be large enough that sigma_ss is finite, "
+                                f"got {eps_ss!r}") from exc
     return sigma / math.sqrt(honest_verifiers)
 
 

@@ -24,7 +24,8 @@ from .aggregation import (
     client_chunks,
     run_aggregation,
 )
-from .core import ProtocolParams, count, finite as _finite, integral as _integral, positive
+from .core import (ProtocolParams, count, finite as _finite, fraction,
+                   integral as _integral, positive)
 from .errors import ScenarioError
 from .rng import substream
 from .sharing import check_shares, scale_to_norm, split_shares, truncate_share
@@ -116,8 +117,8 @@ class Scenario:
                 raise ScenarioError(
                     f"client ids must be strings of at most {MAX_ID_BYTES} UTF-8 bytes"
                 )
-        if self.validity_threshold is not None and not 0 < self.validity_threshold <= 1:
-            raise ScenarioError("validity_threshold must lie in (0, 1]")
+        if self.validity_threshold is not None:
+            fraction(self.validity_threshold, "validity_threshold", error=ScenarioError)
         if self.sigma_out is not None:
             positive(self.sigma_out, "sigma_out", error=ScenarioError)
 

@@ -31,6 +31,7 @@ from privsum import (
     simulate_share_view,
     truncate_share,
     two_sample_closeness,
+    validity_check,
     verifier0_decide,
 )
 from privsum.core import completeness_tau, min_sigma_ss, min_sigma_v, soundness_rho
@@ -53,6 +54,7 @@ BAD = {
     "count": REFUSED_BY_ALL + [0, -1, 2.5],
     "positive": REFUSED_BY_ALL + [0, -1.0],
     "probability": REFUSED_BY_ALL + [0, -1.0, 1.0, 1.5],
+    "fraction": REFUSED_BY_ALL + [0, -1.0, 1.5, "0.5"],
     "nonnegative": REFUSED_BY_ALL + [-1.0],
     "rho": REFUSED_BY_ALL + [0, 0.5],
     # Scenario takes n = 0, so n refuses only the rest of a count's values
@@ -127,10 +129,15 @@ TABLE = {
     "norm_verification_rate": (norm_verification_rate,
                                dict(params=PARAMS, target_norm=1.0, trials=100, seed=0), {
         "target_norm": "nonnegative", "trials": "count"}, ParameterError),
-    "run_aggregation": (run_aggregation, dict(submissions=[], params=PARAMS, sigma_out=1.0), {
-        "sigma_out": "positive"}, ParameterError),
-    "Scenario": (Scenario, dict(n=0, S=2, d=8, clients=(), sigma_out=1.0), {
-        "n": "size", "S": "count", "d": "count", "sigma_out": "positive"}, ScenarioError),
+    "validity_check": (validity_check, dict(J_star=(), n=4, threshold_fraction=0.5), {
+        "threshold_fraction": "fraction"}, ParameterError),
+    "run_aggregation": (run_aggregation, dict(submissions=[], params=PARAMS,
+                                              validity_threshold=0.5, sigma_out=1.0), {
+        "validity_threshold": "fraction", "sigma_out": "positive"}, ParameterError),
+    "Scenario": (Scenario, dict(n=0, S=2, d=8, clients=(), validity_threshold=0.5,
+                                sigma_out=1.0), {
+        "n": "size", "S": "count", "d": "count", "validity_threshold": "fraction",
+        "sigma_out": "positive"}, ScenarioError),
 }
 
 CASES = [pytest.param(fn, valid, name, value, error, id=f"{label}-{name}-{value!r}")
@@ -198,6 +205,8 @@ OVERFLOWS = {
     "completeness_tau tau": (lambda: completeness_tau(16, 2, 1e154, 0.05), "sigma_v"),
     "soundness_rho sigma_v**2": (lambda: soundness_rho(16, 2, 1e200, 1e201, 0.05), "sigma_v"),
     "soundness_rho tau**2": (lambda: soundness_rho(16, 2, 0.1, 1e200, 0.05), "tau"),
+    "gaussian_sigma eps": (lambda: gaussian_sigma(1e-320, 0.1), "eps"),
+    "gaussian_sigma sensitivity": (lambda: gaussian_sigma(1.0, 0.1, 1e308), "sensitivity"),
     "min_sigma_v": (lambda: min_sigma_v(16, 1e-2, 1e-320), "eps"),
     "min_sigma_ss": (lambda: min_sigma_ss(1e-320, 1e-2), "eps_ss"),
     "calibrate eps 1e-300": (lambda: calibrate(**{**CALIBRATION, "eps": 1e-300}), "eps"),

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from privsum import cli
 from privsum.cli import EXIT_ABORT, EXIT_OK, EXIT_USAGE, ExperimentConfig, main
 from privsum.core import calibrate
 from privsum.errors import ScenarioError
@@ -260,6 +261,18 @@ class TestExperimentCommand:
         code, _, _ = run_cli(capsys, "experiment", "--config", str(path),
                              "--out", str(out_file))
         assert code == EXIT_OK
+
+    def test_file_without_sharing_budget_matches_flags(self, tmp_path):
+        # eps_ss and delta_ss default to eps and delta from a file as from flags
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"kind": "completeness", "k_grid": [16],
+                                    "eps": 2.0, "delta": 1e-3}))
+        flags = cli.build_parser().parse_args(
+            ["experiment", "--k-grid", "16", "--eps", "2", "--delta", "1e-3"])
+        from_flags = cli._experiment_config(flags)
+        assert (from_flags.eps_ss, from_flags.delta_ss) == (2.0, 1e-3)
+        flags.config = str(path)
+        assert cli._experiment_config(flags) == from_flags
 
     @pytest.mark.parametrize("field", ["trials", "k_grid", "eps"])
     def test_boolean_fields_refused(self, field):
