@@ -14,16 +14,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import audit as audit_mod
 from .aggregation import run_norm_verification
-from .core import CalibrationReport, ProtocolParams, calibrate, count
+from .core import CalibrationReport, ProtocolParams, calibrate, count, finite, integral
 from .errors import ProtocolError, ScenarioError
-from .harness import Scenario, finite, integral, measured_traffic, run_scenario
+from .harness import Scenario, check_keys, measured_traffic, run_scenario
 from .rng import substream
 from .sharing import scale_to_norm, share_vector
 
@@ -71,16 +71,13 @@ def _read_json(path: str, parse):
 class ExperimentConfig:
     """Grid definition for a completeness or soundness sweep."""
 
-    kind: str  # one of EXPERIMENT_KINDS
-    k_grid: tuple[int, ...]
+    kind: str = "completeness"  # one of EXPERIMENT_KINDS
+    k_grid: tuple[int, ...] = ()
     S: int = 2
     d: int = 64
-    n: int = 1
     beta: float = 0.05
     eps: float = 1.0
     delta: float = 1e-2
-    eps_ss: float | None = None  # None runs as eps
-    delta_ss: float | None = None  # None runs as delta
     trials: int = 1000
     seed: int = 0
     norm_factor: float = 1.0  # soundness: adversary norm as a multiple of rho
@@ -89,51 +86,72 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ScenarioError(f"unknown experiment kind {self.kind!r}")
         # integral fields run as ints (2.0 as 2), the rest must be finite
-        object.__setattr__(self, "k_grid",
-                           tuple(integral(k, "k_grid entry") for k in self.k_grid))
-        for name in ("S", "d", "n", "trials", "seed"):
-            object.__setattr__(self, name, integral(getattr(self, name), name))
-        for name, default in (("eps_ss", self.eps), ("delta_ss", self.delta)):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, default)
-        for name in ("beta", "eps", "delta", "eps_ss", "delta_ss", "norm_factor"):
-            object.__setattr__(self, name, finite(getattr(self, name), name))
+        object.__setattr__(self, "k_grid", tuple(integral(k, "k_grid entry", ScenarioError)
+                                                 for k in self.k_grid))
+        for name in ("S", "d", "trials", "seed"):
+            object.__setattr__(self, name, integral(getattr(self, name), name, ScenarioError))
+        for name in ("beta", "eps", "delta", "norm_factor"):
+            object.__setattr__(self, name, finite(getattr(self, name), name, ScenarioError))
         if not self.k_grid:
             raise ScenarioError("empty grid: provide --k-grid or --config")
+        if len(set(self.k_grid)) < len(self.k_grid):
+            raise ScenarioError(f"k_grid must not repeat a point, got {list(self.k_grid)}")
+        if self.norm_factor < 0:
+            raise ScenarioError(f"norm_factor must be >= 0, got {self.norm_factor}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls(**{"k_grid": (), **data})
+        check_keys(data, EXPERIMENT_FIELDS, "experiment config")
+        return cls(**data)
+
+
+EXPERIMENT_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
+# aggregate's calibration flags, which --params replaces
+CALIBRATION_FLAGS = ("eps", "delta", "eps_ss", "delta_ss", "beta", "k", "exact_cdf")
+
+
+def _file_or_flags(args, file_flag: str, settings) -> list[str]:
+    """The settings the command line gave; none beside a file of them (file_flag)."""
+    given = [name for name in vars(args) if name in settings]
+    if given and getattr(args, file_flag):
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise ScenarioError(f"--{file_flag} and {flags} cannot be given together")
+    return given
 
 
 def _add_privacy_flags(p: argparse.ArgumentParser, require: bool = True) -> None:
-    p.add_argument("--eps", type=float, required=require, help="DZK epsilon for norm verification")
-    p.add_argument("--delta", type=float, required=require, help="DZK delta for norm verification")
-    p.add_argument("--eps-ss", type=float, default=None, help="secret-sharing epsilon (default: --eps)")
-    p.add_argument("--delta-ss", type=float, default=None, help="secret-sharing delta (default: --delta)")
-    p.add_argument("--beta", type=float, required=require, help="completeness/soundness failure probability")
-    p.add_argument("--S", type=int, required=require, help="number of verifiers")
-    p.add_argument("--k", type=int, required=require, help="projection dimension")
-    p.add_argument("--d", type=int, required=require, help="payload dimension")
+    """Without require the flags are optional, unset ones absent from the
+    namespace, and S and d come from the command's input."""
+    unset = {"required": True} if require else {"default": argparse.SUPPRESS}
+    p.add_argument("--eps", type=float, **unset, help="DZK epsilon for norm verification")
+    p.add_argument("--delta", type=float, **unset, help="DZK delta for norm verification")
+    p.add_argument("--eps-ss", type=float, default=argparse.SUPPRESS,
+                   help="secret-sharing epsilon (default: --eps)")
+    p.add_argument("--delta-ss", type=float, default=argparse.SUPPRESS,
+                   help="secret-sharing delta (default: --delta)")
+    p.add_argument("--beta", type=float, **unset,
+                   help="completeness/soundness failure probability")
+    p.add_argument("--k", type=int, **unset, help="projection dimension")
+    p.add_argument("--exact-cdf", action="store_true", default=unset.get("default", False),
+                   help="use exact chi-square quantiles instead of tail bounds")
+    if require:
+        p.add_argument("--S", type=int, required=True, help="number of verifiers")
+        p.add_argument("--d", type=int, required=True, help="payload dimension")
 
 
-def _calibrate_from_args(args) -> CalibrationReport:
-    """Calibrate from the privacy flags plus whichever optional flags the command has."""
-    return calibrate(
-        eps=args.eps, delta=args.delta,
-        eps_ss=args.eps_ss if args.eps_ss is not None else args.eps,
-        delta_ss=args.delta_ss if args.delta_ss is not None else args.delta,
-        beta=args.beta, S=args.S, k=args.k, d=args.d,
-        n=getattr(args, "n", 1),
-        exact_cdf=getattr(args, "exact_cdf", False),
-        session_calibrated=getattr(args, "session_calibrated", False),
-        trunc_b=getattr(args, "trunc_b", None),
-        quant_step=getattr(args, "quant_step", 1.0),
-    )
+def _calibrate_from_args(args, S: int, d: int) -> CalibrationReport:
+    """Calibrate from the privacy flags, the sharing budget defaulting to theirs,
+    plus whichever of calibrate's options the command has."""
+    options = {name: getattr(args, name) for name in
+               ("n", "exact_cdf", "session_calibrated", "trunc_b", "quant_step")
+               if hasattr(args, name)}
+    return calibrate(eps=args.eps, delta=args.delta, eps_ss=getattr(args, "eps_ss", args.eps),
+                     delta_ss=getattr(args, "delta_ss", args.delta), beta=args.beta,
+                     S=S, k=args.k, d=d, **options)
 
 
 def cmd_calibrate(args) -> int:
-    report = _calibrate_from_args(args)
+    report = _calibrate_from_args(args, args.S, args.d)
     for name, formula, value in report.derivation_log:
         print(f"{name:<16} {value:<24.12g} {formula}")
     if args.out:
@@ -169,7 +187,7 @@ def cmd_share(args) -> int:
 
 
 def cmd_verify_norm(args) -> int:
-    params = _calibrate_from_args(args).params
+    params = _calibrate_from_args(args, args.S, args.d).params
     rng = substream(args.seed, "cli-verify-input")
     x = scale_to_norm(rng.standard_normal(args.d), args.norm)
     shares = share_vector(x, args.S, params.sigma_ss, rng)
@@ -181,23 +199,23 @@ def cmd_verify_norm(args) -> int:
     return EXIT_OK
 
 
-def _load_params(args) -> ProtocolParams:
+def _load_params(args, scenario: Scenario) -> ProtocolParams:
+    given = _file_or_flags(args, "params", CALIBRATION_FLAGS)
     if args.params:
         # calibrate --out nests the params beside its derivation
         return _read_json(args.params,
                           lambda data: ProtocolParams.from_dict(data.get("params", data)))
-    missing = [f for f in ("eps", "delta", "beta", "k") if getattr(args, f) is None]
+    missing = [f for f in ("eps", "delta", "beta", "k") if f not in given]
     if missing:
         raise ScenarioError(
             f"provide --params or the calibration flags (missing: {missing})"
         )
-    return _calibrate_from_args(args).params
+    return _calibrate_from_args(args, scenario.S, scenario.d).params
 
 
 def cmd_aggregate(args) -> int:
     scenario = _read_json(args.config, Scenario.from_dict)
-    args.S, args.d = scenario.S, scenario.d
-    params = _load_params(args)
+    params = _load_params(args, scenario)
 
     result, transcript = run_scenario(scenario, params, args.seed)
     traffic = measured_traffic(transcript)
@@ -221,24 +239,22 @@ def cmd_aggregate(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
+    """The sweep of --config or of the setting flags, built by the same from_dict."""
+    given = _file_or_flags(args, "config", EXPERIMENT_FIELDS)
     if args.config:
         return _read_json(args.config, ExperimentConfig.from_dict)
-    return ExperimentConfig(
-        kind=args.kind,
-        k_grid=tuple(k for k in args.k_grid.split(",") if k),
-        S=args.S, d=args.d, beta=args.beta,
-        eps=args.eps, delta=args.delta, eps_ss=args.eps_ss, delta_ss=args.delta_ss,
-        trials=args.trials, seed=args.seed, norm_factor=args.norm_factor,
-    )
+    return ExperimentConfig.from_dict({name: getattr(args, name) for name in given})
 
 
 def cmd_experiment(args) -> int:
     config = _experiment_config(args)
     rows = []
     for k in config.k_grid:
-        params = calibrate(eps=config.eps, delta=config.delta,
-                           eps_ss=config.eps_ss, delta_ss=config.delta_ss,
-                           beta=config.beta, S=config.S, k=k, d=config.d).params
+        # verifier 0 sees only W x plus noise, as the blinds cancel, so the
+        # accept rate does not depend on the sharing budget, set to (eps, delta)
+        params = calibrate(eps=config.eps, delta=config.delta, eps_ss=config.eps,
+                           delta_ss=config.delta, beta=config.beta, S=config.S, k=k,
+                           d=config.d).params
         target = 1.0 if config.kind == "completeness" else config.norm_factor * params.rho
         est = audit_mod.norm_verification_rate(
             params, target, config.trials,
@@ -320,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("calibrate", help="derive all protocol parameters")
     _add_privacy_flags(p)
     p.add_argument("--n", type=int, default=1, help="client count (for session calibration)")
-    p.add_argument("--exact-cdf", action="store_true",
-                   help="use exact chi-square quantiles instead of tail bounds")
     p.add_argument("--session-calibrated", action="store_true",
                    help="calibrate at beta/n for a session-level guarantee")
     p.add_argument("--trunc-b", type=float, default=None, help="share truncation bound")
@@ -343,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_privacy_flags(p)
     p.add_argument("--norm", type=float, default=1.0, help="input vector norm")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-cdf", action="store_true")
     p.add_argument("--transcript", default=None, help="write the transcript as JSONL")
     p.add_argument("--full-payloads", action="store_true",
                    help="include hex payloads in the transcript file")
@@ -351,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("aggregate", help="run a full aggregation scenario")
     p.add_argument("--config", required=True, help="scenario JSON file")
-    p.add_argument("--params", default=None, help="params JSON (from calibrate --out)")
+    p.add_argument("--params", default=None,
+                   help="params JSON (from calibrate --out), or the calibration flags")
     _add_privacy_flags(p, require=False)
-    p.add_argument("--exact-cdf", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--transcript", default=None, help="write the transcript as JSONL")
     p.add_argument("--summary", default=None, help="write the run summary as JSON")
@@ -362,20 +375,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("experiment", help="Monte Carlo sweep over a parameter grid")
     p.add_argument("--config", default=None, help="experiment config JSON")
-    p.add_argument("--kind", choices=EXPERIMENT_KINDS,
-                   default="completeness", help="which accept rate to sweep")
-    p.add_argument("--k-grid", default="", help="comma-separated projection dimensions")
-    p.add_argument("--S", type=int, default=2, help="number of verifiers")
-    p.add_argument("--d", type=int, default=64, help="payload dimension")
-    p.add_argument("--beta", type=float, default=0.05, help="failure probability")
-    p.add_argument("--eps", type=float, default=1.0, help="DZK epsilon")
-    p.add_argument("--delta", type=float, default=1e-2, help="DZK delta")
-    p.add_argument("--eps-ss", type=float, default=None, help="sharing epsilon (default: --eps)")
-    p.add_argument("--delta-ss", type=float, default=None, help="sharing delta (default: --delta)")
-    p.add_argument("--trials", type=int, default=1000, help="trials per grid point")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--norm-factor", type=float, default=1.0,
-                   help="soundness: adversary norm as a multiple of rho")
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    p.add_argument("--kind", choices=EXPERIMENT_KINDS, default=argparse.SUPPRESS,
+                   help=f"which accept rate to sweep (default: {defaults['kind']})")
+    p.add_argument("--k-grid", type=lambda text: [k for k in text.split(",") if k],
+                   default=argparse.SUPPRESS, help="comma-separated projection dimensions")
+    for name, text in (("S", "number of verifiers"), ("d", "payload dimension"),
+                       ("beta", "failure probability"), ("eps", "DZK epsilon"),
+                       ("delta", "DZK delta"), ("trials", "trials per grid point"),
+                       ("seed", "master seed"),
+                       ("norm_factor", "soundness: adversary norm as a multiple of rho")):
+        # an unset flag keeps the ExperimentConfig default, which --help shows
+        p.add_argument("--" + name.replace("_", "-"), type=type(defaults[name]),
+                       default=argparse.SUPPRESS, help=f"{text} (default: {defaults[name]})")
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=cmd_experiment)
 

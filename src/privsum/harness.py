@@ -10,7 +10,6 @@ for the field list) and validate on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -24,8 +23,7 @@ from .aggregation import (
     client_chunks,
     run_aggregation,
 )
-from .core import (ProtocolParams, count, finite as _finite, fraction,
-                   integral as _integral, positive)
+from .core import ProtocolParams, count, finite, fraction, positive
 from .errors import ScenarioError
 from .rng import substream
 from .sharing import check_shares, scale_to_norm, split_shares, truncate_share
@@ -49,10 +47,22 @@ SCENARIO_SCHEMA_VERSION = 1
 NONCE_BYTES = 8  # 16 hex chars per client id
 
 
-# scenario and experiment fields: a ScenarioError where int() would truncate,
-# or for a value that is not a finite number (JSON true and false included)
-integral = partial(_integral, error=ScenarioError)
-finite = partial(_finite, error=ScenarioError)
+# scenario file key -> ClientBehavior field
+CLIENT_KEYS = {"behavior": "kind", "norm": "norm", "skip": "skip", "scale": "scale",
+               "id": "client_id"}
+# the scenario file's keys: the last three, which no run reads, load from
+# files written before they were dropped and are ignored
+SCENARIO_KEYS = ("schema_version", "n", "S", "d", "clients", "validity_threshold",
+                 "sigma_out", "coalition", "trials", "w_mode")
+
+
+def check_keys(data: dict, keys, where: str) -> None:
+    """ScenarioError unless data is a dict with no key outside keys."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"a {where} must be a JSON object, got {data!r}")
+    for key in data:
+        if key not in keys:
+            raise ScenarioError(f"unknown {where} key {key!r}")
 
 
 @dataclass(frozen=True)
@@ -72,15 +82,28 @@ class ClientBehavior:
     scale: float = 1.0
     client_id: str | None = None
 
+    def __post_init__(self):
+        if self.kind not in CLIENT_BEHAVIORS:
+            raise ScenarioError(f"kind must be one of {CLIENT_BEHAVIORS}, got {self.kind!r}")
+        # JSON true and false are not numbers, and skip entries are not truncated
+        for name in ("norm", "scale"):
+            object.__setattr__(self, name, finite(getattr(self, name), name, ScenarioError))
+        object.__setattr__(self, "skip", tuple(count(i, "skip", 0, ScenarioError)
+                                               for i in self.skip))
+        if self.scale < 0:
+            raise ScenarioError(f"scale must be >= 0, got {self.scale}")
+        cid = self.client_id
+        if cid is not None and (not isinstance(cid, str)
+                                or len(cid.encode("utf-8")) > MAX_ID_BYTES):
+            raise ScenarioError(
+                f"client_id must be a string of at most {MAX_ID_BYTES} UTF-8 bytes")
+
     @classmethod
     def from_dict(cls, data: dict) -> "ClientBehavior":
-        return cls(
-            kind=data.get("behavior", BEHAVIOR_HONEST),
-            norm=finite(data.get("norm", 1.0), "norm"),
-            skip=tuple(integral(i, "skip entry") for i in data.get("skip", ())),
-            scale=finite(data.get("scale", 1.0), "scale"),
-            client_id=data.get("id"),
-        )
+        """The client of a scenario file's entry; its count is the caller's."""
+        check_keys(data, (*CLIENT_KEYS, "count"), "client")
+        return cls(**{CLIENT_KEYS[key]: value for key, value in data.items()
+                      if key != "count"})
 
 
 @dataclass(frozen=True)
@@ -92,57 +115,41 @@ class Scenario:
     validity_threshold: float | None = None
     sigma_out: float | None = None
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self) -> None:
-        count(self.n, "n", least=0, error=ScenarioError)
-        count(self.S, "S", least=2, error=ScenarioError)
-        count(self.d, "d", error=ScenarioError)
+        # sizes run as ints (8.0 as 8); each client has checked its own fields
+        for name, least in (("n", 0), ("S", 2), ("d", 1)):
+            object.__setattr__(self, name,
+                               count(getattr(self, name), name, least, ScenarioError))
         if len(self.clients) != self.n:
             raise ScenarioError(
                 f"scenario declares n={self.n} but lists {len(self.clients)} clients"
             )
         for c in self.clients:
-            if c.kind not in CLIENT_BEHAVIORS:
-                raise ScenarioError(f"unknown behavior {c.kind!r}")
-            finite(c.norm, "client norm")
-            if finite(c.scale, "client scale") < 0:
-                raise ScenarioError(f"client scale must be >= 0, got {c.scale}")
-            if any(i < 0 or i >= self.S for i in c.skip):
+            if c.skip and max(c.skip) >= self.S:
                 raise ScenarioError(f"skip indices {c.skip} outside 0..{self.S - 1}")
-            if c.client_id is not None and (
-                    not isinstance(c.client_id, str)
-                    or len(c.client_id.encode("utf-8")) > MAX_ID_BYTES):
-                raise ScenarioError(
-                    f"client ids must be strings of at most {MAX_ID_BYTES} UTF-8 bytes"
-                )
-        if self.validity_threshold is not None:
-            fraction(self.validity_threshold, "validity_threshold", error=ScenarioError)
-        if self.sigma_out is not None:
-            positive(self.sigma_out, "sigma_out", error=ScenarioError)
+        for name, check in (("validity_threshold", fraction), ("sigma_out", positive)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check(getattr(self, name), name, ScenarioError))
+
+    __post_init__ = validate
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        check_keys(data, SCENARIO_KEYS, "scenario")
         version = data.get("schema_version", SCENARIO_SCHEMA_VERSION)
         if isinstance(version, bool) or version != SCENARIO_SCHEMA_VERSION:
             raise ScenarioError(f"unsupported scenario schema version {version}")
         clients = []
         for entry in data.get("clients", []):
-            count = integral(entry.get("count", 1), "count")
-            clients.extend([ClientBehavior.from_dict(entry)] * count)
-        options = {key: finite(data[key], key) for key in ("validity_threshold", "sigma_out")
-                   if data.get(key) is not None}
-        return cls(
-            n=integral(data["n"], "n"), S=integral(data["S"], "S"),
-            d=integral(data["d"], "d"),
-            clients=tuple(clients), **options,
-        )
+            clients += ([ClientBehavior.from_dict(entry)]
+                        * count(entry.get("count", 1), "count", 0, ScenarioError))
+        return cls(n=data["n"], S=data["S"], d=data["d"], clients=tuple(clients),
+                   validity_threshold=data.get("validity_threshold"),
+                   sigma_out=data.get("sigma_out"))
 
 
 def honest_scenario(n: int, S: int, d: int, norm: float = 1.0, **kwargs) -> Scenario:
-    clients = tuple(ClientBehavior(kind=BEHAVIOR_HONEST, norm=norm) for _ in range(n))
-    return Scenario(n=n, S=S, d=d, clients=clients, **kwargs)
+    return Scenario(n=n, S=S, d=d, clients=(ClientBehavior(norm=norm),) * n, **kwargs)
 
 
 def with_adversary(scenario: Scenario, behavior: ClientBehavior) -> Scenario:

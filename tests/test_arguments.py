@@ -34,8 +34,9 @@ from privsum import (
     validity_check,
     verifier0_decide,
 )
+from privsum.cli import ExperimentConfig
 from privsum.core import completeness_tau, min_sigma_ss, min_sigma_v, soundness_rho
-from privsum.harness import Scenario
+from privsum.harness import ClientBehavior, Scenario
 
 CALIBRATION = dict(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2, beta=0.05, S=3, k=16, d=8)
 PARAMS = calibrate(**CALIBRATION).params
@@ -56,6 +57,7 @@ BAD = {
     "probability": REFUSED_BY_ALL + [0, -1.0, 1.0, 1.5],
     "fraction": REFUSED_BY_ALL + [0, -1.0, 1.5, "0.5"],
     "nonnegative": REFUSED_BY_ALL + [-1.0],
+    "finite": REFUSED_BY_ALL + ["1"],
     "rho": REFUSED_BY_ALL + [0, 0.5],
     # Scenario takes n = 0, so n refuses only the rest of a count's values
     "size": REFUSED_BY_ALL + [-1, 2.5],
@@ -138,6 +140,12 @@ TABLE = {
                                 sigma_out=1.0), {
         "n": "size", "S": "count", "d": "count", "validity_threshold": "fraction",
         "sigma_out": "positive"}, ScenarioError),
+    "ClientBehavior": (ClientBehavior, dict(kind="partial-send", norm=1.0, skip=(1,),
+                                            scale=1.0), {
+        "norm": "finite", "scale": "nonnegative"}, ScenarioError),
+    "ExperimentConfig": (ExperimentConfig, dict(kind="soundness", k_grid=(16,)), {
+        "beta": "finite", "eps": "finite", "delta": "finite", "norm_factor": "nonnegative"},
+        ScenarioError),
 }
 
 CASES = [pytest.param(fn, valid, name, value, error, id=f"{label}-{name}-{value!r}")

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output schemas, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -198,6 +199,13 @@ class TestAggregateCommand:
 
         assert summary(d=8.0) == summary(d=8.0, S=2.0, k=16.0) == summary(d=8)
 
+    @pytest.mark.parametrize("flag, value", [("--S", "7"), ("--d", "999")])
+    def test_sizes_come_from_the_scenario_only(self, capsys, tmp_path, flag, value):
+        config = self.write_scenario(tmp_path)
+        code, _, _ = run_cli(capsys, "aggregate", "--config", str(config),
+                             *self.flags(), flag, value)
+        assert code == EXIT_USAGE
+
     def test_params_file_roundtrip(self, capsys, tmp_path):
         params_file = tmp_path / "params.json"
         code, _, _ = run_cli(
@@ -248,10 +256,10 @@ class TestExperimentCommand:
     def test_config_roundtrip(self, tmp_path, capsys):
         # a schema-1 file that sets every field; 2.0 and 8.0 run as integers
         data = {"kind": "completeness", "k_grid": [16, 32.0], "S": 2.0, "d": 8.0,
-                "n": 1, "beta": 0.05, "eps": 1.0, "delta": 1e-2, "eps_ss": 2.0,
-                "delta_ss": 1e-3, "trials": 200, "seed": 9, "norm_factor": 1.5}
+                "beta": 0.05, "eps": 1.0, "delta": 1e-2, "trials": 200, "seed": 9,
+                "norm_factor": 1.5}
         config = ExperimentConfig(kind="completeness", k_grid=(16, 32), trials=200,
-                                  d=8, seed=9, eps_ss=2.0, delta_ss=1e-3, norm_factor=1.5)
+                                  d=8, seed=9, norm_factor=1.5)
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(data))
         loaded = ExperimentConfig.from_dict(json.loads(path.read_text()))
@@ -263,16 +271,35 @@ class TestExperimentCommand:
         assert code == EXIT_OK
 
     def test_file_without_sharing_budget_matches_flags(self, tmp_path):
-        # eps_ss and delta_ss default to eps and delta from a file as from flags
+        # the flags and a file with the same settings build one sweep through
+        # ExperimentConfig.from_dict; unset flags keep the dataclass defaults
         path = tmp_path / "exp.json"
-        path.write_text(json.dumps({"kind": "completeness", "k_grid": [16],
-                                    "eps": 2.0, "delta": 1e-3}))
-        flags = cli.build_parser().parse_args(
-            ["experiment", "--k-grid", "16", "--eps", "2", "--delta", "1e-3"])
-        from_flags = cli._experiment_config(flags)
-        assert (from_flags.eps_ss, from_flags.delta_ss) == (2.0, 1e-3)
-        flags.config = str(path)
-        assert cli._experiment_config(flags) == from_flags
+        path.write_text(json.dumps({"kind": "soundness", "k_grid": [16, 32], "d": 8,
+                                    "eps": 2.0, "delta": 1e-3, "norm_factor": 1.5}))
+        parser = cli.build_parser()
+        from_flags = cli._experiment_config(parser.parse_args(
+            ["experiment", "--kind", "soundness", "--k-grid", "16,32", "--d", "8",
+             "--eps", "2", "--delta", "1e-3", "--norm-factor", "1.5"]))
+        from_file = cli._experiment_config(
+            parser.parse_args(["experiment", "--config", str(path)]))
+        assert from_flags == from_file == ExperimentConfig(
+            kind="soundness", k_grid=(16, 32), d=8, eps=2.0, delta=1e-3, norm_factor=1.5)
+
+    def test_help_shows_the_config_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "experiment", "--help")
+        assert code == EXIT_OK
+        text = " ".join(out.split())
+        for field in dataclasses.fields(ExperimentConfig):
+            if field.name != "k_grid":
+                assert f"(default: {field.default})" in text, field.name
+
+    @pytest.mark.parametrize("config, message", [
+        (dict(kind="soundness", k_grid=(16,), norm_factor=-1.0), "^norm_factor must be >= 0"),
+        (dict(k_grid=(16, 32, 16)), "^k_grid must not repeat"),
+    ])
+    def test_refused_by_the_settings_name(self, config, message):
+        with pytest.raises(ScenarioError, match=message):
+            ExperimentConfig(**config)
 
     @pytest.mark.parametrize("field", ["trials", "k_grid", "eps"])
     def test_boolean_fields_refused(self, field):
@@ -396,6 +423,26 @@ MALFORMED = {
     "params eps true": (params_file(eps=True), WITH_PARAMS),
     "params n true": (params_file(n=True), WITH_PARAMS),
     "experiment trials true": (experiment_file(trials=True), EXPERIMENT),
+    # a flag beside the file that holds its setting would be dropped unread
+    "calibration flag beside --params": (params_file(), (*WITH_PARAMS, "--eps", "5")),
+    "--exact-cdf beside --params": (params_file(), (*WITH_PARAMS, "--exact-cdf")),
+    "setting flag beside --config": (experiment_file(), (*EXPERIMENT, "--trials", "5")),
+    "--k-grid beside --config": (experiment_file(), (*EXPERIMENT, "--k-grid", "99")),
+    # a misspelled key would run with its default
+    "misspelled scenario key": ({"s.json": json.dumps(
+        {"n": 1, "S": 2, "d": 8, "validity_treshold": 0.5, "clients": [{}]})}, AGGREGATE),
+    "misspelled client key": (scenario_file(behaviour="norm-inflating"), AGGREGATE),
+    "retired experiment key n": (experiment_file(n=1), EXPERIMENT),
+    "retired experiment key eps_ss": (experiment_file(eps_ss=0.5), EXPERIMENT),
+    # sizes are JSON numbers, as in the constructors
+    "string scenario n": ({"s.json": '{"n": "1", "S": 2, "d": 8, "clients": [{}]}'},
+                          AGGREGATE),
+    "string scenario d": ({"s.json": '{"n": 1, "S": 2, "d": "8", "clients": [{}]}'},
+                          AGGREGATE),
+    "string client count": ({"s.json": '{"n": 1, "S": 2, "d": 8, "clients": [{"count": "1"}]}'},
+                            AGGREGATE),
+    "repeated --k-grid point": ({}, ("experiment", "--k-grid", "16,16", "--d", "8",
+                                     "--trials", "100")),
 }
 
 

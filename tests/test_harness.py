@@ -362,6 +362,43 @@ class TestScenarioConfig:
         with pytest.raises(ScenarioError):
             with_adversary(honest_scenario(1, 2, 4), ClientBehavior(kind="bogus"))
 
+    def test_integral_float_sizes_run_as_ints(self):
+        # the constructor converts as from_dict does: a session reads them as ints
+        scenario = Scenario(n=2.0, S=2.0, d=8.0, clients=(ClientBehavior(),) * 2)
+        assert (scenario.n, scenario.S, scenario.d) == (2, 2, 8)
+        assert type(scenario.n) is type(scenario.S) is type(scenario.d) is int
+        params = calibrate(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2, beta=0.05,
+                           S=2, k=16, d=8).params
+        result, transcript = run_scenario(scenario, params, 3)
+        assert len(result.accepted) == 2
+        assert transcript.sha256() == run_scenario(
+            Scenario(n=2, S=2, d=8, clients=(ClientBehavior(),) * 2), params, 3)[1].sha256()
+
+    @pytest.mark.parametrize("field", ["n", "S", "d", "count"])
+    def test_string_sizes_in_a_file_refused(self, field):
+        data = {"n": 2, "S": 2, "d": 4, "clients": [{"count": 2}]}
+        if field == "count":
+            data["clients"] = [{"count": "2"}]
+        else:
+            data[field] = str(data[field])
+        with pytest.raises(ScenarioError, match=f"^{field} must be an integer"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("skip", [(True,), (np.True_,), (1.5,), ("1",), (-1,)])
+    def test_client_skip_entries_checked_on_construction(self, skip):
+        # JSON true was refused in a file; the constructor refuses it too
+        with pytest.raises(ScenarioError, match="^skip must be an integer"):
+            ClientBehavior(kind="partial-send", skip=skip)
+
+    @pytest.mark.parametrize("data, key", [
+        ({"n": 1, "S": 2, "d": 4, "validity_treshold": 0.5, "clients": [{}]},
+         "validity_treshold"),
+        ({"n": 1, "S": 2, "d": 4, "clients": [{"behaviour": "norm-inflating"}]}, "behaviour"),
+    ])
+    def test_unknown_keys_refused_by_name(self, data, key):
+        with pytest.raises(ScenarioError, match=f"unknown .* key '{key}'"):
+            Scenario.from_dict(data)
+
     @pytest.mark.parametrize("field, value", [("norm", math.nan), ("norm", -math.inf),
                                               ("scale", -1.0), ("scale", math.nan),
                                               ("scale", math.inf)])
