@@ -119,6 +119,14 @@ def _rows(M: np.ndarray, index: np.ndarray) -> np.ndarray:
     return M if index.size == M.shape[0] else M[index]
 
 
+def _masked_sum(M: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The sum of the rows of M where mask holds, added in row order onto
+    +0.0, bit for bit as a loop of s += M[r] would; no row is copied."""
+    if M.shape[1] == 1:  # numpy adds a lone column pairwise; cumsum keeps the order
+        return np.cumsum(np.r_[0.0, M[mask, 0]])[-1:]
+    return np.add.reduce(M, axis=0, where=mask[:, None], initial=0.0)
+
+
 def _deliverable(shares: list, d: int) -> tuple[list[int], np.ndarray]:
     """The positions and stacked rows of the shares that are finite length-d
     vectors; withheld (None) and malformed shares are left out."""
@@ -201,23 +209,32 @@ def _verify(submissions, params: ProtocolParams, seed: int,
     for i in range(1, S):
         bus.send(verifier_party(0), verifier_party(i), 1, KIND_MATRIX, w_payload)
 
-    # round 2: each verifier's reply batch for every client it heard from
+    # each client that reached a verifier draws one (S, k) block from its own
+    # stream, whichever it reached: row i is verifier i's reply noise and row
+    # 0 verifier 0's decision noise
+    reached = sorted(set().union(*ids))
+    N = noise_rows((substream(seed, "verification-noise", cid) for cid in reached),
+                   params.sigma_v, (len(reached), S, params.k))
+    at = dict(zip(reached, range(len(reached))))
+
+    # round 2: every verifier's replies, its noise rows a view of N if it heard from all
     Y = [None] * S
     for i in range(1, S):
-        rngs = (substream(seed, "verifier", i, "reply", cid) for cid in ids[i])
-        Y[i] = project_replies(R[i], W,
-                               noise_rows(rngs, params.sigma_v, (len(ids[i]), params.k)))
-        bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
-                 encode_reply_batch(list(zip(ids[i], Y[i]))))
+        noise = N[:, i] if len(ids[i]) == len(reached) else N[[at[c] for c in ids[i]], i]
+        Y[i] = project_replies(R[i], W, noise)
 
-    # verifier 0 decides for clients that reached everyone
+    # verifier 0 decides for clients that reached everyone; its noise rows are
+    # copied out so that N is freed before the reply batches are encoded
     position = [dict(zip(ids[i], range(len(ids[i])))) for i in range(S)]
     J = sorted(set(ids[0]).intersection(*ids[1:]))
     J_rows = [np.array([position[i][cid] for cid in J], dtype=np.intp) for i in range(S)]
-    rngs = (substream(seed, "verifier", 0, "decide", cid) for cid in J)
+    noise = N[[at[c] for c in J], 0]
+    del N
+    for i in range(1, S):
+        bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
+                 encode_reply_batch(list(zip(ids[i], Y[i]))))
     v_norms = decide_norms(_rows(R[0], J_rows[0]),
-                           [_rows(Y[i], J_rows[i]) for i in range(1, S)],
-                           W, noise_rows(rngs, params.sigma_v, (len(J), params.k)))
+                           [_rows(Y[i], J_rows[i]) for i in range(1, S)], W, noise)
     accept = v_norms < params.tau
     outcomes = {
         cid: VerificationOutcome(client_id=cid, accept=a, v_norm=v, tau=params.tau)
@@ -246,9 +263,10 @@ def run_aggregation(submissions, params: ProtocolParams,
     before release (post-noise for the sum itself; its privacy accounting
     is up to the caller).
 
-    Every verifier's noise is drawn from a substream keyed by its index
-    and the client id, so adding or removing one client never perturbs
-    the randomness applied to the others.
+    Each client's verification noise, for its replies and its decision, is
+    one (S, k) block from a substream keyed by the client id alone, so
+    adding or removing one client, or withholding one of its shares, never
+    perturbs the randomness applied to the others.
 
     submissions may be any iterable and is consumed once, in order, a
     bounded chunk of clients at a time; verifiers keep only the payloads
@@ -278,9 +296,9 @@ def run_aggregation(submissions, params: ProtocolParams,
     # round 4: partial sums of the accepted rows, added in sorted-id order
     total = np.zeros(d)
     for i in range(S):
-        s_i = np.zeros(d)
-        for r in J_rows[i][accept]:
-            s_i += R[i][r]
+        mask = np.zeros(len(R[i]), dtype=bool)
+        mask[J_rows[i][accept]] = True
+        s_i = _masked_sum(R[i], mask)
         if sigma_out is not None:
             rng_out = substream(seed, "verifier", i, "sum-noise")
             s_i = s_i + rng_out.normal(0.0, sigma_out, size=d)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from .aggregation import run_norm_verification
-from .core import CalibrationReport, ProtocolParams, calibrate, count, finite, integral
+from .core import CalibrationReport, ProtocolParams, calibrate, count, finite
 from .errors import ProtocolError, ScenarioError
 from .harness import Scenario, check_keys, measured_traffic, run_scenario
 from .rng import substream
@@ -85,11 +85,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ScenarioError(f"unknown experiment kind {self.kind!r}")
-        # integral fields run as ints (2.0 as 2), the rest must be finite
-        object.__setattr__(self, "k_grid", tuple(integral(k, "k_grid entry", ScenarioError)
+        # sizes are numbers and run as ints (2.0 as 2), as in a Scenario; the rest finite
+        object.__setattr__(self, "k_grid", tuple(count(k, "k_grid entry", 1, ScenarioError)
                                                  for k in self.k_grid))
-        for name in ("S", "d", "trials", "seed"):
-            object.__setattr__(self, name, integral(getattr(self, name), name, ScenarioError))
+        for name, least in (("S", 2), ("d", 1), ("trials", 1), ("seed", 0)):
+            object.__setattr__(self, name,
+                               count(getattr(self, name), name, least, ScenarioError))
         for name in ("beta", "eps", "delta", "norm_factor"):
             object.__setattr__(self, name, finite(getattr(self, name), name, ScenarioError))
         if not self.k_grid:
@@ -321,17 +322,23 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors for main to print as one line."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="privsum",
-        description="Robust, differentially-secure vector summation toolkit",
-    )
+    # no abbreviations: --norm is not --norm-factor
+    parser = _Parser(prog="privsum", allow_abbrev=False,
+                     description="Robust, differentially-secure vector summation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, **kwargs):
         # defaults show up in --help so published runs are self-documenting
-        return sub.add_parser(
-            name, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+        return sub.add_parser(name, allow_abbrev=False,
+                              formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
 
     p = add_command("calibrate", help="derive all protocol parameters")
     _add_privacy_flags(p)
@@ -378,7 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     p.add_argument("--kind", choices=EXPERIMENT_KINDS, default=argparse.SUPPRESS,
                    help=f"which accept rate to sweep (default: {defaults['kind']})")
-    p.add_argument("--k-grid", type=lambda text: [k for k in text.split(",") if k],
+
+    def k_grid(text):  # a ValueError reads "argument --k-grid: invalid k_grid value"
+        return [int(k) for k in text.split(",") if k]
+
+    p.add_argument("--k-grid", type=k_grid,
                    default=argparse.SUPPRESS, help="comma-separated projection dimensions")
     for name, text in (("S", "number of verifiers"), ("d", "payload dimension"),
                        ("beta", "failure probability"), ("eps", "DZK epsilon"),
@@ -402,15 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # the one place a failure becomes an exit code
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ProtocolError, OSError) as exc:
+    except SystemExit as exc:  # --help
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except (ProtocolError, OSError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,19 +27,6 @@ from .errors import (
 from .rng import as_generator
 
 
-def integral(value, name: str, error: type[Exception] = ParameterError) -> int:
-    """value as an int; error for a bool and where int() would fail or
-    truncate (1.7, 2.5)."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            out = int(value)
-            if out == float(value):
-                return out
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise error(f"{name} must be an integer, got {value!r}")
-
-
 def finite(value, name: str, error: type[Exception] = ParameterError) -> float:
     """value as a float; error unless it is a finite real number and not a bool."""
     if (isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -51,11 +38,14 @@ def finite(value, name: str, error: type[Exception] = ParameterError) -> float:
 def count(value, name: str, least: int = 1,
           error: type[Exception] = ParameterError) -> int:
     """value as an int >= least; error for a string, a bool, a value int()
-    would truncate (2.5) and one below least."""
-    out = integral(value, name, error) if isinstance(value, numbers.Real) else None
-    if out is None or out < least:
-        raise error(f"{name} must be an integer >= {least}, got {value!r}")
-    return out
+    would truncate (2.5) or cannot take (nan, inf) and one below least."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        try:
+            if int(value) == float(value) >= least:
+                return int(value)
+        except (ValueError, OverflowError):
+            pass
+    raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def positive(value, name: str, error: type[Exception] = ParameterError) -> float:

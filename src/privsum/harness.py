@@ -25,7 +25,7 @@ from .aggregation import (
 )
 from .core import ProtocolParams, count, finite, fraction, positive
 from .errors import ScenarioError
-from .rng import substream
+from .rng import path_digest, substream
 from .sharing import check_shares, scale_to_norm, split_shares, truncate_share
 # stays bound here, where perfbench/tracing.py counts its calls
 from .sharing import share_vector  # noqa: F401
@@ -157,27 +157,20 @@ def with_adversary(scenario: Scenario, behavior: ClientBehavior) -> Scenario:
     return replace(scenario, n=scenario.n + 1, clients=scenario.clients + (behavior,))
 
 
-def nonce_hex(rng: np.random.Generator) -> str:
-    """The next 8-byte nonce of a PCG64 stream in hex, equal to rng.bytes(8).hex().
-
-    One raw 64-bit draw, little-endian, is what Generator.bytes(8) returns
-    for PCG64 without its per-call integers() overhead.
-    """
-    return int(rng.bit_generator.random_raw()).to_bytes(NONCE_BYTES, "little").hex()
-
-
 def scenario_client_ids(scenario: Scenario, master_seed: int) -> list[str]:
-    """Stable client ids: explicit ones as given, the rest collision-checked nonces."""
+    """Stable client ids: explicit ones as given; the one at index i otherwise
+    the hex of path_digest(master_seed, "nonce", i, attempt)[:8] at the first
+    attempt 0, 1, ... whose id no other client holds yet."""
     ids: list[str] = []
     seen = set(c.client_id for c in scenario.clients if c.client_id is not None)
     for index, client in enumerate(scenario.clients):
         if client.client_id is not None:
             cid = client.client_id
         else:
-            rng = substream(master_seed, "nonce", index)
-            cid = nonce_hex(rng)
-            while cid in seen:
-                cid = nonce_hex(rng)
+            attempt = 0
+            while (cid := path_digest(master_seed, "nonce", index,
+                                      attempt)[:NONCE_BYTES].hex()) in seen:
+                attempt += 1
             seen.add(cid)
         ids.append(cid)
     if len(set(ids)) != len(ids):
@@ -287,41 +280,22 @@ def predicted_traffic(scenario: Scenario, params: ProtocolParams,
     ids = scenario_client_ids(scenario, master_seed)
     S, d, k = scenario.S, scenario.d, params.k
 
-    sends_per_client = []
     reached: list[list[str]] = [[] for _ in range(S)]
     for behavior, cid in zip(scenario.clients, ids):
-        targets = [i for i in range(S)
-                   if not (behavior.kind == BEHAVIOR_PARTIAL_SEND and i in behavior.skip)]
-        sends_per_client.append(len(targets))
-        for i in targets:
-            reached[i].append(cid)
+        for i in range(S):
+            if not (behavior.kind == BEHAVIOR_PARTIAL_SEND and i in behavior.skip):
+                reached[i].append(cid)
 
-    in_everyones_reach = set(ids)
-    for i in range(S):
-        in_everyones_reach &= set(reached[i])
     if accepted_ids is None:
-        accepted = sorted(in_everyones_reach)
-    else:
-        accepted = sorted(accepted_ids)
-
-    share_bytes = vector_bytes(d) * sum(sends_per_client)
-    mat_bytes = matrix_bytes(k, d) * (S - 1)
-    reply_bytes = sum(reply_batch_bytes(reached[i], k) for i in range(1, S))
-    set_bytes = id_set_bytes(accepted) * (S - 1)
-    sum_bytes = vector_bytes(d) * (S - 1)
-
-    by_kind = {
-        KIND_SHARE: share_bytes,
-        KIND_MATRIX: mat_bytes,
-        KIND_REPLY: reply_bytes,
-        KIND_ACCEPTED_SET: set_bytes,
-        KIND_PARTIAL_SUM: sum_bytes,
-    }
-    return TrafficBreakdown(
-        client_to_server=share_bytes,
-        server_to_server=mat_bytes + reply_bytes + set_bytes + sum_bytes,
-        by_kind=by_kind,
-    )
+        accepted_ids = set(ids).intersection(*reached)
+    by_kind = {KIND_SHARE: vector_bytes(d) * sum(map(len, reached)),
+               KIND_MATRIX: matrix_bytes(k, d) * (S - 1),
+               KIND_REPLY: sum(reply_batch_bytes(reached[i], k) for i in range(1, S)),
+               KIND_ACCEPTED_SET: id_set_bytes(accepted_ids) * (S - 1),
+               KIND_PARTIAL_SUM: vector_bytes(d) * (S - 1)}
+    return TrafficBreakdown(client_to_server=by_kind[KIND_SHARE],
+                            server_to_server=sum(by_kind.values()) - by_kind[KIND_SHARE],
+                            by_kind=by_kind)
 
 
 def measured_traffic(transcript: Transcript) -> TrafficBreakdown:

@@ -10,6 +10,11 @@ str labels apart (1 vs "1"). A party's stream therefore depends only on
 shifts anyone else's draws, which is what makes with/without-adversary
 comparisons bitwise reproducible.
 
+A session keys W by ("shared-randomness",), client c's shares by ("client", c)
+and its (S, k) verification noise by ("verification-noise", c): row i is
+verifier i's reply noise, row 0 verifier 0's decision noise. An id not given
+is path_digest(seed, "nonce", index, attempt)[:8], from no generator.
+
 Gaussian variates use numpy's ziggurat sampler (Generator.standard_normal),
 bit-reproducible for a fixed numpy version on a given platform.
 """
@@ -42,11 +47,15 @@ class _DigestSeed(ISeedSequence):
         return words if _LITTLE_ENDIAN else words.byteswap()
 
 
+def path_digest(master_seed: int, *path: Label) -> bytes:
+    """SHA-256 of repr((master_seed mod 2**128, *path)), the key of that path."""
+    key = repr((int(master_seed) & _MASK_128, *path)).encode("utf-8")
+    return hashlib.sha256(key).digest()
+
+
 def substream(master_seed: int, *path: Label) -> np.random.Generator:
     """Generator for the substream addressed by (master_seed, *path)."""
-    key = repr((int(master_seed) & _MASK_128, *path)).encode("utf-8")
-    seed = _DigestSeed(hashlib.sha256(key).digest())
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_DigestSeed(path_digest(master_seed, *path))))
 
 
 def as_generator(seed: int | np.random.Generator) -> np.random.Generator:

@@ -51,8 +51,8 @@ class SimulatedNormRun(NamedTuple):
     accept: bool
 
 
-def noise_rows(rngs, sigma: float, shape: tuple[int, int]) -> np.ndarray:
-    """An array of the given shape whose row r is N(0, sigma^2 I) drawn from rngs[r].
+def noise_rows(rngs, sigma: float, shape: tuple[int, ...]) -> np.ndarray:
+    """An (m, ..., k) array whose row r is N(0, sigma^2 I) drawn from rngs[r].
 
     rngs may be any iterable; a lazy one keeps only one generator alive.
     """

@@ -22,6 +22,7 @@ from privsum import (
     validity_check,
     with_adversary,
 )
+from privsum import aggregation
 from privsum.aggregation import (
     BEHAVIOR_INCONSISTENT,
     BEHAVIOR_NORM_INFLATING,
@@ -186,6 +187,44 @@ class TestRunAggregation:
         subs = [s for _, s in honest_submissions(3, params, 21)]
         with pytest.raises(ParameterError, match="^sigma_out must be a finite number"):
             run_aggregation(subs, params, seed=6, sigma_out=sigma_out)
+
+
+def sequential_sum(M, mask):
+    """Round 4 as a loop: s += M[r] for each masked row r in order, onto +0.0."""
+    s = np.zeros(M.shape[1])
+    for r in np.flatnonzero(mask):
+        s += M[r]
+    return s
+
+
+class TestPartialSum:
+    # round 4's masked reduction adds exactly what the row loop adds; a lone
+    # column (d = 1) included, which numpy's reduction would add pairwise
+    SHAPES = [(1, 1), (40, 1), (3, 2), (50, 3), (200, 8), (7, 128), (300, 128), (30, 1024)]
+
+    @pytest.mark.parametrize("m, d", SHAPES)
+    def test_float_rows(self, m, d):
+        rng = np.random.default_rng(m * d)
+        M = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-8, 8, size=(m, 1))
+        for p in (0.1, 0.5, 1.0):
+            mask = rng.random(m) < p
+            assert aggregation._masked_sum(M, mask).tobytes() == sequential_sum(M, mask).tobytes()
+
+    @pytest.mark.parametrize("m, d", SHAPES)
+    def test_quantized_grid_with_signed_zeros(self, m, d):
+        rng = np.random.default_rng(m + d)
+        M = np.round(rng.standard_normal((m, d)) * 8) / 4
+        M[rng.random((m, d)) < 0.4] = -0.0
+        M[: m // 2, 0] = -0.0  # a column that starts with a run of -0.0
+        mask = rng.random(m) < 0.7
+        got = aggregation._masked_sum(M, mask)
+        assert got.tobytes() == sequential_sum(M, mask).tobytes()
+        assert not np.signbit(aggregation._masked_sum(-np.zeros((m, d)), mask)).any()
+
+    @pytest.mark.parametrize("m, d", [(0, 1), (0, 8), (5, 1), (5, 8)])
+    def test_no_accepted_row_sums_to_zeros(self, m, d):
+        got = aggregation._masked_sum(np.ones((m, d)), np.zeros(m, dtype=bool))
+        assert got.shape == (d,) and got.tobytes() == np.zeros(d).tobytes()
 
 
 class TestRobustness:

@@ -443,6 +443,15 @@ MALFORMED = {
                             AGGREGATE),
     "repeated --k-grid point": ({}, ("experiment", "--k-grid", "16,16", "--d", "8",
                                      "--trials", "100")),
+    # argparse's own errors print one line, not the usage block
+    "calibrate --bogus 1": ({}, ("calibrate", "--bogus", "1")),
+    "unknown flag beside a full command": ({}, (*CALIBRATE, "--bogus", "1")),
+    # no abbreviations: --norm is not taken for --norm-factor
+    "experiment --norm 2": ({}, ("experiment", "--kind", "soundness", "--k-grid", "16",
+                                 "--d", "8", "--trials", "100", "--norm", "2")),
+    # sizes are JSON numbers, as in a scenario file
+    "numeric-string trials": (experiment_file(trials="200"), EXPERIMENT),
+    "numeric-string k_grid entry": (experiment_file(k_grid=["16"]), EXPERIMENT),
 }
 
 

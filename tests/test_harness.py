@@ -26,8 +26,10 @@ from privsum import (
     with_adversary,
 )
 from privsum import aggregation
-from privsum.harness import nonce_hex, scenario_client_ids
+from privsum.harness import scenario_client_ids
+from privsum.rng import path_digest
 from privsum.transcript import (
+    KIND_REPLY,
     KIND_SHARE,
     MAX_ID_BYTES,
     decode_id_set,
@@ -53,11 +55,11 @@ from privsum.transcript import (
 )
 
 
-GOLDEN_SHA256 = "0cc4d22a3b2e29e73b5199495b9172cdd8a299e1415884a3f4a8e6ba81b1b0dc"
+GOLDEN_SHA256 = "c40596b1b8072ad72da3f25a021a5520208118b8eef3849174e6989e1ca50b93"
 # the quantized session of quantized_golden_run: its transcript and verifier
 # 0's released sum (whose own partial is not in the transcript)
-GOLDEN_QUANTIZED_SHA256 = "fdb3921932c638c9759776f536b072946d020cf039bc567129f4497b6ba7eac0"
-GOLDEN_QUANTIZED_SUM_SHA256 = "b8fc604f5599d0c14d3f5fa9449931f280f969b97e9a51a3bb6a3f928b56b4a0"
+GOLDEN_QUANTIZED_SHA256 = "f0b778d25f5717202d2890421625fa02481e22d781a02bbf3c274716b9ad570f"
+GOLDEN_QUANTIZED_SUM_SHA256 = "baf3f8e1fc969002b91cd0dc3bbf45681e8bb995e8f591d62e7292cc28f44d3e"
 
 
 def small_params(**overrides):
@@ -92,6 +94,18 @@ def quantized_golden_run():
     )
     scenario = Scenario(n=6, S=3, d=16, clients=clients)
     return run_scenario(scenario, params, 2024)
+
+
+def reply_rows(transcript, ids) -> dict[tuple[int, str], bytes]:
+    """(verifier index, client id) -> the bytes of that round-2 reply row, for
+    the clients in ids."""
+    rows = {}
+    for m in transcript.messages:
+        if m.kind == KIND_REPLY:
+            verifier = int(m.sender.split(":", 1)[1])
+            rows.update({(verifier, cid): y.tobytes()
+                         for cid, y in decode_reply_batch(m.payload) if cid in ids})
+    return rows
 
 
 class TestCodecs:
@@ -416,6 +430,27 @@ class TestScenarioConfig:
         assert scenario_client_ids(scenario, 124) != ids_a
 
 
+    # the master seed enters modulo 2**128
+    @pytest.mark.parametrize("seed, pinned", [
+        (0, ["6aaf7a25291c284b", "a631eda7d59f1093", "23f6c68d31c82a4b"]),
+        (2 ** 70, ["53dabd3632a42003", "f815365ed96e4ae0", "5e4b41727ad8de8e"]),
+    ])
+    def test_derived_ids_are_pinned(self, seed, pinned):
+        scenario = honest_scenario(3, 2, 4)
+        assert scenario_client_ids(scenario, seed) == pinned
+        assert scenario_client_ids(scenario, seed + 2 ** 128) == pinned
+        assert pinned == [path_digest(seed, "nonce", i, 0)[:8].hex() for i in range(3)]
+
+    def test_colliding_id_takes_the_next_attempt(self):
+        # client 0 holds, as its explicit id, the id index 2 derives at attempt 0
+        def derived(index, attempt):
+            return path_digest(5, "nonce", index, attempt)[:8].hex()
+
+        clients = (ClientBehavior(client_id=derived(2, 0)),) + (ClientBehavior(),) * 3
+        ids = scenario_client_ids(Scenario(n=4, S=2, d=4, clients=clients), 5)
+        assert ids == [derived(2, 0), derived(1, 0), derived(2, 1), derived(3, 0)]
+
+
 class TestDeterminism:
     def test_byte_identical_transcripts(self):
         params = small_params()
@@ -479,15 +514,6 @@ class TestDeterminism:
         assert substream(0, "pin").integers(0, 2 ** 32, size=4).tolist() == [
             1145484931, 947896885, 1072200758, 2354250787]
 
-    def test_nonce_matches_generator_bytes(self):
-        # client ids and the golden hash rest on this equality; a numpy
-        # change to Generator.bytes or PCG64 shows up here
-        for seed in (0, 1, 99, 2 ** 70):
-            for index in (0, 7):
-                a = substream(seed, "nonce", index)
-                b = substream(seed, "nonce", index)
-                assert [nonce_hex(a) for _ in range(3)] == [b.bytes(8).hex() for _ in range(3)]
-
     def test_substream_labels_keep_types_apart(self):
         for seed in (0, 7, 2 ** 70):
             a = substream(seed, 1).integers(0, 2 ** 62, size=4)
@@ -523,6 +549,40 @@ class TestDeterminism:
             }
 
         assert shares_by_sender(t_base) == shares_by_sender(t_attacked)
+
+
+    def test_verification_noise_isolation(self):
+        # a norm-inflating client joining leaves every other client's reply
+        # rows and v_norm bitwise unchanged
+        params = small_params(S=3)
+        base = honest_scenario(6, params.S, params.d)
+        attacked = with_adversary(base, ClientBehavior(kind="norm-inflating", norm=50.0))
+        base_ids = scenario_client_ids(base, 77)
+        r_base, t_base = run_scenario(base, params, 77)
+        r_attacked, t_attacked = run_scenario(attacked, params, 77)
+        assert reply_rows(t_attacked, base_ids) == reply_rows(t_base, base_ids)
+        assert set(reply_rows(t_attacked, base_ids)) == {
+            (i, cid) for i in (1, 2) for cid in base_ids}
+        for cid in base_ids:
+            assert (r_attacked.per_client_outcomes[cid].v_norm
+                    == r_base.per_client_outcomes[cid].v_norm)
+
+    @pytest.mark.parametrize("skip", [(0,), (2,), (0, 1)])
+    def test_partial_sender_reply_rows_match_a_full_send(self, skip):
+        # a client's reply row at a verifier it reached does not depend on
+        # where else its shares arrived
+        params = small_params(S=3)
+        full = honest_scenario(4, params.S, params.d)
+        partial = with_adversary(full, ClientBehavior(kind="partial-send", skip=skip))
+        full = with_adversary(full, ClientBehavior())
+        ids = scenario_client_ids(full, 8)
+        assert scenario_client_ids(partial, 8) == ids
+        rows_full = reply_rows(run_scenario(full, params, 8)[1], ids)
+        rows_partial = reply_rows(run_scenario(partial, params, 8)[1], ids)
+        reached = [i for i in (1, 2) if i not in skip]
+        assert {i for i, cid in rows_partial if cid == ids[-1]} == set(reached)
+        assert rows_partial == {key: row for key, row in rows_full.items()
+                                if key[1] != ids[-1] or key[0] in reached}
 
 
 class TestViewOf:

@@ -183,11 +183,12 @@ class TestBatchedKernels:
 
 class TestRunNormVerification:
     # recorded when verify-norm became rounds 0-3 of a one-client session,
-    # reply batches and accepted-set broadcast included;
+    # reply batches and accepted-set broadcast included, and re-pinned when
+    # a client's verification noise became one stream;
     # (S, trunc_b, quant_step) -> transcript sha256
     TRANSCRIPT_SHA256 = {
-        (3, None, 1.0): "842de1c6ff93ceaee82926bc03632597be63b19bca97f7f0ea03a2438c555d73",
-        (3, 8.0, 0.25): "ce9e73971f306de1a8dfbc502c7f72d97cd70c7471fa225693e90903212b8fc8",
+        (3, None, 1.0): "c925493e12e608a6a216af18f62fdf07b83aa13ea8945d54d3b1266c0a91d2aa",
+        (3, 8.0, 0.25): "35f57662887ccf5a2a49af993bae643355f87284ff24b2e1063317ec5fabfe6b",
     }
 
     @pytest.mark.parametrize("S, trunc_b, quant_step", list(TRANSCRIPT_SHA256))
