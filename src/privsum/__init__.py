@@ -65,7 +65,6 @@ from .sharing import (
 )
 from .transcript import Message, Transcript, view_of
 from .verification import (
-    ProjectionReply,
     VerificationOutcome,
     project_reply,
     simulate_norm_verification,
@@ -86,7 +85,6 @@ __all__ = [
     "ParameterError",
     "ParameterOverflow",
     "ProjectionMatrix",
-    "ProjectionReply",
     "ProtocolError",
     "ProtocolParams",
     "RateEstimate",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ProtocolParams, fraction, positive
 from .errors import AbortedInput, DimensionMismatch, DuplicateClientId
-from .rng import substream
+from .rng import integer, substream
 from .sharing import check_shares, truncate_share
 from .transcript import (
     KIND_ACCEPTED_SET,
@@ -88,12 +88,15 @@ class ClientSubmission:
 
 @dataclass(frozen=True, eq=False)
 class AggregateResult:
-    """Output of one aggregation run at verifier 0."""
+    """Output of one aggregation run at verifier 0; it aborted iff sum is None."""
 
     sum: np.ndarray | None
     accepted: frozenset[str]
-    aborted: bool
     per_client_outcomes: dict[str, VerificationOutcome]
+
+    @property
+    def aborted(self) -> bool:
+        return self.sum is None
 
 
 def validity_check(J_star, n: int, threshold_fraction: float) -> bool:
@@ -105,12 +108,11 @@ def robustness_delta(result_with: AggregateResult,
                      result_without: AggregateResult) -> float:
     """Euclidean distance between two non-aborted aggregate sums."""
     for name, res in (("result_with", result_with), ("result_without", result_without)):
-        if res.aborted or res.sum is None:
+        if res.aborted:
             raise AbortedInput(f"{name} is aborted and carries no sum")
     if result_with.sum.shape != result_without.sum.shape:
-        raise DimensionMismatch(
-            f"sums have shapes {result_with.sum.shape} vs {result_without.sum.shape}"
-        )
+        raise DimensionMismatch(f"sums have shapes {result_with.sum.shape} "
+                                f"vs {result_without.sum.shape}")
     return float(np.linalg.norm(result_with.sum - result_without.sum))
 
 
@@ -232,14 +234,11 @@ def _verify(submissions, params: ProtocolParams, seed: int,
     del N
     for i in range(1, S):
         bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
-                 encode_reply_batch(list(zip(ids[i], Y[i]))))
+                 encode_reply_batch(ids[i], Y[i]))
     v_norms = decide_norms(_rows(R[0], J_rows[0]),
                            [_rows(Y[i], J_rows[i]) for i in range(1, S)], W, noise)
     accept = v_norms < params.tau
-    outcomes = {
-        cid: VerificationOutcome(client_id=cid, accept=a, v_norm=v, tau=params.tau)
-        for cid, a, v in zip(J, accept.tolist(), v_norms.tolist())
-    }
+    outcomes = dict(zip(J, map(VerificationOutcome, accept.tolist(), v_norms.tolist())))
 
     # round 3: accepted-set broadcast
     set_payload = encode_id_set([cid for cid, o in outcomes.items() if o.accept])
@@ -256,9 +255,11 @@ def run_aggregation(submissions, params: ProtocolParams,
     """Execute the server protocol over all submissions.
 
     J is the set of clients that reached every verifier; each j in J gets
-    one fresh-noise verification decision against the session projection.
-    If J* holds less than validity_threshold of the submissions (see
-    validity_check), everyone aborts and no sums are exchanged. sigma_out,
+    one fresh-noise verification decision against the session projection,
+    recorded in per_client_outcomes[j] as VerificationOutcome(accept, v_norm)
+    against params.tau. If J* holds less than validity_threshold of the
+    submissions (see validity_check), everyone aborts and no sums are
+    exchanged: the result is aborted iff its sum is None. sigma_out,
     when set, adds N(0, sigma_out^2 I_d) to every verifier's partial sum
     before release (post-noise for the sum itself; its privacy accounting
     is up to the caller).
@@ -282,32 +283,29 @@ def run_aggregation(submissions, params: ProtocolParams,
         fraction(validity_threshold, "validity_threshold")
     if sigma_out is not None:
         positive(sigma_out, "sigma_out")
+    seed = integer(seed, "seed")
 
     S, d = params.S, params.d
     bus = MessageBus()
     n, R, J_rows, accept, outcomes = _verify(submissions, params, seed, bus)
     accepted = frozenset(cid for cid, o in outcomes.items() if o.accept)
-    if validity_threshold is not None and not validity_check(accepted, n,
-                                                             validity_threshold):
-        return (AggregateResult(sum=None, accepted=accepted, aborted=True,
-                                per_client_outcomes=outcomes),
-                Transcript(messages=bus.messages, master_seed=seed))
 
-    # round 4: partial sums of the accepted rows, added in sorted-id order
-    total = np.zeros(d)
-    for i in range(S):
-        mask = np.zeros(len(R[i]), dtype=bool)
-        mask[J_rows[i][accept]] = True
-        s_i = _masked_sum(R[i], mask)
-        if sigma_out is not None:
-            rng_out = substream(seed, "verifier", i, "sum-noise")
-            s_i = s_i + rng_out.normal(0.0, sigma_out, size=d)
-        total = total + s_i
-        if i >= 1:
-            bus.send(verifier_party(i), verifier_party(0), 4, KIND_PARTIAL_SUM,
-                     encode_vector(s_i))
-    return (AggregateResult(sum=total, accepted=accepted, aborted=False,
-                            per_client_outcomes=outcomes),
+    # round 4, unless everyone aborts: partial sums of accepted rows in id order
+    total = None
+    if validity_threshold is None or validity_check(accepted, n, validity_threshold):
+        total = np.zeros(d)
+        for i in range(S):
+            mask = np.zeros(len(R[i]), dtype=bool)
+            mask[J_rows[i][accept]] = True
+            s_i = _masked_sum(R[i], mask)
+            if sigma_out is not None:
+                rng_out = substream(seed, "verifier", i, "sum-noise")
+                s_i = s_i + rng_out.normal(0.0, sigma_out, size=d)
+            total = total + s_i
+            if i >= 1:
+                bus.send(verifier_party(i), verifier_party(0), 4, KIND_PARTIAL_SUM,
+                         encode_vector(s_i))
+    return (AggregateResult(sum=total, accepted=accepted, per_client_outcomes=outcomes),
             Transcript(messages=bus.messages, master_seed=seed))
 
 
@@ -319,12 +317,12 @@ def run_norm_verification(shares, params: ProtocolParams, session_seed: int,
     shares is the client's (S, d) share array, row i for verifier i; when
     params.trunc_b is set it is truncated/quantized before transmission.
     """
+    session_seed = integer(session_seed, "session_seed")
     shares = np.asarray(shares, dtype=np.float64)
     check_shares(shares)
     if shares.shape != (params.S, params.d):
-        raise DimensionMismatch(
-            f"shares have shape {shares.shape}, params need ({params.S}, {params.d})"
-        )
+        raise DimensionMismatch(f"shares have shape {shares.shape}, "
+                                f"params need ({params.S}, {params.d})")
     if params.trunc_b is not None:
         shares = truncate_share(shares, params.trunc_b, params.quant_step)
     sub = ClientSubmission(client_id=client_id, payloads=dict(enumerate(shares)))

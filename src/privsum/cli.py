@@ -160,7 +160,7 @@ def cmd_calibrate(args) -> int:
             "params": report.params.to_dict(),
             "c_delta": report.c_delta,
             "lambda": report.lam,
-            "rho_exact": report.rho_exact,
+            "rho_exact": report.params.rho,
             "rho_asymptotic_estimate": report.rho_asymptotic_estimate,
             "derivation_log": [list(entry) for entry in report.derivation_log],
         }
@@ -194,7 +194,7 @@ def cmd_verify_norm(args) -> int:
     shares = share_vector(x, args.S, params.sigma_ss, rng)
     outcome, transcript = run_norm_verification(shares, params, args.seed, client_id="cli")
     print(f"accept={int(outcome.accept)} v_norm={outcome.v_norm:.6g} "
-          f"tau={outcome.tau:.6g} transcript_sha256={transcript.sha256()}")
+          f"tau={params.tau:.6g} transcript_sha256={transcript.sha256()}")
     if args.transcript:
         _write(args.transcript, transcript.to_jsonl(include_payload=args.full_payloads))
     return EXIT_OK

@@ -179,7 +179,6 @@ class CalibrationReport:
     params: ProtocolParams
     c_delta: float
     lam: float
-    rho_exact: float
     rho_asymptotic_estimate: float
     derivation_log: tuple = field(default_factory=tuple)
 
@@ -360,7 +359,7 @@ def calibrate(eps: float, delta: float, eps_ss: float, delta_ss: float,
         tau=tau, rho=rho, trunc_b=trunc_b, quant_step=quant_step,
     )
     return CalibrationReport(
-        params=params, c_delta=cd, lam=lam, rho_exact=rho,
+        params=params, c_delta=cd, lam=lam,
         rho_asymptotic_estimate=rho_asym, derivation_log=log,
     )
 

@@ -27,6 +27,8 @@ import sys
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .errors import ParameterError
+
 Label = str | int
 
 _MASK_128 = (1 << 128) - 1
@@ -47,9 +49,18 @@ class _DigestSeed(ISeedSequence):
         return words if _LITTLE_ENDIAN else words.byteswap()
 
 
+def integer(seed, name: str) -> int:
+    """seed as an int, if it is a Python or numpy integer and not a bool."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        return int(seed)
+    raise ParameterError(f"{name} must be an integer, got {seed!r}")
+
+
 def path_digest(master_seed: int, *path: Label) -> bytes:
     """SHA-256 of repr((master_seed mod 2**128, *path)), the key of that path."""
-    key = repr((int(master_seed) & _MASK_128, *path)).encode("utf-8")
+    if type(master_seed) is not int:  # one test for the common case
+        master_seed = integer(master_seed, "master_seed")
+    key = repr((master_seed & _MASK_128, *path)).encode("utf-8")
     return hashlib.sha256(key).digest()
 
 
@@ -66,11 +77,11 @@ def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    return substream(int(seed))
+    return substream(integer(seed, "seed"))
 
 
 def seed_int(seed: int | np.random.Generator) -> int:
     """Normalize to a plain integer seed, drawing one from a Generator."""
     if isinstance(seed, np.random.Generator):
         return int(seed.integers(0, 2 ** 62))
-    return int(seed)
+    return integer(seed, "seed")

@@ -224,18 +224,16 @@ def decode_id_set(data: bytes) -> list[str]:
     return ids
 
 
-def encode_reply_batch(entries: list[tuple[str, np.ndarray]]) -> bytes:
-    """One batch of (client id, reply) entries; the replies share one length k."""
-    parts = [struct.pack("<I", len(entries))]
-    if entries:
-        ids, replies = zip(*entries)
-        for cid, payload in zip(ids, encode_vector_block(np.array(replies))):
-            parts += (_encode_id(cid), payload)
+def encode_reply_batch(ids, Y: np.ndarray) -> bytes:
+    """One batch of replies: row r of the (m, k) array Y is client ids[r]'s."""
+    parts = [struct.pack("<I", len(ids))]
+    for cid, payload in zip(ids, encode_vector_block(Y), strict=True):
+        parts += (_encode_id(cid), payload)
     return b"".join(parts)
 
 
-def decode_reply_batch(data: bytes) -> list[tuple[str, np.ndarray]]:
-    """The batch's entries; every reply must have the first one's length k."""
+def decode_reply_batch(data: bytes) -> tuple[list[str], np.ndarray]:
+    """The batch's ids and (m, k) replies; each must have the first one's k."""
     (count,) = _unpack("<I", data, 0)
     ids, payloads, pos, k = [], [], 4, 0
     for _ in range(count):
@@ -247,7 +245,7 @@ def decode_reply_batch(data: bytes) -> list[tuple[str, np.ndarray]]:
         pos += vector_bytes(k)
     replies = decode_vector_block(payloads, k)
     _check_end(data, pos)
-    return list(zip(ids, replies))
+    return ids, replies
 
 
 def vector_bytes(d: int) -> int:

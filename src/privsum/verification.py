@@ -10,13 +10,12 @@ reproduces a coalition's view without the secret.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ProjectionMatrix, ProtocolParams, as_vector, count, positive, sample_projection
-from .errors import DimensionMismatch, MissingReply, ParameterError
+from .core import ProjectionMatrix, ProtocolParams, as_vector, positive, sample_projection
+from .errors import DimensionMismatch, ParameterError
 from .rng import as_generator, substream
 from .sharing import coalition, simulated_view
 
@@ -24,21 +23,12 @@ from .sharing import coalition, simulated_view
 from .sharing import truncate_share  # noqa: F401
 from .transcript import encode_accept, encode_matrix, encode_quantized, encode_vector  # noqa: F401
 
-@dataclass(frozen=True, eq=False)
-class ProjectionReply:
-    """Noisy projected share returned by verifier i >= 1."""
 
-    client_id: str
-    verifier_index: int
-    y: np.ndarray  # dimension k
+class VerificationOutcome(NamedTuple):
+    """Verifier 0's verdict on one client: accept iff v_norm < tau."""
 
-
-@dataclass(frozen=True)
-class VerificationOutcome:
-    client_id: str
     accept: bool
     v_norm: float
-    tau: float
 
 
 class SimulatedNormRun(NamedTuple):
@@ -108,48 +98,30 @@ def _share_row(z, W: ProjectionMatrix, name: str) -> np.ndarray:
     return z[None, :]
 
 
-def project_reply(z_i, W: ProjectionMatrix, sigma_v: float, seed, *,
-                  verifier_index: int = 1, client_id: str = "") -> ProjectionReply:
-    """Compute y = W z_i + N(0, sigma_v^2 I_k), deterministic in seed."""
+def project_reply(z_i, W: ProjectionMatrix, sigma_v: float, seed) -> np.ndarray:
+    """The (k,) reply W z_i + N(0, sigma_v^2 I_k) from seed: project_replies' one-row call."""
     sigma_v = positive(sigma_v, "sigma_v")
-    verifier_index = count(verifier_index, "verifier_index")
     z_i = _share_row(z_i, W, "z_i")
-    y = project_replies(z_i, W.entries, noise_rows([as_generator(seed)], sigma_v, (1, W.k)))[0]
-    return ProjectionReply(client_id=client_id, verifier_index=verifier_index, y=y)
+    return project_replies(z_i, W.entries, noise_rows([as_generator(seed)], sigma_v, (1, W.k)))[0]
 
 
 def verifier0_decide(z_0, replies, W: ProjectionMatrix, sigma_v: float,
-                     tau: float, seed, *, client_id: str = "",
-                     expected_verifiers: int | None = None) -> VerificationOutcome:
-    """Aggregate the replies, add verifier 0's own noise, and threshold.
+                     tau: float, seed) -> VerificationOutcome:
+    """Sum the replies, add verifier 0's own noise, and threshold: the
+    one-row call of decide_norms.
 
-    v = W z_0 + sum_i y_i + N(0, sigma_v^2 I_k); accept iff ||v|| < tau.
-    Exactly one reply per verifier index 1..S-1 is required (S inferred
-    from the reply count unless expected_verifiers is given).
+    replies is an (S-1, k) array-like whose row i-1 is verifier i's reply;
+    v = W z_0 + sum_i y_i + N(0, sigma_v^2 I_k), and accept iff ||v|| < tau.
     """
     sigma_v, tau = positive(sigma_v, "sigma_v"), positive(tau, "tau")
-    replies = list(replies)
-    S = (len(replies) + 1 if expected_verifiers is None
-         else count(expected_verifiers, "expected_verifiers", least=2))
-    seen = {r.verifier_index for r in replies}
-    expected = set(range(1, S))
-    if seen != expected or len(replies) != len(expected):
-        raise MissingReply(
-            f"need one reply per verifier index {sorted(expected)}, got {sorted(seen)}"
-        )
-    rng = as_generator(seed)
     z_0 = _share_row(z_0, W, "z_0")
-    ys = []
-    for r in sorted(replies, key=lambda r: r.verifier_index):
-        if r.y.shape[0] != W.k:
-            raise DimensionMismatch(
-                f"reply from verifier {r.verifier_index} has dimension "
-                f"{r.y.shape[0]}, expected k={W.k}"
-            )
-        ys.append(r.y[None, :])
-    v_norm = float(decide_norms(z_0, ys, W.entries, noise_rows([rng], sigma_v, (1, W.k)))[0])
-    return VerificationOutcome(client_id=client_id, accept=v_norm < tau,
-                               v_norm=v_norm, tau=tau)
+    replies = np.asarray(replies, dtype=np.float64)
+    if replies.ndim != 2 or replies.shape[0] < 1 or replies.shape[1] != W.k:
+        raise DimensionMismatch(f"replies have shape {replies.shape}, expected one "
+                                f"row of k={W.k} per verifier 1..S-1")
+    v_norm = float(decide_norms(z_0, replies[:, None], W.entries,
+                                noise_rows([as_generator(seed)], sigma_v, (1, W.k)))[0])
+    return VerificationOutcome(v_norm < tau, v_norm)
 
 
 def session_matrix(params: ProtocolParams, session_seed: int) -> np.ndarray:

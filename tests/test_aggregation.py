@@ -11,6 +11,7 @@ from privsum import (
     ClientSubmission,
     DuplicateClientId,
     ParameterError,
+    Scenario,
     ScenarioError,
     calibrate,
     honest_scenario,
@@ -29,7 +30,20 @@ from privsum.aggregation import (
     BEHAVIOR_PARTIAL_SEND,
 )
 from privsum.audit import binomial_se
-from privsum.transcript import KIND_SHARE, client_party, decode_quantized, verifier_party
+from privsum.transcript import (
+    KIND_ACCEPTED_SET,
+    KIND_MATRIX,
+    KIND_REPLY,
+    KIND_SHARE,
+    client_party,
+    decode_id_set,
+    decode_matrix,
+    decode_quantized,
+    decode_reply_batch,
+    decode_vector,
+    verifier_party,
+)
+from privsum.verification import decide_norms
 
 
 def small_params(**overrides):
@@ -362,3 +376,53 @@ class TestBehaviors:
                 aborts += 1
         bound = 20 * params.beta
         assert aborts / trials <= bound + 3 * binomial_se(min(bound, 1.0), trials)
+
+
+class TestTranscriptReplay:
+    """Verifier 0's decisions, recomputed from the transcript's messages and
+    each client's own verification-noise stream."""
+
+    @pytest.mark.parametrize("trunc_b", [None, 8.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_decisions_replay_from_the_messages(self, seed, trunc_b):
+        params = small_params(S=3, trunc_b=trunc_b, quant_step=0.5)
+        S, k = params.S, params.k
+        clients = ((ClientBehavior(),) * 3
+                   + (ClientBehavior(kind=BEHAVIOR_PARTIAL_SEND, skip=(1,)),
+                      ClientBehavior(kind=BEHAVIOR_PARTIAL_SEND, skip=(0, 2)))
+                   + (ClientBehavior(kind=BEHAVIOR_INCONSISTENT),) * 2
+                   + (ClientBehavior(kind=BEHAVIOR_NORM_INFLATING, norm=50.0),) * 2)
+        scenario = Scenario(n=9, S=S, d=params.d, clients=clients)
+        result, transcript = run_scenario(scenario, params, seed)
+
+        shares = [{} for _ in range(S)]
+        replies, sets = [{} for _ in range(S)], []
+        for m in transcript.messages:
+            if m.kind == KIND_SHARE:
+                i, cid = int(m.receiver.split(":")[1]), m.sender.split(":", 1)[1]
+                shares[i][cid] = (decode_vector(m.payload) if trunc_b is None
+                                  else decode_quantized(m.payload, params.quant_step))
+            elif m.kind == KIND_MATRIX:
+                W = decode_matrix(m.payload)
+            elif m.kind == KIND_REPLY:
+                ids, Y = decode_reply_batch(m.payload)
+                replies[int(m.sender.split(":")[1])] = dict(zip(ids, Y))
+            elif m.kind == KIND_ACCEPTED_SET:
+                sets.append(decode_id_set(m.payload))
+
+        for i in range(1, S):
+            assert sorted(replies[i]) == sorted(shares[i])
+        J = sorted(set(shares[0]).intersection(*shares[1:]))
+        noise = np.array([substream(seed, "verification-noise", cid).standard_normal((S, k))[0]
+                          for cid in J]) * params.sigma_v
+        v_norms = decide_norms(np.array([shares[0][cid] for cid in J]),
+                               [np.array([replies[i][cid] for cid in J]) for i in range(1, S)],
+                               W, noise)
+        J_star = sorted(cid for cid, v in zip(J, v_norms) if v < params.tau)
+        assert sets == [J_star] * (S - 1)
+        assert J_star == sorted(result.accepted)
+        # the partial senders are never decided; unquantized, the inflated
+        # clients are rejected (truncation can bring them under tau)
+        assert len(J) == 7 and (trunc_b or len(J_star) < len(J))
+        assert list(result.per_client_outcomes) == J
+        assert [o.v_norm for o in result.per_client_outcomes.values()] == v_norms.tolist()

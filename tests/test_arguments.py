@@ -20,11 +20,14 @@ from privsum import (
     clamp_probability,
     conditioned_projection_privacy,
     gaussian_sigma,
+    honest_scenario,
     norm_verification_rate,
     privacy_loss_mc,
     privacy_loss_tail,
     project_reply,
     run_aggregation,
+    run_norm_verification,
+    run_scenario,
     sample_projection,
     share_vector,
     simulate_norm_verification,
@@ -37,6 +40,7 @@ from privsum import (
 from privsum.cli import ExperimentConfig
 from privsum.core import completeness_tau, min_sigma_ss, min_sigma_v, soundness_rho
 from privsum.harness import ClientBehavior, Scenario
+from privsum.rng import as_generator, path_digest, seed_int, substream
 
 CALIBRATION = dict(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2, beta=0.05, S=3, k=16, d=8)
 PARAMS = calibrate(**CALIBRATION).params
@@ -61,6 +65,8 @@ BAD = {
     "rho": REFUSED_BY_ALL + [0, 0.5],
     # Scenario takes n = 0, so n refuses only the rest of a count's values
     "size": REFUSED_BY_ALL + [-1, 2.5],
+    # a seed may be any integer, but is never converted from anything else
+    "seed": REFUSED_BY_ALL + [2.5, "3", None],
 }
 
 # (function, valid keyword arguments, {argument: kind}, error type)
@@ -97,23 +103,20 @@ TABLE = {
     "calibrate-session": (calibrate, dict(CALIBRATION, k=32, n=4, session_calibrated=True), {
         "beta": "probability", "n": "count"}, ParameterError),
     "sample_projection": (sample_projection, dict(k=4, d=6, seed=0), {
-        "k": "count", "d": "count"}, ParameterError),
+        "k": "count", "d": "count", "seed": "seed"}, ParameterError),
     "share_vector": (share_vector, dict(x=X, S=3, sigma_ss=1.0, seed=0), {
-        "S": "count", "sigma_ss": "positive"}, ParameterError),
+        "S": "count", "sigma_ss": "positive", "seed": "seed"}, ParameterError),
     "simulate_share_view": (simulate_share_view, dict(T=(1,), S=3, sigma_ss=1.0, d=4, seed=0), {
         "S": "count", "sigma_ss": "positive", "d": "count"}, ParameterError),
     "truncate_share": (truncate_share, dict(share=[1.0], B=2.0, step=1.0), {
         "B": "positive", "step": "positive"}, ParameterError),
     "clamp_probability": (clamp_probability, dict(B=2.0, sigma=1.0), {
         "B": "positive", "sigma": "positive"}, ParameterError),
-    "project_reply": (project_reply, dict(z_i=np.ones(6), W=W, sigma_v=1.0, seed=0,
-                                          verifier_index=1), {
-        "sigma_v": "positive", "verifier_index": "count"}, ParameterError),
+    "project_reply": (project_reply, dict(z_i=np.ones(6), W=W, sigma_v=1.0, seed=0), {
+        "sigma_v": "positive", "seed": "seed"}, ParameterError),
     "verifier0_decide": (verifier0_decide, dict(z_0=np.ones(6), replies=[REPLY], W=W,
-                                                sigma_v=1.0, tau=5.0, seed=0,
-                                                expected_verifiers=2), {
-        "sigma_v": "positive", "tau": "positive", "expected_verifiers": "count"},
-        ParameterError),
+                                                sigma_v=1.0, tau=5.0, seed=0), {
+        "sigma_v": "positive", "tau": "positive", "seed": "seed"}, ParameterError),
     "privacy_loss_mc": (privacy_loss_mc, dict(shift_norm=1.0, sigma=1.0, k=8, eps=1.0,
                                               samples=1000, seed=0), {
         "shift_norm": "nonnegative", "sigma": "positive", "k": "count", "eps": "positive",
@@ -135,7 +138,17 @@ TABLE = {
         "threshold_fraction": "fraction"}, ParameterError),
     "run_aggregation": (run_aggregation, dict(submissions=[], params=PARAMS,
                                               validity_threshold=0.5, sigma_out=1.0), {
-        "validity_threshold": "fraction", "sigma_out": "positive"}, ParameterError),
+        "validity_threshold": "fraction", "sigma_out": "positive", "seed": "seed"},
+        ParameterError),
+    "run_norm_verification": (run_norm_verification,
+                              dict(shares=np.ones((3, 8)), params=PARAMS, session_seed=0), {
+        "session_seed": "seed"}, ParameterError),
+    # the master seed of every keyed stream, and a seed where a Generator may stand
+    "path_digest": (path_digest, dict(master_seed=0), {"master_seed": "seed"}, ParameterError),
+    "substream": (substream, dict(master_seed=0), {"master_seed": "seed"}, ParameterError),
+    "as_generator": (as_generator, dict(seed=0), {"seed": "seed"}, ParameterError),
+    "seed_int": (seed_int, dict(seed=0), {"seed": "seed"}, ParameterError),
+
     "Scenario": (Scenario, dict(n=0, S=2, d=8, clients=(), validity_threshold=0.5,
                                 sigma_out=1.0), {
         "n": "size", "S": "count", "d": "count", "validity_threshold": "fraction",
@@ -166,6 +179,23 @@ def test_bad_argument_is_refused_by_name(fn, valid, name, value, error):
     with pytest.raises(error) as info:
         fn(**{**valid, name: value})
     assert str(info.value).startswith(f"{name} must"), str(info.value)
+
+
+def test_seeds_of_any_integer_type_and_size_keep_their_streams():
+    # a seed is taken mod 2**128, whatever its integer type
+    def draw(seed):
+        return substream(seed, "x").standard_normal(2).tolist()
+
+    assert draw(np.int64(-1)) == draw(-1) == draw(2**128 - 1)
+    assert draw(np.uint64(2**64 - 1)) == draw(2**64 - 1)
+    assert draw(2**200 + 5) == draw(5)
+    assert share_vector(X, 3, 1.0, np.int32(7)).tolist() == share_vector(X, 3, 1.0, 7).tolist()
+
+
+def test_a_session_refuses_a_seed_it_would_have_truncated():
+    # 2.5 used to run as seed 2 and be recorded as master_seed=2.5
+    with pytest.raises(ParameterError, match="seed must be an integer, got 2.5"):
+        run_scenario(honest_scenario(2, PARAMS.S, PARAMS.d), PARAMS, 2.5)
 
 
 def test_calibrate_names_eps_ss():

@@ -63,6 +63,17 @@ class TestCalibrateCommand:
 
         assert tau_of("--exact-cdf") < tau_of()
 
+    def test_report_file_bytes_are_pinned(self, capsys, tmp_path):
+        # rho_exact is written from params.rho, beside the derivation
+        out_file = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys, "calibrate", "--eps", "1", "--delta", "1e-5", "--beta", "0.01",
+            "--S", "2", "--k", "64", "--d", "128", "--out", str(out_file),
+        )
+        assert code == EXIT_OK
+        assert (hashlib.sha256(out_file.read_bytes()).hexdigest()
+                == "0ca713dbbf0f024ded42045844c3bf3c52ce00cd088185055074bbc55b140ec0")
+
     # sigma_v ~ 1/eps overflows in tau, sigma_ss ~ 1/eps_ss in itself
     @pytest.mark.parametrize("flag, value, name", [
         ("--eps", "1e-300", "eps"), ("--eps", "1e-320", "eps"),
@@ -101,6 +112,16 @@ class TestVerifyNormCommand:
         assert "accept=1" in out
         lines = transcript.read_text().strip().split("\n")
         assert len(lines) == 2 + 3 * 1  # S shares + 3(S-1) protocol messages
+
+    def test_stdout_line_is_pinned(self, capsys):
+        # the accept bit, v_norm, params.tau and the transcript hash
+        code, out, _ = run_cli(
+            capsys, "verify-norm", "--eps", "1", "--delta", "1e-2", "--beta", "0.05",
+            "--S", "3", "--k", "16", "--d", "32", "--seed", "42",
+        )
+        assert code == EXIT_OK
+        assert out == ("accept=1 v_norm=48.7163 tau=82.6249 transcript_sha256="
+                       "25b127714fe09aae6cc7e31dde3f0b5b571f847a720256539bd331b353060f57\n")
 
     # a norm whose projection overflows is rejected without a numpy warning
     @pytest.mark.filterwarnings("error")

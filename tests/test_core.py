@@ -233,7 +233,7 @@ class TestCalibrate:
         for k, tol in [(2**14, 0.2), (2**20, 0.03)]:
             report = calibrate(eps=1, delta=1e-2, eps_ss=1, delta_ss=1e-2,
                                beta=0.05, S=2, k=k, d=32)
-            ratio = report.rho_exact**2 / report.rho_asymptotic_estimate**2
+            ratio = report.params.rho**2 / report.rho_asymptotic_estimate**2
             assert abs(ratio - 1.0) < tol
 
     def test_session_calibrated_uses_beta_over_n(self):

@@ -103,8 +103,9 @@ def reply_rows(transcript, ids) -> dict[tuple[int, str], bytes]:
     for m in transcript.messages:
         if m.kind == KIND_REPLY:
             verifier = int(m.sender.split(":", 1)[1])
+            batch_ids, Y = decode_reply_batch(m.payload)
             rows.update({(verifier, cid): y.tobytes()
-                         for cid, y in decode_reply_batch(m.payload) if cid in ids})
+                         for cid, y in zip(batch_ids, Y) if cid in ids})
     return rows
 
 
@@ -239,7 +240,7 @@ class TestCodecs:
         with pytest.raises(ParameterError):
             encode_id_set([too_long])
         with pytest.raises(ParameterError):
-            encode_reply_batch([(too_long, np.zeros(2))])
+            encode_reply_batch([too_long], np.zeros((1, 2)))
 
     def test_accept_bit(self):
         assert encode_accept(True) == b"\x01"
@@ -253,13 +254,28 @@ class TestCodecs:
 
     def test_reply_batch_roundtrip_and_size(self):
         rng = substream(2, "batch")
-        entries = [("c1", rng.standard_normal(4)), ("c2", rng.standard_normal(4))]
-        data = encode_reply_batch(entries)
-        decoded = decode_reply_batch(data)
-        assert [cid for cid, _ in decoded] == ["c1", "c2"]
-        for (_, a), (_, b) in zip(entries, decoded):
-            assert np.array_equal(a, b)
-        assert len(data) == reply_batch_bytes(["c1", "c2"], 4)
+        ids = ["c1", "", "|", "\u00e9\U0001f600"]
+        Y = rng.standard_normal((4, 3))
+        Y[1] = [-0.0, 5e-324, -2.2250738585072014e-308]  # signed zero, subnormals
+        data = encode_reply_batch(ids, Y)
+        decoded_ids, decoded = decode_reply_batch(data)
+        assert decoded_ids == ids and decoded.tobytes() == Y.tobytes()
+        assert len(data) == reply_batch_bytes(ids, 3)
+
+    @given(st.data())
+    def test_reply_batch_roundtrip_property(self, data):
+        # any m x k block of doubles and m distinct ids come back bit for bit
+        m, k = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 16))
+        ids = data.draw(st.lists(st.text(st.sampled_from("c|\u00e9\u20ac\U0001f600"), max_size=3),
+                                 min_size=m, max_size=m, unique=True))
+        values = data.draw(st.lists(st.floats(allow_nan=False, width=64),
+                                    min_size=m * k, max_size=m * k))
+        Y = np.array(values, dtype=np.float64).reshape(m, k)
+        encoded = encode_reply_batch(ids, Y)
+        decoded_ids, decoded = decode_reply_batch(encoded)
+        assert decoded_ids == ids and decoded.tobytes() == Y.tobytes()
+        assert decoded.shape == Y.shape or m == 0
+        assert len(encoded) == reply_batch_bytes(ids, k)
 
     # one id "ab"; one reply of k = 1 to client "c"; a 1x1 matrix; 1.0 as <f8
     ONE = struct.pack("<d", 1.0)
@@ -270,13 +286,13 @@ class TestCodecs:
     def test_round_1_to_3_payload_bytes_are_pinned(self):
         assert encode_id_set(["ab"]) == self.ID_SET
         assert decode_id_set(self.ID_SET) == ["ab"]
-        assert encode_reply_batch([("c", np.ones(1))]) == self.REPLY_BATCH
-        assert [(cid, y.tolist()) for cid, y in decode_reply_batch(self.REPLY_BATCH)] == [
-            ("c", [1.0])]
+        assert encode_reply_batch(["c"], np.ones((1, 1))) == self.REPLY_BATCH
+        ids, Y = decode_reply_batch(self.REPLY_BATCH)
+        assert (ids, Y.tolist()) == (["c"], [[1.0]])
         assert encode_matrix(np.ones((1, 1))) == self.MATRIX
         assert decode_matrix(self.MATRIX).tolist() == [[1.0]]
         assert decode_id_set(b"\x00\x00\x00\x00") == []
-        assert decode_reply_batch(b"\x00\x00\x00\x00") == []
+        assert decode_reply_batch(b"\x00\x00\x00\x00")[0] == []
 
     MALFORMED_PAYLOADS = {
         "id set empty": (decode_id_set, b""),
