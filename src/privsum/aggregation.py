@@ -27,7 +27,7 @@ from .transcript import (
     KIND_PARTIAL_SUM,
     KIND_REPLY,
     KIND_SHARE,
-    MessageBus,
+    Message,
     Transcript,
     client_party,
     decode_quantized_block,
@@ -78,8 +78,7 @@ def client_chunks(items, S: int, d: int):
         yield chunk
 
 
-@dataclass(frozen=True, eq=False)
-class ClientSubmission:
+class ClientSubmission(NamedTuple):
     """Per-verifier share payloads from one client; None means withheld."""
 
     client_id: str
@@ -91,8 +90,11 @@ class AggregateResult:
     """Output of one aggregation run at verifier 0; it aborted iff sum is None."""
 
     sum: np.ndarray | None
-    accepted: frozenset[str]
     per_client_outcomes: dict[str, VerificationOutcome]
+
+    @property
+    def accepted(self) -> frozenset[str]:  # J*
+        return frozenset(cid for cid, o in self.per_client_outcomes.items() if o.accept)
 
     @property
     def aborted(self) -> bool:
@@ -165,10 +167,11 @@ class _Decided(NamedTuple):
 
 
 def _verify(submissions, params: ProtocolParams, seed: int,
-            bus: MessageBus) -> _Decided:
-    """Rounds 0-3 on bus: share delivery, the matrix broadcast, every
-    verifier's reply batch, and verifier 0's accepted-set broadcast."""
+            messages: list[Message]) -> _Decided:
+    """Rounds 0-3, appended to messages: share delivery, the matrix broadcast,
+    every verifier's reply batch, and verifier 0's accepted-set broadcast."""
     S, d = params.S, params.d
+    verifiers = [verifier_party(i) for i in range(S)]
 
     # round 0: share delivery, a chunk of clients at a time; each verifier's
     # shares in a chunk are encoded as one block and sent client by client
@@ -189,11 +192,11 @@ def _verify(submissions, params: ProtocolParams, seed: int,
             rows, block = _deliverable([sub.payloads.get(i) for sub in chunk], d)
             sent.append(dict(zip(rows, encode(block))))
         for row, sub in enumerate(chunk):
+            sender = client_party(sub.client_id)
             for i in range(S):
                 payload = sent[i].get(row)
                 if payload is not None:
-                    bus.send(client_party(sub.client_id), verifier_party(i), 0,
-                             KIND_SHARE, payload)
+                    messages.append(Message(sender, verifiers[i], 0, KIND_SHARE, payload))
                     received[i][sub.client_id] = payload
 
     # each verifier decodes what it received into one matrix, rows in id order
@@ -209,7 +212,7 @@ def _verify(submissions, params: ProtocolParams, seed: int,
     W = session_matrix(params, seed)
     w_payload = encode_matrix(W)
     for i in range(1, S):
-        bus.send(verifier_party(0), verifier_party(i), 1, KIND_MATRIX, w_payload)
+        messages.append(Message(verifiers[0], verifiers[i], 1, KIND_MATRIX, w_payload))
 
     # each client that reached a verifier draws one (S, k) block from its own
     # stream, whichever it reached: row i is verifier i's reply noise and row
@@ -233,8 +236,8 @@ def _verify(submissions, params: ProtocolParams, seed: int,
     noise = N[[at[c] for c in J], 0]
     del N
     for i in range(1, S):
-        bus.send(verifier_party(i), verifier_party(0), 2, KIND_REPLY,
-                 encode_reply_batch(ids[i], Y[i]))
+        messages.append(Message(verifiers[i], verifiers[0], 2, KIND_REPLY,
+                                encode_reply_batch(ids[i], Y[i])))
     v_norms = decide_norms(_rows(R[0], J_rows[0]),
                            [_rows(Y[i], J_rows[i]) for i in range(1, S)], W, noise)
     accept = v_norms < params.tau
@@ -243,8 +246,8 @@ def _verify(submissions, params: ProtocolParams, seed: int,
     # round 3: accepted-set broadcast
     set_payload = encode_id_set([cid for cid, o in outcomes.items() if o.accept])
     for i in range(1, S):
-        bus.send(verifier_party(0), verifier_party(i), 3, KIND_ACCEPTED_SET,
-                 set_payload)
+        messages.append(Message(verifiers[0], verifiers[i], 3, KIND_ACCEPTED_SET,
+                                set_payload))
     return _Decided(n=len(seen), R=R, J_rows=J_rows, accept=accept, outcomes=outcomes)
 
 
@@ -286,13 +289,13 @@ def run_aggregation(submissions, params: ProtocolParams,
     seed = integer(seed, "seed")
 
     S, d = params.S, params.d
-    bus = MessageBus()
-    n, R, J_rows, accept, outcomes = _verify(submissions, params, seed, bus)
-    accepted = frozenset(cid for cid, o in outcomes.items() if o.accept)
+    messages: list[Message] = []
+    n, R, J_rows, accept, outcomes = _verify(submissions, params, seed, messages)
 
     # round 4, unless everyone aborts: partial sums of accepted rows in id order
     total = None
-    if validity_threshold is None or validity_check(accepted, n, validity_threshold):
+    if validity_threshold is None or validity_check(
+            [cid for cid, o in outcomes.items() if o.accept], n, validity_threshold):
         total = np.zeros(d)
         for i in range(S):
             mask = np.zeros(len(R[i]), dtype=bool)
@@ -303,10 +306,10 @@ def run_aggregation(submissions, params: ProtocolParams,
                 s_i = s_i + rng_out.normal(0.0, sigma_out, size=d)
             total = total + s_i
             if i >= 1:
-                bus.send(verifier_party(i), verifier_party(0), 4, KIND_PARTIAL_SUM,
-                         encode_vector(s_i))
-    return (AggregateResult(sum=total, accepted=accepted, per_client_outcomes=outcomes),
-            Transcript(messages=bus.messages, master_seed=seed))
+                messages.append(Message(verifier_party(i), verifier_party(0), 4,
+                                        KIND_PARTIAL_SUM, encode_vector(s_i)))
+    return (AggregateResult(sum=total, per_client_outcomes=outcomes),
+            Transcript(messages=tuple(messages), master_seed=seed))
 
 
 def run_norm_verification(shares, params: ProtocolParams, session_seed: int,
@@ -325,7 +328,7 @@ def run_norm_verification(shares, params: ProtocolParams, session_seed: int,
                                 f"params need ({params.S}, {params.d})")
     if params.trunc_b is not None:
         shares = truncate_share(shares, params.trunc_b, params.quant_step)
-    sub = ClientSubmission(client_id=client_id, payloads=dict(enumerate(shares)))
-    bus = MessageBus()
-    outcome = _verify([sub], params, session_seed, bus).outcomes[client_id]
-    return outcome, Transcript(messages=bus.messages, master_seed=session_seed)
+    messages: list[Message] = []
+    outcome = _verify([ClientSubmission(client_id, dict(enumerate(shares)))], params,
+                      session_seed, messages).outcomes[client_id]
+    return outcome, Transcript(messages=tuple(messages), master_seed=session_seed)

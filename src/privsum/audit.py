@@ -44,17 +44,17 @@ VERDICT_REJECTED = "rejected"
 @dataclass(frozen=True)
 class RateEstimate:
     rate: float
-    ci95: tuple[float, float]
     trials: int
+
+    @property
+    def ci95(self) -> tuple[float, float]:
+        """The normal-approximation 95% interval of rate, clipped to [0, 1]."""
+        half = 1.959963984540054 * binomial_se(self.rate, self.trials)
+        return (max(0.0, self.rate - half), min(1.0, self.rate + half))
 
 
 def binomial_se(rate: float, n: int) -> float:
     return math.sqrt(max(rate * (1.0 - rate), 0.0) / n)
-
-
-def _normal_ci95(rate: float, n: int) -> tuple[float, float]:
-    half = 1.959963984540054 * binomial_se(rate, n)
-    return (max(0.0, rate - half), min(1.0, rate + half))
 
 
 def _square(value: float, name: str) -> float:
@@ -342,8 +342,7 @@ def norm_verification_rate(params: ProtocolParams, target_norm: float,
     accepts = sum(int(np.count_nonzero(v_norms < params.tau))
                   for v_norms in _verification_norms(params, target_norm, trials,
                                                      seed, pattern))
-    rate = accepts / trials
-    return RateEstimate(rate=rate, ci95=_normal_ci95(rate, trials), trials=trials)
+    return RateEstimate(rate=accepts / trials, trials=trials)
 
 
 # -- the audit battery ---------------------------------------------------------

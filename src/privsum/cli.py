@@ -22,7 +22,7 @@ import numpy as np
 from . import audit as audit_mod
 from .aggregation import run_norm_verification
 from .core import CalibrationReport, ProtocolParams, calibrate, count, finite
-from .errors import ProtocolError, ScenarioError
+from .errors import ParameterError, ProtocolError, ScenarioError
 from .harness import Scenario, check_keys, measured_traffic, run_scenario
 from .rng import substream
 from .sharing import scale_to_norm, share_vector
@@ -168,10 +168,17 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _random_input(args, rng) -> np.ndarray:
+    """A random vector of norm --norm, which must be a finite number >= 0."""
+    if finite(args.norm, "--norm") < 0:
+        raise ParameterError(f"--norm must be >= 0, got {args.norm!r}")
+    return scale_to_norm(rng.standard_normal(args.d), args.norm)
+
+
 def cmd_share(args) -> int:
     count(args.d, "--d")
     rng = substream(args.seed, "cli-share")
-    x = scale_to_norm(rng.standard_normal(args.d), args.norm)
+    x = _random_input(args, rng)
     shares = share_vector(x, args.S, args.sigma_ss, rng)
     err = float(np.max(np.abs(shares.sum(axis=0) - x)))
     S, d = shares.shape
@@ -190,7 +197,7 @@ def cmd_share(args) -> int:
 def cmd_verify_norm(args) -> int:
     params = _calibrate_from_args(args, args.S, args.d).params
     rng = substream(args.seed, "cli-verify-input")
-    x = scale_to_norm(rng.standard_normal(args.d), args.norm)
+    x = _random_input(args, rng)
     shares = share_vector(x, args.S, params.sigma_ss, rng)
     outcome, transcript = run_norm_verification(shares, params, args.seed, client_id="cli")
     print(f"accept={int(outcome.accept)} v_norm={outcome.v_norm:.6g} "

@@ -9,7 +9,7 @@ for the field list) and validate on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,11 +87,12 @@ class ClientBehavior:
             raise ScenarioError(f"kind must be one of {CLIENT_BEHAVIORS}, got {self.kind!r}")
         # JSON true and false are not numbers, and skip entries are not truncated
         for name in ("norm", "scale"):
-            object.__setattr__(self, name, finite(getattr(self, name), name, ScenarioError))
+            value = finite(getattr(self, name), name, ScenarioError)
+            if value < 0:
+                raise ScenarioError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "skip", tuple(count(i, "skip", 0, ScenarioError)
                                                for i in self.skip))
-        if self.scale < 0:
-            raise ScenarioError(f"scale must be >= 0, got {self.scale}")
         cid = self.client_id
         if cid is not None and (not isinstance(cid, str)
                                 or len(cid.encode("utf-8")) > MAX_ID_BYTES):
@@ -218,7 +219,7 @@ def build_submissions(behaviors, client_ids, scenario: Scenario, params: Protoco
         if behavior.kind == BEHAVIOR_PARTIAL_SEND:
             for i in behavior.skip:
                 payloads[i] = None
-        submissions.append(ClientSubmission(client_id=client_id, payloads=payloads))
+        submissions.append(ClientSubmission(client_id, payloads))
     return submissions
 
 
@@ -258,13 +259,21 @@ def run_scenario(scenario: Scenario, params: ProtocolParams,
 
 @dataclass(frozen=True)
 class TrafficBreakdown:
-    client_to_server: int
-    server_to_server: int
-    by_kind: dict[str, int] = field(default_factory=dict)
+    """Payload bytes by message kind; clients send only shares."""
+
+    by_kind: dict[str, int]
+
+    @property
+    def client_to_server(self) -> int:
+        return self.by_kind.get(KIND_SHARE, 0)
+
+    @property
+    def server_to_server(self) -> int:
+        return self.total - self.client_to_server
 
     @property
     def total(self) -> int:
-        return self.client_to_server + self.server_to_server
+        return sum(self.by_kind.values())
 
 
 def predicted_traffic(scenario: Scenario, params: ProtocolParams,
@@ -293,21 +302,12 @@ def predicted_traffic(scenario: Scenario, params: ProtocolParams,
                KIND_REPLY: sum(reply_batch_bytes(reached[i], k) for i in range(1, S)),
                KIND_ACCEPTED_SET: id_set_bytes(accepted_ids) * (S - 1),
                KIND_PARTIAL_SUM: vector_bytes(d) * (S - 1)}
-    return TrafficBreakdown(client_to_server=by_kind[KIND_SHARE],
-                            server_to_server=sum(by_kind.values()) - by_kind[KIND_SHARE],
-                            by_kind=by_kind)
+    return TrafficBreakdown(by_kind)
 
 
 def measured_traffic(transcript: Transcript) -> TrafficBreakdown:
     """Payload byte totals actually recorded in a transcript."""
-    client_to_server = 0
-    server_to_server = 0
     by_kind: dict[str, int] = {}
     for m in transcript.messages:
-        by_kind[m.kind] = by_kind.get(m.kind, 0) + m.byte_size
-        if m.sender.startswith("client:"):
-            client_to_server += m.byte_size
-        else:
-            server_to_server += m.byte_size
-    return TrafficBreakdown(client_to_server=client_to_server,
-                            server_to_server=server_to_server, by_kind=by_kind)
+        by_kind[m.kind] = by_kind.get(m.kind, 0) + len(m.payload)
+    return TrafficBreakdown(by_kind)

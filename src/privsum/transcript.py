@@ -11,11 +11,14 @@ fixed so traffic totals admit closed-form predictions:
   reply batch   u32 count, then per entry: u16 id length + id + u32 k + k float64
 
 The u16 length prefix limits client ids to 65,535 UTF-8 bytes; the id
-codecs raise ParameterError beyond that, and every decoder raises it for
-a payload that is short, has trailing bytes or holds an id that is not
-UTF-8. The vector and quantized codecs work on blocks: the rows of an
-(m, d) array become m payloads, and m payloads of exactly d values each
-become an (m, d) array; the one-payload forms are their one-row calls.
+codecs raise ParameterError beyond that. Both id formats list ids
+strictly increasing, so a list has one encoding: the encoders refuse a
+repeated id (encode_reply_batch any out of order), and every decoder
+raises ParameterError for a payload that is short, has trailing bytes,
+or holds an id that is not UTF-8 or out of order. The vector and
+quantized codecs work on blocks: the rows of an (m, d) array become m
+payloads, and m payloads of exactly d values each become an (m, d)
+array; the one-payload forms are their one-row calls.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,9 +38,6 @@ KIND_MATRIX = "matrix"
 KIND_REPLY = "reply"
 KIND_ACCEPTED_SET = "accepted-set"
 KIND_PARTIAL_SUM = "partial-sum"
-MESSAGE_KINDS = (
-    KIND_SHARE, KIND_MATRIX, KIND_REPLY, KIND_ACCEPTED_SET, KIND_PARTIAL_SUM,
-)
 
 
 def client_party(client_id: str) -> str:
@@ -209,8 +210,14 @@ def _decode_id(data: bytes, pos: int) -> tuple[str, int]:
         raise ParameterError("a client id is not valid UTF-8") from None
 
 
+def _check_increasing(ids: list[str]) -> None:
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ParameterError("client ids must be distinct and listed in increasing order")
+
+
 def encode_id_set(ids) -> bytes:
     ids = sorted(ids)
+    _check_increasing(ids)
     return struct.pack("<I", len(ids)) + b"".join(_encode_id(cid) for cid in ids)
 
 
@@ -221,30 +228,32 @@ def decode_id_set(data: bytes) -> list[str]:
         cid, pos = _decode_id(data, pos)
         ids.append(cid)
     _check_end(data, pos)
+    _check_increasing(ids)
     return ids
 
 
 def encode_reply_batch(ids, Y: np.ndarray) -> bytes:
-    """One batch of replies: row r of the (m, k) array Y is client ids[r]'s."""
+    """One batch of replies: row r of the (m, k) array Y is client ids[r]'s,
+    ids strictly increasing."""
+    _check_increasing(ids)
     parts = [struct.pack("<I", len(ids))]
     for cid, payload in zip(ids, encode_vector_block(Y), strict=True):
         parts += (_encode_id(cid), payload)
     return b"".join(parts)
 
 
-def decode_reply_batch(data: bytes) -> tuple[list[str], np.ndarray]:
-    """The batch's ids and (m, k) replies; each must have the first one's k."""
+def decode_reply_batch(data: bytes, k: int) -> tuple[list[str], np.ndarray]:
+    """The batch's ids and (m, k) replies, each entry exactly k values."""
     (count,) = _unpack("<I", data, 0)
-    ids, payloads, pos, k = [], [], 4, 0
+    ids, payloads, pos, size = [], [], 4, vector_bytes(k)
     for _ in range(count):
         cid, pos = _decode_id(data, pos)
-        if not ids:
-            (k,) = _unpack("<I", data, pos)
         ids.append(cid)
-        payloads.append(data[pos:pos + vector_bytes(k)])
-        pos += vector_bytes(k)
+        payloads.append(data[pos:pos + size])
+        pos += size
     replies = decode_vector_block(payloads, k)
     _check_end(data, pos)
+    _check_increasing(ids)
     return ids, replies
 
 
@@ -267,58 +276,35 @@ def reply_batch_bytes(ids, k: int) -> int:
 # ---------------------------------------------------------------------------
 # messages and transcripts
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """What one party sent another; nothing else, so equal messages compare equal."""
+
     sender: str
     receiver: str
     round: int
     kind: str
     payload: bytes
-    seq: int
 
     @property
     def byte_size(self) -> int:
         return len(self.payload)
 
 
-class MessageBus:
-    """Collects messages in delivery order; the orchestrator enforces rounds."""
-
-    def __init__(self):
-        self._messages: list[Message] = []
-
-    def send(self, sender: str, receiver: str, round: int, kind: str,
-             payload: bytes) -> Message:
-        if kind not in MESSAGE_KINDS:
-            raise ValueError(f"unknown message kind {kind!r}")
-        msg = Message(sender=sender, receiver=receiver, round=round, kind=kind,
-                      payload=payload, seq=len(self._messages))
-        self._messages.append(msg)
-        return msg
-
-    @property
-    def messages(self) -> tuple[Message, ...]:
-        return tuple(self._messages)
-
-
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """Ordered record of every inter-party message in one protocol run."""
+    """Every inter-party message of one protocol run, in delivery order; a
+    message's sequence number is its index in messages."""
 
     messages: tuple[Message, ...]
     master_seed: int
 
     def parties(self) -> set[str]:
-        out = set()
-        for m in self.messages:
-            out.add(m.sender)
-            out.add(m.receiver)
-        return out
+        return {party for m in self.messages for party in (m.sender, m.receiver)}
 
     def sha256(self) -> str:
         h = hashlib.sha256()
-        for m in self.messages:
-            h.update(f"{m.seq}|{m.sender}|{m.receiver}|{m.round}|{m.kind}|".encode())
+        for seq, m in enumerate(self.messages):
+            h.update(f"{seq}|{m.sender}|{m.receiver}|{m.round}|{m.kind}|".encode())
             h.update(m.payload)
             h.update(b"\n")
         return h.hexdigest()
@@ -341,7 +327,8 @@ class Transcript:
 
 
 def view_of(transcript: Transcript, T) -> list[Message]:
-    """Order-preserving restriction to the messages received by parties in T."""
+    """The messages that parties in T received, in delivery order: exactly
+    what they hold, with nothing about the messages sent to anyone else."""
     T = set(T)
     unknown = T - transcript.parties()
     if unknown:

@@ -405,7 +405,7 @@ class TestTranscriptReplay:
             elif m.kind == KIND_MATRIX:
                 W = decode_matrix(m.payload)
             elif m.kind == KIND_REPLY:
-                ids, Y = decode_reply_batch(m.payload)
+                ids, Y = decode_reply_batch(m.payload, k)
                 replies[int(m.sender.split(":")[1])] = dict(zip(ids, Y))
             elif m.kind == KIND_ACCEPTED_SET:
                 sets.append(decode_id_set(m.payload))

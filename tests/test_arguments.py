@@ -60,7 +60,7 @@ BAD = {
     "positive": REFUSED_BY_ALL + [0, -1.0],
     "probability": REFUSED_BY_ALL + [0, -1.0, 1.0, 1.5],
     "fraction": REFUSED_BY_ALL + [0, -1.0, 1.5, "0.5"],
-    "nonnegative": REFUSED_BY_ALL + [-1.0],
+    "nonnegative": REFUSED_BY_ALL + [-1.0, "1"],
     "finite": REFUSED_BY_ALL + ["1"],
     "rho": REFUSED_BY_ALL + [0, 0.5],
     # Scenario takes n = 0, so n refuses only the rest of a count's values
@@ -155,7 +155,7 @@ TABLE = {
         "sigma_out": "positive"}, ScenarioError),
     "ClientBehavior": (ClientBehavior, dict(kind="partial-send", norm=1.0, skip=(1,),
                                             scale=1.0), {
-        "norm": "finite", "scale": "nonnegative"}, ScenarioError),
+        "norm": "nonnegative", "scale": "nonnegative"}, ScenarioError),
     "ExperimentConfig": (ExperimentConfig, dict(kind="soundness", k_grid=(16,)), {
         "beta": "finite", "eps": "finite", "delta": "finite", "norm_factor": "nonnegative"},
         ScenarioError),

@@ -11,6 +11,7 @@ from scipy import stats
 
 from privsum import (
     ParameterError,
+    RateEstimate,
     calibrate,
     conditioned_projection_privacy,
     gaussian_sigma,
@@ -254,6 +255,17 @@ class TestNumpyIntegerSeeds:
         # recorded when each trial first drew its shares' span coordinates from
         # their exact law in place of d-dimensional shares
         assert norm_verification_rate(params, 50.0, 400, 5).rate == 0.5475
+
+
+class TestRateEstimate:
+    def test_interval_follows_the_rate(self):
+        # the interval is derived from (rate, trials), so a copy with another
+        # rate carries that rate's interval rather than the original's
+        est = norm_verification_rate(pin_params(), 1.0, 200, 3)
+        for r in (0.0, 0.25, 1.0 - est.rate):
+            assert dataclasses.replace(est, rate=r).ci95 == RateEstimate(r, est.trials).ci95
+        assert RateEstimate(0.5, 100).ci95 == pytest.approx((0.402, 0.598), abs=1e-3)
+        assert RateEstimate(0.0, 100).ci95 == (0.0, 0.0)
 
 
 def pin_params():

@@ -379,6 +379,8 @@ WITH_PARAMS = ("aggregate", "--config", "s.json", "--params", "p.json")
 EXPERIMENT = ("experiment", "--config", "e.json")
 CALIBRATE = ("calibrate", "--eps", "1", "--delta", "1e-2", "--beta", "0.05",
              "--S", "2", "--k", "16", "--d", "8")
+SHARE = ("share", "--d", "8", "--S", "2", "--sigma-ss", "1")
+VERIFY_NORM = ("verify-norm", *CALIBRATE[1:])
 
 
 def params_file(**overrides) -> dict:
@@ -473,6 +475,14 @@ MALFORMED = {
     # sizes are JSON numbers, as in a scenario file
     "numeric-string trials": (experiment_file(trials="200"), EXPERIMENT),
     "numeric-string k_grid entry": (experiment_file(k_grid=["16"]), EXPERIMENT),
+    # a norm is a finite number >= 0: -5 used to run as 5, and nan or inf
+    # were refused under the name of an internal vector
+    "negative client norm": (scenario_file(norm=-5.0), AGGREGATE),
+    "share --norm -1": ({}, (*SHARE, "--norm", "-1")),
+    "share --norm nan": ({}, (*SHARE, "--norm", "nan")),
+    "verify-norm --norm -1": ({}, (*VERIFY_NORM, "--norm", "-1")),
+    "verify-norm --norm nan": ({}, (*VERIFY_NORM, "--norm", "nan")),
+    "verify-norm --norm inf": ({}, (*VERIFY_NORM, "--norm", "inf")),
 }
 
 
@@ -490,6 +500,13 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, monkeypatch, files,
     assert code == EXIT_USAGE
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [SHARE, VERIFY_NORM], ids=["share", "verify-norm"])
+@pytest.mark.parametrize("norm", ["-1", "nan", "inf"])
+def test_norm_is_refused_under_its_own_name(capsys, command, norm):
+    code, _, err = run_cli(capsys, *command, "--norm", norm)
+    assert code == EXIT_USAGE and err.startswith("error: --norm must"), err
 
 
 def test_readme_cli_block_runs_as_written(capsys, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
@@ -96,14 +97,14 @@ def quantized_golden_run():
     return run_scenario(scenario, params, 2024)
 
 
-def reply_rows(transcript, ids) -> dict[tuple[int, str], bytes]:
+def reply_rows(transcript, ids, k) -> dict[tuple[int, str], bytes]:
     """(verifier index, client id) -> the bytes of that round-2 reply row, for
     the clients in ids."""
     rows = {}
     for m in transcript.messages:
         if m.kind == KIND_REPLY:
             verifier = int(m.sender.split(":", 1)[1])
-            batch_ids, Y = decode_reply_batch(m.payload)
+            batch_ids, Y = decode_reply_batch(m.payload, k)
             rows.update({(verifier, cid): y.tobytes()
                          for cid, y in zip(batch_ids, Y) if cid in ids})
     return rows
@@ -252,30 +253,67 @@ class TestCodecs:
         assert decode_id_set(data) == sorted(ids)
         assert len(data) == id_set_bytes(ids)
 
+    def test_ids_out_of_order_refused(self):
+        # one id set and one reply batch per meaning: a repeated id, and a
+        # batch listed out of order, are refused on the way in and out
+        with pytest.raises(ParameterError):
+            encode_id_set(["b", "a", "b"])
+        with pytest.raises(ParameterError):
+            encode_reply_batch(["b", "a"], np.zeros((2, 1)))
+        with pytest.raises(ParameterError):
+            encode_reply_batch(["a", "a"], np.zeros((2, 1)))
+        assert encode_id_set(["b", "a"]) == encode_id_set(["a", "b"])
+
     def test_reply_batch_roundtrip_and_size(self):
         rng = substream(2, "batch")
-        ids = ["c1", "", "|", "\u00e9\U0001f600"]
+        ids = ["", "c1", "|", "\u00e9\U0001f600"]  # strictly increasing
         Y = rng.standard_normal((4, 3))
         Y[1] = [-0.0, 5e-324, -2.2250738585072014e-308]  # signed zero, subnormals
         data = encode_reply_batch(ids, Y)
-        decoded_ids, decoded = decode_reply_batch(data)
+        decoded_ids, decoded = decode_reply_batch(data, 3)
         assert decoded_ids == ids and decoded.tobytes() == Y.tobytes()
         assert len(data) == reply_batch_bytes(ids, 3)
 
     @given(st.data())
     def test_reply_batch_roundtrip_property(self, data):
-        # any m x k block of doubles and m distinct ids come back bit for bit
+        # any m x k block of doubles and m increasing ids come back bit for bit
         m, k = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 16))
-        ids = data.draw(st.lists(st.text(st.sampled_from("c|\u00e9\u20ac\U0001f600"), max_size=3),
-                                 min_size=m, max_size=m, unique=True))
+        ids = sorted(data.draw(st.lists(
+            st.text(st.sampled_from("c|\u00e9\u20ac\U0001f600"), max_size=3),
+            min_size=m, max_size=m, unique=True)))
         values = data.draw(st.lists(st.floats(allow_nan=False, width=64),
                                     min_size=m * k, max_size=m * k))
         Y = np.array(values, dtype=np.float64).reshape(m, k)
         encoded = encode_reply_batch(ids, Y)
-        decoded_ids, decoded = decode_reply_batch(encoded)
+        decoded_ids, decoded = decode_reply_batch(encoded, k)
         assert decoded_ids == ids and decoded.tobytes() == Y.tobytes()
-        assert decoded.shape == Y.shape or m == 0
+        assert decoded.shape == Y.shape
         assert len(encoded) == reply_batch_bytes(ids, k)
+
+    @given(st.data())
+    def test_id_payloads_are_canonical(self, data):
+        # any byte string either raises ParameterError or re-encodes to
+        # itself; drawn near the formats, so that unsorted and repeated ids,
+        # cut payloads and trailing bytes all occur
+        k = data.draw(st.integers(1, 2))
+        ids = data.draw(st.lists(st.text(st.sampled_from("ab\u00e9"), max_size=2), max_size=4))
+        raw_ids = [struct.pack("<H", len(c.encode())) + c.encode() for c in ids]
+        rows = [struct.pack("<I", k) + data.draw(st.binary(min_size=8 * k, max_size=8 * k))
+                for _ in ids]
+        count = struct.pack("<I", len(ids))
+        for decode, encode, payload in (
+                (decode_id_set, encode_id_set, count + b"".join(raw_ids)),
+                (partial(decode_reply_batch, k=k), lambda batch: encode_reply_batch(*batch),
+                 count + b"".join(map(bytes.__add__, raw_ids, rows)))):
+            payload = (payload[:data.draw(st.integers(0, len(payload)))]
+                       if data.draw(st.booleans()) else payload)
+            payload += data.draw(st.binary(max_size=2))
+            for candidate in (payload, data.draw(st.binary(max_size=24))):
+                try:
+                    decoded = decode(candidate)
+                except ParameterError:
+                    continue
+                assert encode(decoded) == candidate
 
     # one id "ab"; one reply of k = 1 to client "c"; a 1x1 matrix; 1.0 as <f8
     ONE = struct.pack("<d", 1.0)
@@ -287,12 +325,16 @@ class TestCodecs:
         assert encode_id_set(["ab"]) == self.ID_SET
         assert decode_id_set(self.ID_SET) == ["ab"]
         assert encode_reply_batch(["c"], np.ones((1, 1))) == self.REPLY_BATCH
-        ids, Y = decode_reply_batch(self.REPLY_BATCH)
+        ids, Y = decode_reply_batch(self.REPLY_BATCH, 1)
         assert (ids, Y.tolist()) == (["c"], [[1.0]])
         assert encode_matrix(np.ones((1, 1))) == self.MATRIX
         assert decode_matrix(self.MATRIX).tolist() == [[1.0]]
         assert decode_id_set(b"\x00\x00\x00\x00") == []
-        assert decode_reply_batch(b"\x00\x00\x00\x00")[0] == []
+        ids, Y = decode_reply_batch(b"\x00\x00\x00\x00", 3)
+        assert ids == [] and Y.shape == (0, 3)
+
+    # the reply-batch decoder at the session's k = 1
+    decode_batch = partial(decode_reply_batch, k=1)
 
     MALFORMED_PAYLOADS = {
         "id set empty": (decode_id_set, b""),
@@ -302,17 +344,25 @@ class TestCodecs:
         "id set short id": (decode_id_set, b"\x01\x00\x00\x00\x03\x00ab"),
         "id set trailing byte": (decode_id_set, ID_SET + b"\x00"),
         "id set id not UTF-8": (decode_id_set, b"\x01\x00\x00\x00\x02\x00a\xff"),
-        "reply batch empty": (decode_reply_batch, b""),
-        "reply batch no reply": (decode_reply_batch, REPLY_BATCH[:7]),
-        "reply batch short k": (decode_reply_batch, REPLY_BATCH[:9]),
-        "reply batch short reply": (decode_reply_batch, REPLY_BATCH[:-1]),
-        "reply batch trailing byte": (decode_reply_batch, REPLY_BATCH + b"\x00"),
-        "reply batch short id": (decode_reply_batch, b"\x01\x00\x00\x00\x02\x00c"),
-        "reply batch id not UTF-8": (decode_reply_batch,
+        "id set unsorted": (decode_id_set, b"\x02\x00\x00\x00\x01\x00b\x01\x00a"),
+        "id set repeated id": (decode_id_set, b"\x02\x00\x00\x00" + ID_SET[4:] * 2),
+        "reply batch empty": (decode_batch, b""),
+        "reply batch no reply": (decode_batch, REPLY_BATCH[:7]),
+        "reply batch short k": (decode_batch, REPLY_BATCH[:9]),
+        "reply batch short reply": (decode_batch, REPLY_BATCH[:-1]),
+        "reply batch trailing byte": (decode_batch, REPLY_BATCH + b"\x00"),
+        "reply batch short id": (decode_batch, b"\x01\x00\x00\x00\x02\x00c"),
+        "reply batch id not UTF-8": (decode_batch,
                                      REPLY_BATCH[:6] + b"\xff" + REPLY_BATCH[7:]),
         "reply batch k differs by entry": (
-            decode_reply_batch,
+            decode_batch,
             b"\x02\x00\x00\x00" + REPLY_BATCH[4:] + b"\x01\x00d\x02\x00\x00\x00" + ONE * 2),
+        "reply batch entry of k + 1 values": (
+            decode_batch, b"\x01\x00\x00\x00\x01\x00c\x02\x00\x00\x00" + ONE * 2),
+        "reply batch unsorted": (
+            decode_batch, b"\x02\x00\x00\x00\x01\x00d" + REPLY_BATCH[7:] + REPLY_BATCH[4:]),
+        "reply batch repeated id": (
+            decode_batch, b"\x02\x00\x00\x00" + REPLY_BATCH[4:] * 2),
         "matrix empty": (decode_matrix, b""),
         "matrix no column count": (decode_matrix, MATRIX[:4]),
         "matrix short body": (decode_matrix, MATRIX[:-1]),
@@ -576,8 +626,9 @@ class TestDeterminism:
         base_ids = scenario_client_ids(base, 77)
         r_base, t_base = run_scenario(base, params, 77)
         r_attacked, t_attacked = run_scenario(attacked, params, 77)
-        assert reply_rows(t_attacked, base_ids) == reply_rows(t_base, base_ids)
-        assert set(reply_rows(t_attacked, base_ids)) == {
+        assert (reply_rows(t_attacked, base_ids, params.k)
+                == reply_rows(t_base, base_ids, params.k))
+        assert set(reply_rows(t_attacked, base_ids, params.k)) == {
             (i, cid) for i in (1, 2) for cid in base_ids}
         for cid in base_ids:
             assert (r_attacked.per_client_outcomes[cid].v_norm
@@ -593,8 +644,8 @@ class TestDeterminism:
         full = with_adversary(full, ClientBehavior())
         ids = scenario_client_ids(full, 8)
         assert scenario_client_ids(partial, 8) == ids
-        rows_full = reply_rows(run_scenario(full, params, 8)[1], ids)
-        rows_partial = reply_rows(run_scenario(partial, params, 8)[1], ids)
+        rows_full = reply_rows(run_scenario(full, params, 8)[1], ids, params.k)
+        rows_partial = reply_rows(run_scenario(partial, params, 8)[1], ids, params.k)
         reached = [i for i in (1, 2) if i not in skip]
         assert {i for i, cid in rows_partial if cid == ids[-1]} == set(reached)
         assert rows_partial == {key: row for key, row in rows_full.items()
@@ -608,13 +659,27 @@ class TestViewOf:
         _, tr = run_scenario(scenario, params, 5)
         v1 = verifier_party(1)
         view = view_of(tr, {v1})
-        assert all(m.receiver == v1 for m in view)
-        # order-preserving
-        seqs = [m.seq for m in view]
-        assert seqs == sorted(seqs)
+        # exactly what verifier 1 received, in delivery order
+        assert view == [m for m in tr.messages if m.receiver == v1]
         # share + matrix + accepted-set per protocol phase for verifier 1
         kinds = {m.kind for m in view}
         assert kinds == {"share", "matrix", "accepted-set"}
+
+    def test_view_holds_nothing_of_other_parties_messages(self):
+        # client 0 skips verifier 0 in one session and is rejected by it in
+        # the other; verifier 1 receives the same bytes in both, so its views
+        # must be equal: no global index may tell the two cases apart
+        params = small_params()
+        rest = (ClientBehavior(),) * 4
+        runs = [run_scenario(Scenario(n=5, S=2, d=params.d, clients=(first,) + rest),
+                             params, 7)
+                for first in (ClientBehavior(kind="partial-send", skip=(0,)),
+                              ClientBehavior(kind="norm-inflating", norm=1e4))]
+        (skipped, t_skipped), (rejected, t_rejected) = runs
+        assert skipped.accepted == rejected.accepted
+        assert len(t_skipped.messages) != len(t_rejected.messages)
+        v1 = verifier_party(1)
+        assert view_of(t_skipped, {v1}) == view_of(t_rejected, {v1})
 
     def test_all_parties_gives_everything(self):
         params = small_params()
