@@ -24,6 +24,7 @@ from .core import (
     count,
     finite,
     gaussian_sigma,
+    normal_cdf,
     positive,
 )
 from .errors import DimensionMismatch, ParameterError
@@ -123,10 +124,8 @@ def privacy_loss_tail(shift_norm: float, sigma: float, eps: float) -> float:
                              f"shift_norm={shift_norm}, sigma={sigma}")
     sd = math.sqrt(2.0 * mu)
     lo, hi = (eps - mu) / sd, (eps + mu) / sd
-    from scipy import special  # only this analytic tail needs scipy; sessions never load it
-
-    # the normal tail at x is ndtr(-x), as scipy.stats.norm.sf computes it
-    return float(special.ndtr(-lo) + special.ndtr(-hi))
+    # the normal tail at x is normal_cdf(-x), as scipy.stats.norm.sf computes it
+    return normal_cdf(-lo) + normal_cdf(-hi)
 
 
 # samples per round of conditioned_projection_privacy: their ||Wx|| draws,

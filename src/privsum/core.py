@@ -370,3 +370,73 @@ def sample_projection(k: int, d: int, seed) -> ProjectionMatrix:
     rng = as_generator(seed)
     entries = rng.standard_normal((k, d)) / math.sqrt(k)
     return ProjectionMatrix(entries=entries)
+
+
+# Cephes' rational approximations of erfc on [1, 8) (P/Q) and [8, inf) (R/S)
+# and of erf on [0, 1] (T/U), highest power first. Q, S and U begin with the
+# leading 1 that Cephes' p1evl leaves implicit: 1 * x is exact, so _polevl
+# on them keeps p1evl's bits
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_SQRTH = 7.07106781186547524401E-1  # sqrt(1/2)
+_MAXLOG = 7.09782712893383996843E2  # ln of the largest float
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """The polynomial with coefficients coef at x, by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """Cephes erf for |x| <= 1, the only arguments normal_cdf passes."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """Cephes erfc for x >= 0, the only arguments normal_cdf passes."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:  # Cephes takes exp(z) < 1 / (largest float) as underflow
+        return 0.0
+    if x < 8.0:
+        p, q = _polevl(x, _ERFC_P), _polevl(x, _ERFC_Q)
+    else:
+        p, q = _polevl(x, _ERFC_R), _polevl(x, _ERFC_S)
+    return math.exp(z) * p / q
+
+
+def normal_cdf(a: float) -> float:
+    """Pr[N(0, 1) <= a], bit for bit the value of scipy.special.ndtr(a).
+
+    A port of Cephes ndtr, the code behind scipy's: 1/2 + erf(a/sqrt(2))/2
+    for |a| < 1, else the erfc tail at |a|/sqrt(2), reflected for a > 0.
+    The same coefficients are evaluated in the same order, so every result
+    keeps scipy's bits. Cephes branches that ndtr never reaches are left
+    out: erf above 1, erfc of a negative argument, and erfc's second
+    underflow test (its result is > 0 wherever the MAXLOG test passes).
+    """
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRTH
+    z = abs(x)
+    if z < _SQRTH:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y

@@ -281,8 +281,11 @@ def predicted_traffic(scenario: Scenario, params: ProtocolParams,
     """Closed-form payload byte totals for a run of the scenario.
 
     Assumes every client in reach passes verification unless accepted_ids
-    narrows the set. Only defined for unquantized payloads (trunc_b unset);
-    varint sizes are value-dependent.
+    narrows the set, and that the session ends: an aborted session's
+    prediction still counts the round-4 partial sums it never sent. Like
+    measured_traffic, it lists only the kinds that carry bytes. Only
+    defined for unquantized payloads (trunc_b unset); varint sizes are
+    value-dependent.
     """
     if params.trunc_b is not None:
         raise ScenarioError("closed-form traffic requires trunc_b unset")
@@ -302,7 +305,7 @@ def predicted_traffic(scenario: Scenario, params: ProtocolParams,
                KIND_REPLY: sum(reply_batch_bytes(reached[i], k) for i in range(1, S)),
                KIND_ACCEPTED_SET: id_set_bytes(accepted_ids) * (S - 1),
                KIND_PARTIAL_SUM: vector_bytes(d) * (S - 1)}
-    return TrafficBreakdown(by_kind)
+    return TrafficBreakdown({kind: size for kind, size in by_kind.items() if size})
 
 
 def measured_traffic(transcript: Transcript) -> TrafficBreakdown:

@@ -17,8 +17,9 @@ repeated id (encode_reply_batch any out of order), and every decoder
 raises ParameterError for a payload that is short, has trailing bytes,
 or holds an id that is not UTF-8 or out of order. The vector and
 quantized codecs work on blocks: the rows of an (m, d) array become m
-payloads, and m payloads of exactly d values each become an (m, d)
-array; the one-payload forms are their one-row calls.
+payloads, and m payloads of exactly d >= 1 values each become an (m, d)
+array; the one-payload forms are their one-row calls, and decode a count
+of 0 to an empty vector.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import count
 from .errors import ParameterError, UnknownParty
 
 KIND_SHARE = "share"
@@ -65,7 +67,7 @@ def _check_end(data: bytes, pos: int) -> None:
 
 def _bodies(payloads, d: int) -> bytes:
     """The payloads' bodies joined, after checking each count header is d."""
-    header = struct.pack("<I", d)
+    header = struct.pack("<I", d) if d < 1 << 32 else None  # no u32 header is d
     if any(p[:4] != header for p in payloads):
         raise ParameterError(f"a payload's count header is not {d}")
     return b"".join(memoryview(p)[4:] for p in payloads)
@@ -80,7 +82,8 @@ def encode_vector_block(V: np.ndarray) -> list[bytes]:
 
 
 def decode_vector_block(payloads, d: int) -> np.ndarray:
-    """The (m, d) array of m vector payloads, each of exactly d values."""
+    """The (m, d) array of m vector payloads, each of exactly d >= 1 values."""
+    d = count(d, "d")
     if any(len(p) != vector_bytes(d) for p in payloads):
         raise ParameterError(f"a vector payload does not hold exactly {d} values")
     body = _bodies(payloads, d)
@@ -91,9 +94,15 @@ def encode_vector(v: np.ndarray) -> bytes:
     return encode_vector_block(np.asarray(v)[None])[0]
 
 
+def _empty(data: bytes) -> np.ndarray:
+    """The vector of a one-payload decode whose count header is 0."""
+    _check_end(data, 4)
+    return np.empty(0)
+
+
 def decode_vector(data: bytes) -> np.ndarray:
-    (count,) = _unpack("<I", data, 0)
-    return decode_vector_block([data], count)[0]
+    (d,) = _unpack("<I", data, 0)
+    return decode_vector_block([data], d)[0] if d else _empty(data)
 
 
 def encode_matrix(entries: np.ndarray) -> bytes:
@@ -141,18 +150,17 @@ def encode_quantized_block(V: np.ndarray, step: float) -> list[bytes]:
 
 
 def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
-    """The (m, d) array of m quantized payloads, each of exactly d values.
+    """The (m, d) array of m quantized payloads, each of exactly d >= 1 values.
 
     The bodies are decoded joined, so each must end exactly at its d-th
     value: a payload that is short, runs on, or has another count raises
     ParameterError rather than shifting the payloads after it.
     """
-    m = len(payloads)
+    m, d = len(payloads), count(d, "d")
     raw = np.frombuffer(_bodies(payloads, d), dtype=np.uint8)
     last = np.flatnonzero(raw < 0x80)  # each value's last byte
     body_ends = np.cumsum([len(p) - 4 for p in payloads], dtype=np.intp)
-    value_ends = last[d - 1::d] + 1 if d else np.zeros(m, dtype=np.intp)
-    if last.size != m * d or not np.array_equal(value_ends, body_ends):
+    if last.size != m * d or not np.array_equal(last[d - 1::d] + 1, body_ends):
         raise ParameterError(f"a quantized payload does not hold exactly {d} values")
     if last.size == 0:
         return np.empty((m, d))
@@ -178,8 +186,8 @@ def encode_quantized(v: np.ndarray, step: float) -> bytes:
 
 
 def decode_quantized(data: bytes, step: float) -> np.ndarray:
-    (count,) = _unpack("<I", data, 0)
-    return decode_quantized_block([data], count, step)[0]
+    (d,) = _unpack("<I", data, 0)
+    return decode_quantized_block([data], d, step)[0] if d else _empty(data)
 
 
 def encode_accept(accept: bool) -> bytes:
@@ -222,9 +230,9 @@ def encode_id_set(ids) -> bytes:
 
 
 def decode_id_set(data: bytes) -> list[str]:
-    (count,) = _unpack("<I", data, 0)
+    (m,) = _unpack("<I", data, 0)
     ids, pos = [], 4
-    for _ in range(count):
+    for _ in range(m):
         cid, pos = _decode_id(data, pos)
         ids.append(cid)
     _check_end(data, pos)
@@ -243,10 +251,11 @@ def encode_reply_batch(ids, Y: np.ndarray) -> bytes:
 
 
 def decode_reply_batch(data: bytes, k: int) -> tuple[list[str], np.ndarray]:
-    """The batch's ids and (m, k) replies, each entry exactly k values."""
-    (count,) = _unpack("<I", data, 0)
+    """The batch's ids and (m, k) replies, each entry exactly k >= 1 values."""
+    k = count(k, "k")
+    (m,) = _unpack("<I", data, 0)
     ids, payloads, pos, size = [], [], 4, vector_bytes(k)
-    for _ in range(count):
+    for _ in range(m):
         cid, pos = _decode_id(data, pos)
         ids.append(cid)
         payloads.append(data[pos:pos + size])

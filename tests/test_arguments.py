@@ -41,6 +41,14 @@ from privsum.cli import ExperimentConfig
 from privsum.core import completeness_tau, min_sigma_ss, min_sigma_v, soundness_rho
 from privsum.harness import ClientBehavior, Scenario
 from privsum.rng import as_generator, path_digest, seed_int, substream
+from privsum.transcript import (
+    decode_quantized_block,
+    decode_reply_batch,
+    decode_vector_block,
+    encode_quantized_block,
+    encode_reply_batch,
+    encode_vector_block,
+)
 
 CALIBRATION = dict(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2, beta=0.05, S=3, k=16, d=8)
 PARAMS = calibrate(**CALIBRATION).params
@@ -148,6 +156,16 @@ TABLE = {
     "substream": (substream, dict(master_seed=0), {"master_seed": "seed"}, ParameterError),
     "as_generator": (as_generator, dict(seed=0), {"seed": "seed"}, ParameterError),
     "seed_int": (seed_int, dict(seed=0), {"seed": "seed"}, ParameterError),
+    # a block decoder's length, checked before any payload is read
+    "decode_vector_block": (decode_vector_block,
+                            dict(payloads=encode_vector_block(np.ones((2, 3))), d=3), {
+        "d": "count"}, ParameterError),
+    "decode_quantized_block": (decode_quantized_block,
+                               dict(payloads=encode_quantized_block(np.ones((2, 3)), 1.0),
+                                    d=3, step=1.0), {"d": "count"}, ParameterError),
+    "decode_reply_batch": (decode_reply_batch,
+                           dict(data=encode_reply_batch(["a", "b"], np.ones((2, 3))), k=3), {
+        "k": "count"}, ParameterError),
 
     "Scenario": (Scenario, dict(n=0, S=2, d=8, clients=(), validity_threshold=0.5,
                                 sigma_out=1.0), {

@@ -564,18 +564,19 @@ assert len(result.accepted) == 4, result.accepted
 assert 0 < norm_verification_rate(params, 1.0, 100, 0).rate <= 1
 assert privsum.cli.main(["verify-norm", "--eps", "1", "--delta", "1e-2", "--beta", "0.05",
                          "--S", "2", "--k", "16", "--d", "8", "--seed", "3"]) == 0
+assert 0 < privacy_loss_tail(1.0, 1.0, 1.0) < 1
+assert privsum.cli.main(["audit", "--samples", "1000", "--seed", "0"]) == 0
 print(scipy_modules())
 exact = calibrate(eps=1.0, delta=1e-2, eps_ss=1.0, delta_ss=1e-2, beta=0.05,
                   S=2, k=16, d=8, exact_cdf=True).params
 assert 1 <= exact.rho < params.rho and exact.tau < params.tau
-assert 0 < privacy_loss_tail(1.0, 1.0, 1.0) < 1
 print("scipy.special" in scipy_modules())
 """
 
 
 def test_sessions_leave_scipy_unloaded():
     # scipy.special adds about 0.25 s and 18 MiB to start-up; only exact
-    # chi-square quantiles and the audit's analytic tail load it, on first use
+    # chi-square quantiles load it, on first use
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,13 +1,14 @@
 """Core math: noise calibration, chi-square tails, projections."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from privsum import (
     InfeasibleParameters,
@@ -19,7 +20,13 @@ from privsum import (
     sample_projection,
     substream,
 )
-from privsum.core import completeness_tau, min_sigma_ss, min_sigma_v, soundness_rho
+from privsum.core import (
+    completeness_tau,
+    min_sigma_ss,
+    min_sigma_v,
+    normal_cdf,
+    soundness_rho,
+)
 
 mp.mp.dps = 50
 
@@ -309,6 +316,45 @@ class TestSampleProjection:
             sample_projection(0, 16, 1)
         with pytest.raises(ParameterError):
             sample_projection(8, 0, 1)
+
+
+# Cephes ndtr's branches, keyed on x = |a| / sqrt(2) as it computes it: erf
+# below sqrt(1/2) and erfc above, erfc through erf below 1, erfc's [1, 8)
+# and [8, inf) approximations, and 0 once -x**2 < -ln(largest float)
+SQRTH, MAXLOG = math.sqrt(0.5), math.log(sys.float_info.max)
+NDTR_EDGES = {"erf/erfc": (SQRTH, lambda x: x < SQRTH),
+              "erfc x < 1": (1.0, lambda x: x < 1.0),
+              "erfc x < 8": (8.0, lambda x: x < 8.0),
+              "underflow": (math.sqrt(MAXLOG), lambda x: -x * x < -MAXLOG)}
+
+
+def _edge_points(edge: str) -> list[float]:
+    """The a at the edge's x and the four floats on each side, both signs."""
+    a = NDTR_EDGES[edge][0] / SQRTH
+    points = [a]
+    for toward in (-math.inf, math.inf):
+        b = a
+        for _ in range(4):
+            b = math.nextafter(b, toward)
+            points.append(b)
+    return points + [-p for p in points]
+
+
+class TestNormalCdf:
+    @pytest.mark.parametrize("edge", NDTR_EDGES)
+    def test_edge_points_straddle_their_branch(self, edge):
+        _, branch = NDTR_EDGES[edge]
+        assert {branch(abs(a) * SQRTH) for a in _edge_points(edge)} == {True, False}
+
+    def test_equals_scipy_ndtr_bit_for_bit(self):
+        points = np.concatenate([np.linspace(-40.0, 40.0, 100_001),
+                                 *map(_edge_points, NDTR_EDGES),
+                                 [0.0, -0.0, math.inf, -math.inf]])
+        actual = np.array([normal_cdf(float(a)) for a in points])
+        expected = special.ndtr(points)
+        mismatch = np.flatnonzero(actual.view(np.uint64) != expected.view(np.uint64))
+        assert mismatch.size == 0, [(points[i], actual[i], expected[i]) for i in mismatch[:5]]
+        assert math.isnan(normal_cdf(math.nan))
 
 
 def test_star_import_and_unique_exports():

@@ -182,6 +182,15 @@ class TestCodecs:
         assert decode_quantized_block([], 3, 1.0).shape == (0, 3)
         assert decode_vector_block([], 3).shape == (0, 3)
 
+    def test_length_past_the_count_header_matches_no_payload(self):
+        d = 2 ** 32
+        assert decode_vector_block([], d).shape == (0, d)
+        assert decode_quantized_block([], d, 1.0).shape == (0, d)
+        with pytest.raises(ParameterError):
+            decode_vector_block([encode_vector(np.ones(1))], d)
+        with pytest.raises(ParameterError):
+            decode_quantized_block([encode_quantized(np.ones(1), 1.0)], d, 1.0)
+
     def test_vector_block_matches_one_row_calls(self):
         V = substream(3, "block").standard_normal((4, 3))
         payloads = encode_vector_block(V)
@@ -702,8 +711,9 @@ class TestViewOf:
 
 
 class TestTrafficAccounting:
+    # n = 0 sends no share, and neither side lists a kind of zero bytes
     @pytest.mark.parametrize("n,S,d,k", [(10, 2, 64, 16), (5, 3, 32, 16),
-                                         (20, 2, 128, 32)])
+                                         (20, 2, 128, 32), (0, 2, 8, 16)])
     def test_measured_equals_predicted(self, n, S, d, k):
         params = small_params(S=S, d=d, k=k)
         scenario = honest_scenario(n, S, d)
