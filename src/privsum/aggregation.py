@@ -118,9 +118,9 @@ def robustness_delta(result_with: AggregateResult,
     return float(np.linalg.norm(result_with.sum - result_without.sum))
 
 
-def _rows(M: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Rows `index` (ascending) of M, without a copy when that is every row."""
-    return M if index.size == M.shape[0] else M[index]
+def _rows(M: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The rows of M where mask holds, without a copy when that is every row."""
+    return M if mask.all() else M[mask]
 
 
 def _masked_sum(M: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -144,32 +144,32 @@ def _deliverable(shares: list, d: int) -> tuple[list[int], np.ndarray]:
             vectors.append(share)
     block = np.array(vectors).reshape(len(vectors), d)
     finite = np.isfinite(block).all(axis=1)
-    if not finite.all():
-        rows = [row for row, ok in zip(rows, finite) if ok]
-        block = block[finite]
-    return rows, block
+    return list(itertools.compress(rows, finite.tolist())), _rows(block, finite)
 
 
 class _Decided(NamedTuple):
     """What rounds 0-3 leave each verifier holding.
 
     n counts the submissions and R[i] holds verifier i's decoded shares,
-    rows in id order. outcomes covers J, the clients that reached every
-    verifier, in id order; J_rows[i] are their rows in R[i] and accept
-    their verdicts.
+    rows in id order, of which accepted[i] marks J*'s. outcomes covers J,
+    the clients that reached every verifier, in id order.
     """
 
     n: int
     R: list[np.ndarray]
-    J_rows: list[np.ndarray]
-    accept: np.ndarray
+    accepted: list[np.ndarray]
     outcomes: dict[str, VerificationOutcome]
 
 
 def _verify(submissions, params: ProtocolParams, seed: int,
             messages: list[Message]) -> _Decided:
     """Rounds 0-3, appended to messages: share delivery, the matrix broadcast,
-    every verifier's reply batch, and verifier 0's accepted-set broadcast."""
+    every verifier's reply batch, and verifier 0's accepted-set broadcast.
+
+    Round 0 fills one client table, each id to each verifier's payload or None;
+    after it the state is the clients that reached a verifier, in id order, and
+    their (clients, S) mask delivered: column i is verifier i's, J its all-True rows.
+    """
     S, d = params.S, params.d
     verifiers = [verifier_party(i) for i in range(S)]
 
@@ -180,32 +180,32 @@ def _verify(submissions, params: ProtocolParams, seed: int,
         decode = partial(decode_quantized_block, step=params.quant_step)
     else:
         encode, decode = encode_vector_block, decode_vector_block
-    received: list[dict[str, bytes]] = [dict() for _ in range(S)]
-    seen: set[str] = set()
+    table: dict[str, list[bytes | None]] = {}
     for chunk in client_chunks(submissions, S, d):
-        for sub in chunk:
-            if sub.client_id in seen:
-                raise DuplicateClientId(f"duplicate client id {sub.client_id!r}")
-            seen.add(sub.client_id)
-        sent = []
+        received = [[None] * S for _ in chunk]
         for i in range(S):
             rows, block = _deliverable([sub.payloads.get(i) for sub in chunk], d)
-            sent.append(dict(zip(rows, encode(block))))
-        for row, sub in enumerate(chunk):
+            for row, payload in zip(rows, encode(block)):
+                received[row][i] = payload
+        for sub, entry in zip(chunk, received):
+            if table.setdefault(sub.client_id, entry) is not entry:
+                raise DuplicateClientId(f"duplicate client id {sub.client_id!r}")
             sender = client_party(sub.client_id)
-            for i in range(S):
-                payload = sent[i].get(row)
+            for i, payload in enumerate(entry):
                 if payload is not None:
                     messages.append(Message(sender, verifiers[i], 0, KIND_SHARE, payload))
-                    received[i][sub.client_id] = payload
 
+    # the clients that reached a verifier (a payload is never empty), and whom;
     # each verifier decodes what it received into one matrix, rows in id order
-    ids = [sorted(received[i]) for i in range(S)]
+    clients = sorted(cid for cid, entry in table.items() if any(entry))
+    delivered = np.array([[p is not None for p in table[cid]] for cid in clients],
+                         dtype=bool).reshape(len(clients), S)
+    ids = [list(itertools.compress(clients, delivered[:, i].tolist())) for i in range(S)]
     R = [np.empty((len(ids[i]), d)) for i in range(S)]
     for i in range(S):
         start = 0
         for part in client_chunks(ids[i], S, d):
-            R[i][start:start + len(part)] = decode([received[i][cid] for cid in part], d)
+            R[i][start:start + len(part)] = decode([table[cid][i] for cid in part], d)
             start += len(part)
 
     # round 1: matrix broadcast
@@ -215,40 +215,33 @@ def _verify(submissions, params: ProtocolParams, seed: int,
         messages.append(Message(verifiers[0], verifiers[i], 1, KIND_MATRIX, w_payload))
 
     # each client that reached a verifier draws one (S, k) block from its own
-    # stream, whichever it reached: row i is verifier i's reply noise and row
-    # 0 verifier 0's decision noise
-    reached = sorted(set().union(*ids))
-    N = noise_rows((substream(seed, "verification-noise", cid) for cid in reached),
-                   params.sigma_v, (len(reached), S, params.k))
-    at = dict(zip(reached, range(len(reached))))
+    # stream: row i is verifier i's reply noise, row 0 verifier 0's decision noise
+    N = noise_rows((substream(seed, "verification-noise", cid) for cid in clients),
+                   params.sigma_v, (len(clients), S, params.k))
 
     # round 2: every verifier's replies, its noise rows a view of N if it heard from all
-    Y = [None] * S
-    for i in range(1, S):
-        noise = N[:, i] if len(ids[i]) == len(reached) else N[[at[c] for c in ids[i]], i]
-        Y[i] = project_replies(R[i], W, noise)
+    Y = [None] + [project_replies(R[i], W, _rows(N[:, i], delivered[:, i])) for i in range(1, S)]
 
-    # verifier 0 decides for clients that reached everyone; its noise rows are
+    # verifier 0 decides for J on each verifier's rows of J; its noise rows are
     # copied out so that N is freed before the reply batches are encoded
-    position = [dict(zip(ids[i], range(len(ids[i])))) for i in range(S)]
-    J = sorted(set(ids[0]).intersection(*ids[1:]))
-    J_rows = [np.array([position[i][cid] for cid in J], dtype=np.intp) for i in range(S)]
-    noise = N[[at[c] for c in J], 0]
+    J = delivered.all(axis=1)
+    noise = N[J, 0]
     del N
     for i in range(1, S):
         messages.append(Message(verifiers[i], verifiers[0], 2, KIND_REPLY,
                                 encode_reply_batch(ids[i], Y[i])))
-    v_norms = decide_norms(_rows(R[0], J_rows[0]),
-                           [_rows(Y[i], J_rows[i]) for i in range(1, S)], W, noise)
-    accept = v_norms < params.tau
-    outcomes = dict(zip(J, map(VerificationOutcome, accept.tolist(), v_norms.tolist())))
+    v_norms = decide_norms(_rows(R[0], J[delivered[:, 0]]),
+                           [_rows(Y[i], J[delivered[:, i]]) for i in range(1, S)], W, noise)
+    accepted = J.copy()  # J*
+    accepted[J] = v_norms < params.tau
+    outcomes = dict(zip(itertools.compress(clients, J.tolist()),
+                        map(VerificationOutcome, accepted[J].tolist(), v_norms.tolist())))
 
     # round 3: accepted-set broadcast
-    set_payload = encode_id_set([cid for cid, o in outcomes.items() if o.accept])
+    set_payload = encode_id_set(itertools.compress(clients, accepted.tolist()))
     for i in range(1, S):
-        messages.append(Message(verifiers[0], verifiers[i], 3, KIND_ACCEPTED_SET,
-                                set_payload))
-    return _Decided(n=len(seen), R=R, J_rows=J_rows, accept=accept, outcomes=outcomes)
+        messages.append(Message(verifiers[0], verifiers[i], 3, KIND_ACCEPTED_SET, set_payload))
+    return _Decided(len(table), R, [accepted[delivered[:, i]] for i in range(S)], outcomes)
 
 
 def run_aggregation(submissions, params: ProtocolParams,
@@ -290,7 +283,7 @@ def run_aggregation(submissions, params: ProtocolParams,
 
     S, d = params.S, params.d
     messages: list[Message] = []
-    n, R, J_rows, accept, outcomes = _verify(submissions, params, seed, messages)
+    n, R, accepted, outcomes = _verify(submissions, params, seed, messages)
 
     # round 4, unless everyone aborts: partial sums of accepted rows in id order
     total = None
@@ -298,12 +291,9 @@ def run_aggregation(submissions, params: ProtocolParams,
             [cid for cid, o in outcomes.items() if o.accept], n, validity_threshold):
         total = np.zeros(d)
         for i in range(S):
-            mask = np.zeros(len(R[i]), dtype=bool)
-            mask[J_rows[i][accept]] = True
-            s_i = _masked_sum(R[i], mask)
+            s_i = _masked_sum(R[i], accepted[i])
             if sigma_out is not None:
-                rng_out = substream(seed, "verifier", i, "sum-noise")
-                s_i = s_i + rng_out.normal(0.0, sigma_out, size=d)
+                s_i += substream(seed, "verifier", i, "sum-noise").normal(0.0, sigma_out, size=d)
             total = total + s_i
             if i >= 1:
                 messages.append(Message(verifier_party(i), verifier_party(0), 4,

@@ -111,8 +111,11 @@ def encode_matrix(entries: np.ndarray) -> bytes:
     return struct.pack("<II", k, d) + entries.tobytes()
 
 
-def decode_matrix(data: bytes) -> np.ndarray:
-    k, d = _unpack("<II", data, 0)
+def decode_matrix(data: bytes, k: int, d: int) -> np.ndarray:
+    """The (k, d) matrix of a payload whose header states the session's (k, d)."""
+    k, d = count(k, "k"), count(d, "d")
+    if _unpack("<II", data, 0) != (k, d):
+        raise ParameterError(f"matrix payload's header is not ({k}, {d})")
     if len(data) != matrix_bytes(k, d):
         raise ParameterError(f"matrix payload does not hold exactly {k}x{d} values")
     return np.frombuffer(data, dtype="<f8", offset=8).reshape(k, d).copy()

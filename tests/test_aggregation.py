@@ -403,7 +403,7 @@ class TestTranscriptReplay:
                 shares[i][cid] = (decode_vector(m.payload) if trunc_b is None
                                   else decode_quantized(m.payload, params.quant_step))
             elif m.kind == KIND_MATRIX:
-                W = decode_matrix(m.payload)
+                W = decode_matrix(m.payload, k, params.d)
             elif m.kind == KIND_REPLY:
                 ids, Y = decode_reply_batch(m.payload, k)
                 replies[int(m.sender.split(":")[1])] = dict(zip(ids, Y))

@@ -125,9 +125,9 @@ TABLE = {
     "verifier0_decide": (verifier0_decide, dict(z_0=np.ones(6), replies=[REPLY], W=W,
                                                 sigma_v=1.0, tau=5.0, seed=0), {
         "sigma_v": "positive", "tau": "positive", "seed": "seed"}, ParameterError),
-    "privacy_loss_mc": (privacy_loss_mc, dict(shift_norm=1.0, sigma=1.0, k=8, eps=1.0,
+    "privacy_loss_mc": (privacy_loss_mc, dict(shift_norm=1.0, sigma=1.0, eps=1.0,
                                               samples=1000, seed=0), {
-        "shift_norm": "nonnegative", "sigma": "positive", "k": "count", "eps": "positive",
+        "shift_norm": "nonnegative", "sigma": "positive", "eps": "positive",
         "samples": "count"}, ParameterError),
     "privacy_loss_tail": (privacy_loss_tail, dict(shift_norm=1.0, sigma=1.0, eps=1.0), {
         "shift_norm": "nonnegative", "sigma": "positive", "eps": "positive"},

@@ -36,29 +36,29 @@ from privsum.core import c_delta
 
 class TestPrivacyLossMC:
     def test_zero_shift_never_exceeds(self):
-        assert privacy_loss_mc(0.0, 1.0, 4, 0.5, 1000, 1) == 0.0
+        assert privacy_loss_mc(0.0, 1.0, 0.5, 1000, 1) == 0.0
 
     def test_calibrated_sigma_meets_delta(self):
         sigma = gaussian_sigma(1.0, 1e-2, 1.0)
-        rate = privacy_loss_mc(1.0, sigma, 8, 1.0, 100_000, 2)
+        rate = privacy_loss_mc(1.0, sigma, 1.0, 100_000, 2)
         assert rate <= 1e-2 + 3 * binomial_se(1e-2, 100_000)
 
     def test_doubling_sigma_reduces_exceed_rate(self):
         # visible effect needs a sigma small enough to exceed often
-        lo = privacy_loss_mc(1.0, 0.8, 4, 1.0, 50_000, 3)
-        hi = privacy_loss_mc(1.0, 1.6, 4, 1.0, 50_000, 3)
+        lo = privacy_loss_mc(1.0, 0.8, 1.0, 50_000, 3)
+        hi = privacy_loss_mc(1.0, 1.6, 1.0, 50_000, 3)
         assert hi < lo
 
     def test_matches_analytic_tail(self):
         shift, sigma, eps = 1.0, 1.2, 0.8
-        rate = privacy_loss_mc(shift, sigma, 4, eps, 200_000, 4)
+        rate = privacy_loss_mc(shift, sigma, eps, 200_000, 4)
         exact = privacy_loss_tail(shift, sigma, eps)
         se = binomial_se(max(exact, 1e-6), 200_000)
         assert abs(rate - exact) <= 4 * se
 
     def test_sample_floor(self):
         with pytest.raises(ParameterError):
-            privacy_loss_mc(1.0, 1.0, 4, 1.0, 100, 0)
+            privacy_loss_mc(1.0, 1.0, 1.0, 100, 0)
 
 
 class TestPrivacyLossTail:
@@ -92,7 +92,7 @@ class TestNonFiniteArguments:
     def test_privacy_loss_audits_name_the_argument(self, name, value):
         args = {"shift_norm": 1.0, "sigma": 1.0, "eps": 1.0, name: value}
         with pytest.raises(ParameterError, match=f"^{name} must be a finite number"):
-            privacy_loss_mc(**args, k=8, samples=1000, seed=0)
+            privacy_loss_mc(**args, samples=1000, seed=0)
         with pytest.raises(ParameterError, match=f"^{name} must be a finite number"):
             privacy_loss_tail(**args)
 
@@ -105,7 +105,7 @@ class TestNonFiniteArguments:
     ])
     def test_squares_out_of_float_range_name_the_argument(self, shift_norm, sigma, match):
         with pytest.raises(ParameterError, match=match):
-            privacy_loss_mc(shift_norm, sigma, 8, 1.0, 1000, 0)
+            privacy_loss_mc(shift_norm, sigma, 1.0, 1000, 0)
         with pytest.raises(ParameterError, match=match):
             privacy_loss_tail(shift_norm, sigma, 1.0)
 
@@ -118,8 +118,8 @@ class TestNonFiniteArguments:
     @pytest.mark.filterwarnings("error")
     def test_loss_in_sigma_units_is_scale_invariant(self):
         # a shift and sigma near 1e154 overflowed <y, m> and read 0.215
-        big = privacy_loss_mc(1e154, 1e154, 8, 10.0, 1000, 0)
-        assert big == privacy_loss_mc(1.0, 1.0, 8, 10.0, 1000, 0)
+        big = privacy_loss_mc(1e154, 1e154, 10.0, 1000, 0)
+        assert big == privacy_loss_mc(1.0, 1.0, 10.0, 1000, 0)
         assert big == 0.0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -248,8 +248,8 @@ class TestNumpyIntegerSeeds:
         for seed in (np.int64(5), np.uint32(5)):
             assert (norm_verification_rate(params, 1.0, 100, seed)
                     == norm_verification_rate(params, 1.0, 100, 5))
-            assert (privacy_loss_mc(1.0, 2.0, 4, 0.5, 1000, seed)
-                    == privacy_loss_mc(1.0, 2.0, 4, 0.5, 1000, 5))
+            assert (privacy_loss_mc(1.0, 2.0, 0.5, 1000, seed)
+                    == privacy_loss_mc(1.0, 2.0, 0.5, 1000, 5))
             assert (conditioned_projection_privacy(params, x, 1000, seed)
                     == conditioned_projection_privacy(params, x, 1000, 5))
         # recorded when each trial first drew its shares' span coordinates from

@@ -121,7 +121,7 @@ class TestCodecs:
     def test_matrix_roundtrip(self):
         rng = substream(1, "mat")
         W = rng.standard_normal((3, 5))
-        assert np.array_equal(decode_matrix(encode_matrix(W)), W)
+        assert np.array_equal(decode_matrix(encode_matrix(W), 3, 5), W)
         assert len(encode_matrix(W)) == matrix_bytes(3, 5)
 
     @given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=40),
@@ -337,13 +337,14 @@ class TestCodecs:
         ids, Y = decode_reply_batch(self.REPLY_BATCH, 1)
         assert (ids, Y.tolist()) == (["c"], [[1.0]])
         assert encode_matrix(np.ones((1, 1))) == self.MATRIX
-        assert decode_matrix(self.MATRIX).tolist() == [[1.0]]
+        assert decode_matrix(self.MATRIX, 1, 1).tolist() == [[1.0]]
         assert decode_id_set(b"\x00\x00\x00\x00") == []
         ids, Y = decode_reply_batch(b"\x00\x00\x00\x00", 3)
         assert ids == [] and Y.shape == (0, 3)
 
-    # the reply-batch decoder at the session's k = 1
+    # the reply-batch and matrix decoders at the session's k = d = 1
     decode_batch = partial(decode_reply_batch, k=1)
+    decode_1x1 = partial(decode_matrix, k=1, d=1)
 
     MALFORMED_PAYLOADS = {
         "id set empty": (decode_id_set, b""),
@@ -372,10 +373,12 @@ class TestCodecs:
             decode_batch, b"\x02\x00\x00\x00\x01\x00d" + REPLY_BATCH[7:] + REPLY_BATCH[4:]),
         "reply batch repeated id": (
             decode_batch, b"\x02\x00\x00\x00" + REPLY_BATCH[4:] * 2),
-        "matrix empty": (decode_matrix, b""),
-        "matrix no column count": (decode_matrix, MATRIX[:4]),
-        "matrix short body": (decode_matrix, MATRIX[:-1]),
-        "matrix trailing byte": (decode_matrix, MATRIX + b"\x00"),
+        "matrix empty": (decode_1x1, b""),
+        "matrix no column count": (decode_1x1, MATRIX[:4]),
+        "matrix short body": (decode_1x1, MATRIX[:-1]),
+        "matrix trailing byte": (decode_1x1, MATRIX + b"\x00"),
+        "matrix header not the session's": (decode_1x1,
+                                            b"\x01\x00\x00\x00\x02\x00\x00\x00" + ONE * 2),
     }
 
     @pytest.mark.parametrize("decode, data", MALFORMED_PAYLOADS.values(),
