@@ -182,12 +182,12 @@ def _verify(submissions, params: ProtocolParams, seed: int,
         encode, decode = encode_vector_block, decode_vector_block
     table: dict[str, list[bytes | None]] = {}
     for chunk in client_chunks(submissions, S, d):
-        received = [[None] * S for _ in chunk]
+        entries = [[None] * S for _ in chunk]
         for i in range(S):
             rows, block = _deliverable([sub.payloads.get(i) for sub in chunk], d)
             for row, payload in zip(rows, encode(block)):
-                received[row][i] = payload
-        for sub, entry in zip(chunk, received):
+                entries[row][i] = payload
+        for sub, entry in zip(chunk, entries):
             if table.setdefault(sub.client_id, entry) is not entry:
                 raise DuplicateClientId(f"duplicate client id {sub.client_id!r}")
             sender = client_party(sub.client_id)

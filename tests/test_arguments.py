@@ -42,9 +42,11 @@ from privsum.core import completeness_tau, min_sigma_ss, min_sigma_v, soundness_
 from privsum.harness import ClientBehavior, Scenario
 from privsum.rng import as_generator, path_digest, seed_int, substream
 from privsum.transcript import (
+    decode_matrix,
     decode_quantized_block,
     decode_reply_batch,
     decode_vector_block,
+    encode_matrix,
     encode_quantized_block,
     encode_reply_batch,
     encode_vector_block,
@@ -166,6 +168,8 @@ TABLE = {
     "decode_reply_batch": (decode_reply_batch,
                            dict(data=encode_reply_batch(["a", "b"], np.ones((2, 3))), k=3), {
         "k": "count"}, ParameterError),
+    "decode_matrix": (decode_matrix, dict(data=encode_matrix(np.ones((2, 3))), k=2, d=3), {
+        "k": "count", "d": "count"}, ParameterError),
 
     "Scenario": (Scenario, dict(n=0, S=2, d=8, clients=(), validity_threshold=0.5,
                                 sigma_out=1.0), {
