@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,9 +62,12 @@ CLIENT_BEHAVIORS = (
     BEHAVIOR_INCONSISTENT, BEHAVIOR_PARTIAL_SEND,
 )
 
-# bytes of share values that round 0 holds for one chunk of clients; the
-# codec's uint64 and intp temporaries for a chunk come to a few times this,
-# so round 0's working memory stays about a megabyte whatever n is
+# bytes of float64 share values in one chunk: round 0's chunk of clients with
+# their S shares each, or a chunk of one verifier's decoded rows; the quantized
+# encoder's int64 and uint64 temporaries come to a few times a chunk, and the
+# decoder's to a few bytes per value beside its float64 rows (uint8 and int8
+# arrays, and index arrays over the continuation bytes only), so a chunk's
+# working memory stays about a megabyte whatever n is
 _CHUNK_BYTES = 1 << 18
 
 
@@ -132,31 +135,48 @@ def _masked_sum(M: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _deliverable(shares: list, d: int) -> tuple[list[int], np.ndarray]:
-    """The positions and stacked rows of the shares that are finite length-d
-    vectors; withheld (None) and malformed shares are left out."""
+    """The positions and stacked rows of the shares that are finite real length-d
+    vectors; withheld (None) and malformed shares are left out, text, ragged
+    nestings and complex values (whose imaginary part a cast would drop) among them."""
     rows, vectors = [], []
     for row, share in enumerate(shares):
         if share is None:
             continue
-        share = np.asarray(share, dtype=np.float64)
-        if share.shape == (d,):
-            rows.append(row)
-            vectors.append(share)
+        try:
+            share = np.asarray(share)
+            if share.dtype.kind == "c" or share.shape != (d,):
+                continue
+            vectors.append(share.astype(np.float64, copy=False))
+        except (TypeError, ValueError, OverflowError):
+            continue
+        rows.append(row)
     block = np.array(vectors).reshape(len(vectors), d)
     finite = np.isfinite(block).all(axis=1)
     return list(itertools.compress(rows, finite.tolist())), _rows(block, finite)
 
 
+def _decoded(payloads: list[bytes], d: int, decode, out: np.ndarray) -> np.ndarray:
+    """The first len(payloads) rows of out, filled with the payloads decoded in
+    order, a chunk of rows at a time so that the decoder's temporaries stay bounded."""
+    start = 0
+    for part in client_chunks(payloads, 1, d):
+        out[start:start + len(part)] = decode(part, d)
+        start += len(part)
+    return out[:start]
+
+
 class _Decided(NamedTuple):
     """What rounds 0-3 leave each verifier holding.
 
-    n counts the submissions and R[i] holds verifier i's decoded shares,
-    rows in id order, of which accepted[i] marks J*'s. outcomes covers J,
-    the clients that reached every verifier, in id order.
+    n counts the submissions and received[i] holds the payloads verifier i
+    received, rows in id order, of which accepted[i] marks J*'s; decoded(payloads)
+    decodes payloads into the session's one matrix of decoded rows. outcomes
+    covers J, the clients that reached every verifier, in id order.
     """
 
     n: int
-    R: list[np.ndarray]
+    received: list[list[bytes]]
+    decoded: Callable[[list[bytes]], np.ndarray]
     accepted: list[np.ndarray]
     outcomes: dict[str, VerificationOutcome]
 
@@ -169,6 +189,8 @@ def _verify(submissions, params: ProtocolParams, seed: int,
     Round 0 fills one client table, each id to each verifier's payload or None;
     after it the state is the clients that reached a verifier, in id order, and
     their (clients, S) mask delivered: column i is verifier i's, J its all-True rows.
+    A verifier keeps only the payloads it received, and decodes them when a round
+    computes on them, into one matrix that the verifiers take in turn.
     """
     S, d = params.S, params.d
     verifiers = [verifier_party(i) for i in range(S)]
@@ -196,17 +218,16 @@ def _verify(submissions, params: ProtocolParams, seed: int,
                     messages.append(Message(sender, verifiers[i], 0, KIND_SHARE, payload))
 
     # the clients that reached a verifier (a payload is never empty), and whom;
-    # each verifier decodes what it received into one matrix, rows in id order
+    # each verifier holds what it received, rows in id order, and decodes it when
+    # a round computes on it into one matrix, allocated once so that its pages
+    # are touched once however often it is refilled
     clients = sorted(cid for cid, entry in table.items() if any(entry))
     delivered = np.array([[p is not None for p in table[cid]] for cid in clients],
                          dtype=bool).reshape(len(clients), S)
     ids = [list(itertools.compress(clients, delivered[:, i].tolist())) for i in range(S)]
-    R = [np.empty((len(ids[i]), d)) for i in range(S)]
-    for i in range(S):
-        start = 0
-        for part in client_chunks(ids[i], S, d):
-            R[i][start:start + len(part)] = decode([table[cid][i] for cid in part], d)
-            start += len(part)
+    received = [[table[cid][i] for cid in ids[i]] for i in range(S)]
+    decoded = partial(_decoded, d=d, decode=decode,
+                      out=np.empty((max(map(len, received)), d)))
 
     # round 1: matrix broadcast
     W = session_matrix(params, seed)
@@ -219,8 +240,10 @@ def _verify(submissions, params: ProtocolParams, seed: int,
     N = noise_rows((substream(seed, "verification-noise", cid) for cid in clients),
                    params.sigma_v, (len(clients), S, params.k))
 
-    # round 2: every verifier's replies, its noise rows a view of N if it heard from all
-    Y = [None] + [project_replies(R[i], W, _rows(N[:, i], delivered[:, i])) for i in range(1, S)]
+    # round 2: every verifier's replies from its decoded rows, one product each;
+    # its noise rows are a view of N if it heard from all
+    Y = [None] + [project_replies(decoded(received[i]), W, _rows(N[:, i], delivered[:, i]))
+                  for i in range(1, S)]
 
     # verifier 0 decides for J on each verifier's rows of J; its noise rows are
     # copied out so that N is freed before the reply batches are encoded
@@ -230,8 +253,9 @@ def _verify(submissions, params: ProtocolParams, seed: int,
     for i in range(1, S):
         messages.append(Message(verifiers[i], verifiers[0], 2, KIND_REPLY,
                                 encode_reply_batch(ids[i], Y[i])))
-    v_norms = decide_norms(_rows(R[0], J[delivered[:, 0]]),
-                           [_rows(Y[i], J[delivered[:, i]]) for i in range(1, S)], W, noise)
+    in_J = list(itertools.compress(received[0], J[delivered[:, 0]].tolist()))
+    v_norms = decide_norms(decoded(in_J), [_rows(Y[i], J[delivered[:, i]]) for i in range(1, S)],
+                           W, noise)
     accepted = J.copy()  # J*
     accepted[J] = v_norms < params.tau
     outcomes = dict(zip(itertools.compress(clients, J.tolist()),
@@ -241,7 +265,8 @@ def _verify(submissions, params: ProtocolParams, seed: int,
     set_payload = encode_id_set(itertools.compress(clients, accepted.tolist()))
     for i in range(1, S):
         messages.append(Message(verifiers[0], verifiers[i], 3, KIND_ACCEPTED_SET, set_payload))
-    return _Decided(len(table), R, [accepted[delivered[:, i]] for i in range(S)], outcomes)
+    return _Decided(len(table), received, decoded,
+                    [accepted[delivered[:, i]] for i in range(S)], outcomes)
 
 
 def run_aggregation(submissions, params: ProtocolParams,
@@ -270,8 +295,9 @@ def run_aggregation(submissions, params: ProtocolParams,
     they received, so a lazy iterable lets each chunk's own arrays go
     once that chunk is delivered.
 
-    A share that is not a finite length-d vector, or that is addressed
-    to no verifier in 0..S-1, is not delivered: its client misses that
+    A share that is not a finite real length-d vector (text, a ragged
+    nesting or complex values included), or that is addressed to no
+    verifier in 0..S-1, is not delivered: its client misses that
     verifier and is left out of J, as a client that withheld the share
     would be. A repeated client id raises DuplicateClientId.
     """
@@ -283,15 +309,16 @@ def run_aggregation(submissions, params: ProtocolParams,
 
     S, d = params.S, params.d
     messages: list[Message] = []
-    n, R, accepted, outcomes = _verify(submissions, params, seed, messages)
+    n, received, decoded, accepted, outcomes = _verify(submissions, params, seed, messages)
 
-    # round 4, unless everyone aborts: partial sums of accepted rows in id order
+    # round 4, unless everyone aborts: partial sums of accepted rows in id order,
+    # each verifier decoding what it received again
     total = None
     if validity_threshold is None or validity_check(
             [cid for cid, o in outcomes.items() if o.accept], n, validity_threshold):
         total = np.zeros(d)
         for i in range(S):
-            s_i = _masked_sum(R[i], accepted[i])
+            s_i = _masked_sum(decoded(received[i]), accepted[i])
             if sigma_out is not None:
                 s_i += substream(seed, "verifier", i, "sum-noise").normal(0.0, sigma_out, size=d)
             total = total + s_i

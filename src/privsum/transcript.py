@@ -28,6 +28,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -65,12 +66,15 @@ def _check_end(data: bytes, pos: int) -> None:
         raise ParameterError(f"payload has {len(data) - pos} trailing bytes")
 
 
-def _bodies(payloads, d: int) -> bytes:
+_HEADER, _BODY = itemgetter(slice(4)), itemgetter(slice(4, None))
+
+
+def _bodies(payloads, d: int) -> bytearray:
     """The payloads' bodies joined, after checking each count header is d."""
     header = struct.pack("<I", d) if d < 1 << 32 else None  # no u32 header is d
-    if any(p[:4] != header for p in payloads):
+    if set(map(_HEADER, payloads)) - {header}:
         raise ParameterError(f"a payload's count header is not {d}")
-    return b"".join(memoryview(p)[4:] for p in payloads)
+    return bytearray().join(map(_BODY, map(memoryview, payloads)))
 
 
 def encode_vector_block(V: np.ndarray) -> list[bytes]:
@@ -84,10 +88,9 @@ def encode_vector_block(V: np.ndarray) -> list[bytes]:
 def decode_vector_block(payloads, d: int) -> np.ndarray:
     """The (m, d) array of m vector payloads, each of exactly d >= 1 values."""
     d = count(d, "d")
-    if any(len(p) != vector_bytes(d) for p in payloads):
+    if set(map(len, payloads)) - {vector_bytes(d)}:
         raise ParameterError(f"a vector payload does not hold exactly {d} values")
-    body = _bodies(payloads, d)
-    return np.frombuffer(bytearray(body), dtype="<f8").reshape(len(payloads), d)
+    return np.frombuffer(_bodies(payloads, d), dtype="<f8").reshape(len(payloads), d)
 
 
 def encode_vector(v: np.ndarray) -> bytes:
@@ -126,30 +129,33 @@ def encode_quantized_block(V: np.ndarray, step: float) -> list[bytes]:
     q = np.round(np.asarray(V, dtype=np.float64) / step).astype(np.int64)
     m, d = q.shape
     header = struct.pack("<I", d)
-    if q.size == 0:
-        return [header] * m
     z = ((q.view(np.uint64) << np.uint64(1)) ^ (q >> 63).view(np.uint64)).ravel()  # zigzag
-    # a value takes one byte per 7-bit group up to its highest non-zero one,
-    # least significant first; all of its bytes but the last carry 0x80
-    width = np.ones(z.shape, dtype=np.intp)
-    groups = 1
-    while groups < 10:
-        more = z >= np.uint64(1 << 7 * groups)
+    body = z.astype(np.uint8)  # a value below 0x80 is its own one byte
+    wide = np.flatnonzero(z >= 0x80)
+    if not wide.size:
+        data = body.tobytes()
+        return [header + data[d * r:d * (r + 1)] for r in range(m)]
+    # a wider value takes one byte per 7-bit group up to its highest non-zero
+    # one, least significant first; all of its bytes but the last carry 0x80
+    zw = z[wide]
+    width = np.full(zw.shape, 2)
+    for g in range(2, 10):
+        more = zw >= np.uint64(1 << 7 * g)
         if not more.any():
             break
         width += more
-        groups += 1
-    end = np.cumsum(width)
-    start = end - width
-    out = np.empty(int(end[-1]), dtype=np.uint8)
-    for j in range(groups):  # group j of every value that has one goes to start + j
-        index = np.flatnonzero(width > j) if j else slice(None)
-        byte = (z[index] >> np.uint64(7 * j)).astype(np.uint8) & 0x7F
-        byte |= (width[index] > j + 1).view(np.uint8) << 7
-        out[start[index] + j] = byte
-    body = out.tobytes()
-    row_ends = end[d - 1::d].tolist()
-    return [header + body[a:b] for a, b in zip([0] + row_ends[:-1], row_ends)]
+    groups = int(width.max())
+    byte = (zw[:, None] >> np.arange(0, 7 * groups, 7, dtype=np.uint64)).astype(np.uint8)
+    byte &= 0x7F
+    byte |= (np.arange(groups) < width[:, None] - 1).view(np.uint8) << 7
+    body[wide] = byte[:, 0]
+    # splice each wide value's further bytes in after its first
+    data = np.insert(body, np.repeat(wide + 1, width - 1),
+                     byte[:, 1:][np.arange(1, groups) < width[:, None]]).tobytes()
+    row_ends = np.arange(d, m * d + 1, d)
+    row_ends += np.r_[0, np.cumsum(width - 1)][np.searchsorted(wide, row_ends)]
+    row_ends = row_ends.tolist()
+    return [header + data[a:b] for a, b in zip([0] + row_ends[:-1], row_ends)]
 
 
 def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
@@ -161,26 +167,34 @@ def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
     """
     m, d = len(payloads), count(d, "d")
     raw = np.frombuffer(_bodies(payloads, d), dtype=np.uint8)
-    last = np.flatnonzero(raw < 0x80)  # each value's last byte
-    body_ends = np.cumsum([len(p) - 4 for p in payloads], dtype=np.intp)
-    if last.size != m * d or not np.array_equal(last[d - 1::d] + 1, body_ends):
+    more = np.flatnonzero(raw >= 0x80)  # every byte of a value but its last
+    # a body ends at its d-th value's last byte: it holds d last bytes, and ends in one
+    ends = np.cumsum([len(p) - 4 for p in payloads], dtype=np.intp)
+    if (raw.size - more.size != m * d
+            or (ends - np.searchsorted(more, ends) != np.arange(d, m * d + 1, d)).any()
+            or (raw[ends - 1] >= 0x80).any()):
         raise ParameterError(f"a quantized payload does not hold exactly {d} values")
-    if last.size == 0:
-        return np.empty((m, d))
-    width = np.diff(last, prepend=-1)
-    top, groups = raw[last], int(width.max())  # each value's most significant group
-    # one payload per value: only a one-byte value may end in 0x00, and a
-    # 10-byte value has one bit of its 64 left for its last byte
-    if (groups > 10 or (width[top == 0] > 1).any()
-            or groups == 10 and (top[width == 10] > 1).any()):
-        raise ParameterError("quantized payload has an over-long or non-canonical varint")
-    # walk back from each value's last byte, most significant group first
-    z = top.astype(np.uint64)
-    for j in range(1, groups):
-        index = np.flatnonzero(width > j)
-        z[index] = (z[index] << np.uint64(7)) | (raw[last[index] - j] & 0x7F)
-    q = (z >> np.uint64(1)).view(np.int64) ^ -(z & np.uint64(1)).view(np.int64)  # inverse zigzag
-    return (q * step).reshape(m, d)
+    byte = (np.delete(raw, more) if more.size else raw).view(np.int8)  # each value's last
+    out = (byte >> 1 ^ -(byte & 1)) * float(step)  # the one-byte values, unzigzagged
+    if more.size:
+        # a wider value's bytes are a run of continuation bytes and the byte after it
+        first = np.flatnonzero(np.diff(more, prepend=-2) != 1)
+        last = np.append(more[first[1:] - 1], more[-1]) + 1  # each wide value's last byte
+        width = last - more[first] + 1
+        top, groups = raw[last], int(width.max())  # its most significant group
+        # one payload per value: a wide value may not end in 0x00, and a
+        # 10-byte value has one bit of its 64 left for its last byte
+        if groups > 10 or (top == 0).any() or groups == 10 and (top[width == 10] > 1).any():
+            raise ParameterError("quantized payload has an over-long or non-canonical varint")
+        # walk back from each wide value's last byte, most significant group first
+        z = top.astype(np.uint64)
+        for j in range(1, groups):
+            index = np.flatnonzero(width > j)
+            z[index] = (z[index] << np.uint64(7)) | (raw[last[index] - j] & 0x7F)
+        q = (z >> np.uint64(1)).view(np.int64) ^ -(z & np.uint64(1)).view(np.int64)  # inverse zigzag
+        # a value's index is its first byte's position less the continuation bytes before it
+        out[more[first] - first] = q * float(step)
+    return out.reshape(m, d)
 
 
 def encode_quantized(v: np.ndarray, step: float) -> bytes:

@@ -1,6 +1,7 @@
 """Aggregation: accepted sets, abort handling, robustness, unbiasedness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,13 +118,18 @@ class TestRunAggregation:
         assert subs[0].client_id not in result.per_client_outcomes
         assert len(result.accepted) == 3
 
-    @pytest.mark.parametrize("fault", ["nan", "inf", "wrong-length", "index -1", "index 3"])
+    @pytest.mark.parametrize("fault", ["nan", "inf", "wrong-length", "index -1", "index 3",
+                                       "text", "ragged", "complex"])
     def test_malformed_share_excludes_only_its_client(self, fault):
         params = small_params(S=3)
         subs = [s for _, s in honest_submissions(5, params, 41)]
         payloads = dict(subs[2].payloads)
         if fault == "wrong-length":
             payloads[1] = payloads[1][:-1]
+        elif fault in ("text", "ragged", "complex"):
+            # not a vector of real numbers; a float64 cast would drop the imaginary part
+            payloads[1] = {"text": "oops", "ragged": [1, 2, [3], 4],
+                           "complex": payloads[1] + 0.5j}[fault]
         elif fault.startswith("index"):
             # verifier 1's share addressed to a verifier that does not exist
             payloads[int(fault.split()[1])] = payloads.pop(1)
@@ -209,6 +215,23 @@ def sequential_sum(M, mask):
     for r in np.flatnonzero(mask):
         s += M[r]
     return s
+
+
+class TestMemory:
+    def test_one_decoded_share_matrix_at_a_time(self):
+        # verifiers keep the payloads they received and decode one verifier's
+        # rows at a time, so a session's peak stays below the S decoded (n, d)
+        # matrices that holding every verifier's rows at once would take
+        n, S, d = 100, 3, 2048
+        params = small_params(S=S, d=d, trunc_b=32.0, quant_step=0.25)
+        scenario = honest_scenario(n, S, d)
+        tracemalloc.start()
+        try:
+            run_scenario(scenario, params, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < S * n * d * 8
 
 
 class TestPartialSum:

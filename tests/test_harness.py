@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from privsum import (
@@ -80,6 +80,36 @@ def reference_quantized(grid: list[int]) -> bytes:
             z >>= 7
         out.append(z)
     return bytes(out)
+
+
+# varint bytes: the edges of a group and of a continuation, and any other byte
+VARINT_BYTES = st.sampled_from((0x00, 0x01, 0x7F, 0x80, 0x81, 0xFF)) | st.integers(0, 0xFF)
+# pieces of a varint body: one byte, or a run of up to 10 of one continuation byte
+PIECES = (st.lists(VARINT_BYTES, min_size=1, max_size=1)
+          | st.builds(lambda byte, n: [byte] * n, st.sampled_from((0x80, 0xFF)), st.integers(1, 10)))
+
+
+@st.composite
+def near_payloads(draw, d: int, quantized: bool) -> bytes:
+    """Bytes near one payload of d values: d's count header, mostly, and a body
+    of loose pieces or a valid payload's, with one byte changed to a piece, a
+    piece inserted or one byte removed."""
+    header = struct.pack("<I", draw(st.just(d) | st.integers(0, 2 ** 32 - 1)))
+    if quantized:
+        valid = reference_quantized(draw(st.lists(st.integers(-2 ** 53, 2 ** 53),
+                                                  min_size=d, max_size=d)))[4:]
+        loose = sum(draw(st.lists(PIECES, max_size=2 * d + 2)), [])
+    else:
+        valid = draw(st.binary(min_size=8 * d, max_size=8 * d))
+        loose = draw(st.binary(max_size=8 * d + 9))
+    body = list(valid if draw(st.booleans()) else loose)
+    at = draw(st.integers(0, len(body)))
+    edit = draw(st.sampled_from(("keep", "change", "insert", "remove")))
+    if edit == "insert" or edit == "change" and at < len(body):
+        body[at:at + (edit == "change")] = draw(PIECES)
+    elif edit == "remove":
+        del body[at:at + 1]
+    return header + bytes(body)
 
 
 def quantized_golden_run():
@@ -175,6 +205,53 @@ class TestCodecs:
         assert sorted({len(reference_quantized([q])) - 4 for q in grid}) == list(range(1, 11))
         assert encode_quantized_block(V, 1.0) == expected
         np.testing.assert_array_equal(decode_quantized_block(expected, 5, 1.0), V)
+
+    def test_quantized_block_wide_values_at_row_edges(self):
+        # a wide value's further bytes are spliced in after its first byte: a
+        # wide value that starts a row, ends it or is its only value moves
+        # every row boundary after it
+        for grid in ([[300, 1, -2, 70000], [64, 0, 0, 2 ** 40], [-64, 63, -65, 2]],
+                     [[200], [3], [-2 ** 62], [0], [64]]):
+            V = np.array(grid, dtype=np.float64)
+            expected = [reference_quantized(row) for row in grid]
+            assert encode_quantized_block(V, 1.0) == expected
+            np.testing.assert_array_equal(decode_quantized_block(expected, V.shape[1], 1.0), V)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 4), st.integers(1, 6), st.sampled_from([1.0, 0.25]), st.data())
+    def test_decoders_accept_only_canonical_bytes(self, m, d, step, data):
+        # any bytes either raise ParameterError or decode to values that
+        # re-encode to exactly those bytes, block by block and payload by payload
+        def canonical(decode, encode, payloads, quantized):
+            try:
+                values = decode()
+            except ParameterError:
+                return
+            # above 2^53 grid steps a float64 value stands for more than one
+            # payload (ROADMAP item 9; see test_grid_values_past_2_53_share_a_value)
+            assume(not quantized or np.all(np.abs(values) <= 2.0 ** 53 * step))
+            assert encode(values) == payloads
+
+        for quantized in (True, False):
+            payloads = data.draw(st.lists(near_payloads(d, quantized), min_size=m, max_size=m))
+            if quantized:
+                canonical(partial(decode_quantized_block, payloads, d, step),
+                          partial(encode_quantized_block, step=step), payloads, True)
+                for p in payloads:
+                    canonical(partial(decode_quantized, p, step),
+                              partial(encode_quantized, step=step), p, True)
+            else:
+                canonical(partial(decode_vector_block, payloads, d),
+                          encode_vector_block, payloads, False)
+                for p in payloads:
+                    canonical(partial(decode_vector, p), encode_vector, p, False)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the quantized decoder does "
+                                           "not yet bound |q| by trunc_b / quant_step")
+    def test_grid_values_past_2_53_share_a_value(self):
+        # canonical varints of q = 2^53 and 2^53 + 1 decode to one float64
+        data = reference_quantized([2 ** 53 + 1])
+        assert encode_quantized(decode_quantized(data, 1.0), 1.0) == data
 
     def test_empty_blocks(self):
         assert encode_quantized_block(np.empty((0, 3)), 1.0) == []

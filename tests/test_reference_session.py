@@ -14,6 +14,7 @@ reference's messages, hash, outcomes, J*, sum (bit for bit) and abort.
 import hashlib
 import math
 import struct
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -103,7 +104,12 @@ def reference(submissions, params, seed, threshold=None, sigma_out=None):
             share = payloads.get(i)
             if share is None:
                 continue
-            share = np.asarray(share, dtype=np.float64)
+            try:  # a share that is not real numbers is not delivered
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", np.exceptions.ComplexWarning)
+                    share = np.asarray(share, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning):
+                continue
             if share.shape != (d,) or not np.isfinite(share).all():
                 continue
             if params.trunc_b is None:
@@ -230,7 +236,8 @@ def test_scenarios_match_the_reference(shape, seed, options, data):
 
 
 # what a submission may carry for one verifier: a delivered share, mostly, or one that is not
-PAYLOADS = ("share",) * 8 + ("list", "none", "missing", "short", "matrix", "nan", "inf")
+PAYLOADS = ("share",) * 8 + ("list", "none", "missing", "short", "matrix", "nan", "inf",
+                             "text", "ragged", "complex")
 
 
 @settings(max_examples=120, deadline=None)
@@ -254,7 +261,8 @@ def test_malformed_and_partial_submissions_match_the_reference(shape, seed, opti
             if kind != "missing":
                 payloads[i if i < S else data.draw(st.sampled_from((-1, S)))] = {
                     "list": share.tolist(), "none": None, "short": share[1:],
-                    "matrix": share[None]}.get(kind, share)
+                    "matrix": share[None], "text": "share", "complex": share + 0.5j,
+                    "ragged": [share[0], share[1:].tolist()]}.get(kind, share)
         submissions.append(ClientSubmission(cid, payloads))
     engine = run(run_aggregation, iter(submissions), params, seed=seed,
                  validity_threshold=options["threshold"], sigma_out=options["sigma_out"])
