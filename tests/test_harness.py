@@ -249,9 +249,14 @@ class TestCodecs:
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the quantized decoder does "
                                            "not yet bound |q| by trunc_b / quant_step")
     def test_grid_values_past_2_53_share_a_value(self):
-        # canonical varints of q = 2^53 and 2^53 + 1 decode to one float64
+        # canonical varints of q = 2^53 and 2^53 + 1 decode to one float64;
+        # the payload must be refused or re-encode to itself
         data = reference_quantized([2 ** 53 + 1])
-        assert encode_quantized(decode_quantized(data, 1.0), 1.0) == data
+        try:
+            values = decode_quantized(data, 1.0)
+        except ParameterError:
+            return
+        assert encode_quantized(values, 1.0) == data
 
     def test_empty_blocks(self):
         assert encode_quantized_block(np.empty((0, 3)), 1.0) == []
