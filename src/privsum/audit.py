@@ -241,8 +241,10 @@ PATTERN_SPREAD = "spread"
 PATTERNS = (PATTERN_RANDOM, PATTERN_CONCENTRATED, PATTERN_SPREAD)
 
 # most bytes of standard normals one Monte Carlo chunk draws (a chunk holds
-# at least one trial); small enough not to raise a run's peak memory
-_CHUNK_BYTES = 1 << 20
+# at least one trial); small enough not to raise a run's peak memory, with
+# the two lanes of `privsum audit` each holding one chunk's block at once.
+# No result depends on it.
+_CHUNK_BYTES = 1 << 19
 
 
 def _normal_chunks(rng: np.random.Generator, trials: int, *shapes: tuple[int, ...]):

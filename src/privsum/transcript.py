@@ -163,7 +163,10 @@ def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
 
     The bodies are decoded joined, so each must end exactly at its d-th
     value: a payload that is short, runs on, or has another count raises
-    ParameterError rather than shifting the payloads after it.
+    ParameterError rather than shifting the payloads after it. So does a
+    grid value q with |q| > 2^53, where float64 would give two payloads one
+    decoding; ProtocolParams keeps honest shares within trunc_b / quant_step
+    <= 2^53 steps.
     """
     m, d = len(payloads), count(d, "d")
     raw = np.frombuffer(_bodies(payloads, d), dtype=np.uint8)
@@ -182,15 +185,21 @@ def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
         last = np.append(more[first[1:] - 1], more[-1]) + 1  # each wide value's last byte
         width = last - more[first] + 1
         top, groups = raw[last], int(width.max())  # its most significant group
-        # one payload per value: a wide value may not end in 0x00, and a
-        # 10-byte value has one bit of its 64 left for its last byte
-        if groups > 10 or (top == 0).any() or groups == 10 and (top[width == 10] > 1).any():
+        # one payload per value: a wide value may not end in 0x00
+        if (top == 0).any():
             raise ParameterError("quantized payload has an over-long or non-canonical varint")
+        # past |q| = 2^53 a float64 no longer holds every grid value, so two
+        # payloads could decode to one vector; |q| <= 2^53 is zigzag <= 2^54,
+        # which takes at most 8 bytes
+        if groups > 8:
+            raise ParameterError("quantized payload holds a grid value past 2^53")
         # walk back from each wide value's last byte, most significant group first
         z = top.astype(np.uint64)
         for j in range(1, groups):
             index = np.flatnonzero(width > j)
             z[index] = (z[index] << np.uint64(7)) | (raw[last[index] - j] & 0x7F)
+        if groups == 8 and (z > np.uint64(1 << 54)).any():
+            raise ParameterError("quantized payload holds a grid value past 2^53")
         q = (z >> np.uint64(1)).view(np.int64) ^ -(z & np.uint64(1)).view(np.int64)  # inverse zigzag
         # a value's index is its first byte's position less the continuation bytes before it
         out[more[first] - first] = q * float(step)

@@ -23,7 +23,7 @@ from privsum import (
     substream,
     two_sample_closeness,
 )
-from privsum import audit
+from privsum import audit, cli
 from privsum.audit import (
     PATTERN_CONCENTRATED,
     PATTERN_RANDOM,
@@ -430,3 +430,11 @@ class TestMemoryBound:
         views = 2 * samples * len(T) * 8 * 8
         peak = self.traced_peak(lambda: share_simulation_check(3, T, 10.0, samples, 0))
         assert peak < views + 2 * audit._CHUNK_BYTES + (1 << 20)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_audit_battery_holds_one_share_simulation(self, monkeypatch, seed):
+        # with the share simulations in one lane the battery peaks near
+        # 4.5 MiB; a schedule that runs two of them at once read 5.4-6.1 MiB,
+        # and more where the lanes truly overlap
+        monkeypatch.setattr(cli, "_lane_count", lambda: 2)
+        assert self.traced_peak(lambda: cli._audit_rows(20_000, seed)) < 5.5 * (1 << 20)

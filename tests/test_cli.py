@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from privsum import cli
 from privsum.cli import EXIT_ABORT, EXIT_OK, EXIT_USAGE, ExperimentConfig, main
 from privsum.core import calibrate
-from privsum.errors import ScenarioError
+from privsum.errors import ParameterError, ScenarioError
 from privsum.harness import Scenario, scenario_client_ids
 
 
@@ -355,6 +356,48 @@ class TestAuditCommand:
         assert code == EXIT_OK
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "84c6c2b51a92c24b9a4bb4619839555bf10b66c698253b62a61c2bf1185932dd")
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_two_lanes_give_the_rows_of_one(self, monkeypatch, seed):
+        rows = {}
+        for lanes in (2, 1):
+            monkeypatch.setattr(cli, "_lane_count", lambda: lanes)
+            rows[lanes] = cli._audit_rows(2000, seed)
+        assert rows[2] == rows[1]
+        assert len(rows[2]) == 27
+
+    # the completeness check runs on the worker lane, the share simulations
+    # and the chi^2 rows on the calling one; the chi^2 rows come first in
+    # the report, though the share simulations run first
+    FAILING = {
+        "completeness": (("completeness_check",), "completeness_check failed"),
+        "share-sim": (("share_simulation_check",), "share_simulation_check failed"),
+        "share-sim and chi2": (("share_simulation_check", "chi2_tail_checks"),
+                               "chi2_tail_checks failed"),
+        "soundness and completeness": (("soundness_check", "completeness_check"),
+                                       "completeness_check failed"),
+    }
+
+    @pytest.mark.parametrize("lanes", [2, 1])
+    @pytest.mark.parametrize("failing, message", FAILING.values(), ids=FAILING.keys())
+    def test_failing_check_is_one_error_line(self, capsys, monkeypatch, lanes, failing,
+                                             message):
+        def fail(name, original):
+            def check(*args):
+                # the S=3, T=(1, 2) share simulation alone, the last of the three
+                if name != "share_simulation_check" or args[:2] == (3, (1, 2)):
+                    raise ParameterError(f"{name} failed")
+                return original(*args)
+            return check
+
+        for name in failing:
+            monkeypatch.setattr(cli.audit_mod, name, fail(name, getattr(cli.audit_mod, name)))
+        monkeypatch.setattr(cli, "_lane_count", lambda: lanes)
+        threads = threading.active_count()
+        code, out, err = run_cli(capsys, "audit", "--samples", "2000", "--seed", "0")
+        assert threading.active_count() == threads
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestOutputDirOverride:

@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privsum import (
@@ -80,6 +80,16 @@ def reference_quantized(grid: list[int]) -> bytes:
             z >>= 7
         out.append(z)
     return bytes(out)
+
+
+def decodes_or_refuses(decode, grid, expected):
+    """decode() gives expected where every grid value is within 2^53 steps,
+    each of which float64 holds, and refuses the payload otherwise."""
+    if any(abs(q) > 2 ** 53 for q in grid):
+        with pytest.raises(ParameterError, match=r"past 2\^53"):
+            decode()
+    else:
+        np.testing.assert_array_equal(decode(), expected)
 
 
 # varint bytes: the edges of a group and of a continuation, and any other byte
@@ -182,7 +192,7 @@ class TestCodecs:
         grid = [int(x) for x in v]  # the integers float64 holds
         expected = reference_quantized(grid)
         assert encode_quantized(v, 1.0) == expected
-        assert decode_quantized(expected, 1.0).tolist() == [float(q) for q in grid]
+        decodes_or_refuses(partial(decode_quantized, expected, 1.0), grid, v)
 
     @given(st.integers(0, 4), st.integers(1, 6), st.data())
     def test_quantized_block_matches_reference_loop(self, m, d, data):
@@ -191,7 +201,8 @@ class TestCodecs:
         V = np.array(values, dtype=np.float64).reshape(m, d)
         expected = [reference_quantized([int(x) for x in row]) for row in V]
         assert encode_quantized_block(V, 1.0) == expected
-        np.testing.assert_array_equal(decode_quantized_block(expected, d, 1.0), V)
+        decodes_or_refuses(partial(decode_quantized_block, expected, d, 1.0),
+                           [int(x) for x in V.ravel()], V)
 
     def test_quantized_block_covers_every_width(self):
         # the smallest and largest zigzag value of each width, 1 to 10 bytes
@@ -204,14 +215,19 @@ class TestCodecs:
         expected = [reference_quantized(grid[5 * r:5 * r + 5]) for r in range(4)]
         assert sorted({len(reference_quantized([q])) - 4 for q in grid}) == list(range(1, 11))
         assert encode_quantized_block(V, 1.0) == expected
-        np.testing.assert_array_equal(decode_quantized_block(expected, 5, 1.0), V)
+        # the decoder reads every width up to 8 bytes, and refuses the last
+        # row's values, 8 to 10 bytes wide and past 2^53
+        np.testing.assert_array_equal(decode_quantized_block(expected[:3], 5, 1.0), V[:3])
+        for q in grid[15:]:
+            decodes_or_refuses(partial(decode_quantized, reference_quantized([q]), 1.0),
+                               [q], None)
 
     def test_quantized_block_wide_values_at_row_edges(self):
         # a wide value's further bytes are spliced in after its first byte: a
         # wide value that starts a row, ends it or is its only value moves
-        # every row boundary after it
+        # every row boundary after it; +-2^53 are the widest grid values decoded
         for grid in ([[300, 1, -2, 70000], [64, 0, 0, 2 ** 40], [-64, 63, -65, 2]],
-                     [[200], [3], [-2 ** 62], [0], [64]]):
+                     [[200], [3], [-2 ** 53], [0], [2 ** 53]]):
             V = np.array(grid, dtype=np.float64)
             expected = [reference_quantized(row) for row in grid]
             assert encode_quantized_block(V, 1.0) == expected
@@ -222,32 +238,27 @@ class TestCodecs:
     def test_decoders_accept_only_canonical_bytes(self, m, d, step, data):
         # any bytes either raise ParameterError or decode to values that
         # re-encode to exactly those bytes, block by block and payload by payload
-        def canonical(decode, encode, payloads, quantized):
+        def canonical(decode, encode, payloads):
             try:
                 values = decode()
             except ParameterError:
                 return
-            # above 2^53 grid steps a float64 value stands for more than one
-            # payload (ROADMAP item 9; see test_grid_values_past_2_53_share_a_value)
-            assume(not quantized or np.all(np.abs(values) <= 2.0 ** 53 * step))
             assert encode(values) == payloads
 
         for quantized in (True, False):
             payloads = data.draw(st.lists(near_payloads(d, quantized), min_size=m, max_size=m))
             if quantized:
                 canonical(partial(decode_quantized_block, payloads, d, step),
-                          partial(encode_quantized_block, step=step), payloads, True)
+                          partial(encode_quantized_block, step=step), payloads)
                 for p in payloads:
                     canonical(partial(decode_quantized, p, step),
-                              partial(encode_quantized, step=step), p, True)
+                              partial(encode_quantized, step=step), p)
             else:
                 canonical(partial(decode_vector_block, payloads, d),
-                          encode_vector_block, payloads, False)
+                          encode_vector_block, payloads)
                 for p in payloads:
-                    canonical(partial(decode_vector, p), encode_vector, p, False)
+                    canonical(partial(decode_vector, p), encode_vector, p)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the quantized decoder does "
-                                           "not yet bound |q| by trunc_b / quant_step")
     def test_grid_values_past_2_53_share_a_value(self):
         # canonical varints of q = 2^53 and 2^53 + 1 decode to one float64;
         # the payload must be refused or re-encode to itself
@@ -301,10 +312,17 @@ class TestCodecs:
             decode_quantized(bytes.fromhex("01000000" + body), 1.0)
 
     def test_largest_grid_values_round_trip(self):
-        v = np.array([2.0 ** 62, -2.0 ** 62])  # zigzag 2^63 in ten bytes, 2^63 - 1 in nine
+        # zigzag 2^54 and 2^54 - 1 in eight bytes each: the widest decoded
+        v = np.array([2.0 ** 53, -2.0 ** 53])
+        data = encode_quantized(v, 1.0)
+        assert data == bytes.fromhex("02000000" "8080808080808020" "ffffffffffffff1f")
+        assert decode_quantized(data, 1.0).tolist() == v.tolist()
+        # zigzag 2^63 in ten bytes, 2^63 - 1 in nine: encoded, and refused
+        v = np.array([2.0 ** 62, -2.0 ** 62])
         data = encode_quantized(v, 1.0)
         assert data == bytes.fromhex("02000000" "80808080808080808001" "ffffffffffffffff7f")
-        assert decode_quantized(data, 1.0).tolist() == v.tolist()
+        with pytest.raises(ParameterError, match=r"past 2\^53"):
+            decode_quantized(data, 1.0)
 
     @pytest.mark.parametrize("fault", ["short", "trailing 0x80", "count"])
     def test_malformed_payload_in_a_block_rejected(self, fault):
