@@ -11,6 +11,7 @@ after the accepted-set broadcast.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -27,18 +28,16 @@ from .transcript import (
     KIND_PARTIAL_SUM,
     KIND_REPLY,
     KIND_SHARE,
-    Message,
+    SessionParties,
     Transcript,
-    client_party,
+    TranscriptWriter,
     decode_quantized_block,
-    decode_vector_block,
     encode_id_set,
-    encode_matrix,
-    encode_quantized_block,
-    encode_reply_batch,
     encode_vector,
-    encode_vector_block,
-    verifier_party,
+    matrix_slot,
+    quantized_payloads,
+    reply_batch,
+    write_vector_rows,
 )
 from .verification import (
     VerificationOutcome,
@@ -47,10 +46,11 @@ from .verification import (
     project_replies,
     session_matrix,
 )
-# the per-client and one-payload forms stay bound here, where
-# perfbench/tracing.py counts their calls; sessions run the block forms
+# the per-client, one-payload and bytes forms stay bound here, where
+# perfbench/tracing.py counts their calls; sessions run the block forms and
+# write their payloads into the transcript's store
 from .core import as_vector  # noqa: F401
-from .transcript import encode_quantized  # noqa: F401
+from .transcript import encode_matrix, encode_quantized, encode_reply_batch  # noqa: F401
 from .verification import project_reply, verifier0_decide  # noqa: F401
 
 BEHAVIOR_HONEST = "honest"
@@ -155,94 +155,163 @@ def _deliverable(shares: list, d: int) -> tuple[list[int], np.ndarray]:
     return list(itertools.compress(rows, finite.tolist())), _rows(block, finite)
 
 
-def _decoded(payloads: list[bytes], d: int, decode, out: np.ndarray) -> np.ndarray:
-    """The first len(payloads) rows of out, filled with the payloads decoded in
-    order, a chunk of rows at a time so that the decoder's temporaries stay bounded."""
+def _permute_rows(M: np.ndarray, src: np.ndarray) -> None:
+    """Set M[r] to the old M[src[r]] for every row r, in place: each cycle of
+    the permutation moves with one row of scratch."""
+    src, done, spare = src.tolist(), bytearray(len(src)), np.empty_like(M[:1])
+    for start in range(len(src)):
+        if done[start] or src[start] == start:
+            continue
+        spare[0], r = M[start], start
+        while src[r] != start:
+            M[r], done[r], r = M[src[r]], True, src[r]
+        M[r], done[r] = spare[0], True
+
+
+def _float_shares(regions: list[np.ndarray], i: int, mask=None) -> np.ndarray:
+    """Verifier i's share rows in id order, or those where mask holds: a
+    strided view of the values in its payloads, copied only to select rows."""
+    R = regions[i][:, 1:]
+    return R if mask is None else _rows(R, mask)
+
+
+def _quantized_shares(blocks: list[np.ndarray], where: list[np.ndarray], decode,
+                      out: np.ndarray, i: int, mask=None) -> np.ndarray:
+    """Verifier i's share rows in id order, or those where mask holds, decoded
+    into the first rows of out a chunk of rows at a time, so that the decoder's
+    temporaries stay bounded; where[i] holds the block, offset and length of
+    each of its payloads, rows in id order."""
+    views = [memoryview(b) for b in blocks]
+    blk, offset, length = (where[i] if mask is None else where[i][:, mask]).tolist()
     start = 0
-    for part in client_chunks(payloads, 1, d):
-        out[start:start + len(part)] = decode(part, d)
+    for part in client_chunks(zip(blk, offset, length), 1, out.shape[1]):
+        out[start:start + len(part)] = decode([views[b][a:a + m] for b, a, m in part],
+                                              out.shape[1])
         start += len(part)
     return out[:start]
+
+
+def _deliver(submissions, params: ProtocolParams, writer: TranscriptWriter):
+    """Round 0, share delivery, a chunk of clients at a time, written into the
+    store: (n, clients, delivered, shares).
+
+    n counts the submissions; clients are those that reached a verifier, in id
+    order, and delivered their (clients, S) mask: column i is verifier i's, J its
+    all-True rows. shares(i, mask=None) gives verifier i's share rows in id
+    order, or those where mask holds.
+
+    A float64 verifier's payloads lie in one array of the store, each after 4 pad
+    bytes so that its values are 8-byte aligned, and its rows are a strided view
+    of them. The array is sized from the submissions' length when they have one
+    (and doubles when it runs out), filled in delivery order, then put in id
+    order in place. A quantized payload stays in its chunk's block, and a
+    verifier decodes its rows into one matrix, allocated once so that its pages
+    are touched once however often it is refilled.
+    """
+    S, d = params.S, params.d
+    quantized = params.trunc_b is not None
+    size = 0 if quantized else operator.length_hint(submissions)
+    regions = [np.empty((size, d + 1)) for _ in range(S)]
+    used = [0] * S
+    # per verifier, per chunk: its block and payload bounds, after an entry of none
+    encoded = [[(0, np.zeros(1, dtype=np.intp))] for _ in range(S)]
+    index: dict[str, int] = {}  # client id -> its submission's number
+    sent = [np.zeros((0, S), dtype=bool)]  # per chunk, its clients' (m, S) delivery mask
+    for chunk in client_chunks(submissions, S, d):
+        sent.append(np.zeros((len(chunk), S), dtype=bool))
+        for i in range(S):
+            rows, block = _deliverable([sub.payloads.get(i) for sub in chunk], d)
+            sent[-1][rows, i] = True
+            if quantized:
+                data, bounds = quantized_payloads(block, params.quant_step)
+                encoded[i].append((writer.put(data), bounds))
+                continue
+            a, b = used[i], used[i] + len(rows)
+            if b > len(regions[i]):
+                grown = np.empty((max(2 * len(regions[i]), b), d + 1))
+                grown[:a] = regions[i][:a]
+                regions[i] = grown
+            write_vector_rows(regions[i][a:b], block)
+            used[i] = b
+        for sub in chunk:
+            number = len(index)
+            if index.setdefault(sub.client_id, number) != number:
+                raise DuplicateClientId(f"duplicate client id {sub.client_id!r}")
+
+    # the clients that reached a verifier, in id order, and whom
+    sent = np.concatenate(sent)
+    ids = list(index)
+    order = sorted(np.flatnonzero(sent.any(axis=1)).tolist(), key=ids.__getitem__)
+    clients, delivered = [ids[s] for s in order], sent[order]
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+
+    # where each delivered payload lies, [block, offset, length] by (submission, verifier)
+    where = np.zeros((3, len(ids), S), dtype=np.int64)
+    for i in range(S):
+        subs = np.flatnonzero(sent[:, i])  # its submissions, in delivery order
+        by_id = np.argsort(rank[subs])  # their rows, taken in id order
+        if quantized:
+            blocks, bounds = zip(*encoded[i])
+            where[0, subs, i] = np.repeat(blocks, [len(b) - 1 for b in bounds])
+            where[1, subs, i] = np.concatenate([b[:-1] for b in bounds])
+            where[2, subs, i] = np.concatenate([b[1:] for b in bounds]) - where[1, subs, i]
+            encoded[i] = where[:, subs[by_id], i]
+            continue
+        regions[i] = regions[i][:len(subs)]
+        _permute_rows(regions[i], by_id)
+        where[0, subs, i], where[2, subs, i] = writer.put(regions[i]), 8 * d + 4
+        where[1, subs[by_id], i] = 8 * (d + 1) * np.arange(len(subs)) + 4
+    senders, receivers = np.nonzero(sent)  # delivery order
+    writer.send(S + rank[senders], receivers, 0, KIND_SHARE, *where[:, senders, receivers])
+    if quantized:
+        shares = partial(_quantized_shares, writer.blocks, encoded,
+                         partial(decode_quantized_block, step=params.quant_step),
+                         np.empty((max(h.shape[1] for h in encoded), d)))
+    else:
+        shares = partial(_float_shares, regions)
+    return len(ids), clients, delivered, shares
 
 
 class _Decided(NamedTuple):
     """What rounds 0-3 leave each verifier holding.
 
-    n counts the submissions and received[i] holds the payloads verifier i
-    received, rows in id order, of which accepted[i] marks J*'s; decoded(payloads)
-    decodes payloads into the session's one matrix of decoded rows. outcomes
-    covers J, the clients that reached every verifier, in id order.
+    n counts the submissions and parties is the party table; shares(i) gives
+    verifier i's share rows in id order, of which accepted[i] marks J*'s.
+    outcomes covers J, the clients that reached every verifier, in id order.
     """
 
     n: int
-    received: list[list[bytes]]
-    decoded: Callable[[list[bytes]], np.ndarray]
+    parties: SessionParties
+    shares: Callable[[int], np.ndarray]
     accepted: list[np.ndarray]
     outcomes: dict[str, VerificationOutcome]
 
 
 def _verify(submissions, params: ProtocolParams, seed: int,
-            messages: list[Message]) -> _Decided:
-    """Rounds 0-3, appended to messages: share delivery, the matrix broadcast,
+            writer: TranscriptWriter) -> _Decided:
+    """Rounds 0-3, written into writer: share delivery, the matrix broadcast,
     every verifier's reply batch, and verifier 0's accepted-set broadcast.
 
-    Round 0 fills one client table, each id to each verifier's payload or None;
-    after it the state is the clients that reached a verifier, in id order, and
-    their (clients, S) mask delivered: column i is verifier i's, J its all-True rows.
-    A verifier keeps only the payloads it received, and decodes them when a round
-    computes on them, into one matrix that the verifiers take in turn.
+    The party table is verifier:0 .. verifier:S-1, then the clients that
+    reached a verifier in id order.
     """
     S, d = params.S, params.d
-    verifiers = [verifier_party(i) for i in range(S)]
+    n, clients, delivered, shares = _deliver(submissions, params, writer)
 
-    # round 0: share delivery, a chunk of clients at a time; each verifier's
-    # shares in a chunk are encoded as one block and sent client by client
-    if params.trunc_b is not None:
-        encode = partial(encode_quantized_block, step=params.quant_step)
-        decode = partial(decode_quantized_block, step=params.quant_step)
-    else:
-        encode, decode = encode_vector_block, decode_vector_block
-    table: dict[str, list[bytes | None]] = {}
-    for chunk in client_chunks(submissions, S, d):
-        entries = [[None] * S for _ in chunk]
-        for i in range(S):
-            rows, block = _deliverable([sub.payloads.get(i) for sub in chunk], d)
-            for row, payload in zip(rows, encode(block)):
-                entries[row][i] = payload
-        for sub, entry in zip(chunk, entries):
-            if table.setdefault(sub.client_id, entry) is not entry:
-                raise DuplicateClientId(f"duplicate client id {sub.client_id!r}")
-            sender = client_party(sub.client_id)
-            for i, payload in enumerate(entry):
-                if payload is not None:
-                    messages.append(Message(sender, verifiers[i], 0, KIND_SHARE, payload))
-
-    # the clients that reached a verifier (a payload is never empty), and whom;
-    # each verifier holds what it received, rows in id order, and decodes it when
-    # a round computes on it into one matrix, allocated once so that its pages
-    # are touched once however often it is refilled
-    clients = sorted(cid for cid, entry in table.items() if any(entry))
-    delivered = np.array([[p is not None for p in table[cid]] for cid in clients],
-                         dtype=bool).reshape(len(clients), S)
-    ids = [list(itertools.compress(clients, delivered[:, i].tolist())) for i in range(S)]
-    received = [[table[cid][i] for cid in ids[i]] for i in range(S)]
-    decoded = partial(_decoded, d=d, decode=decode,
-                      out=np.empty((max(map(len, received)), d)))
-
-    # round 1: matrix broadcast
-    W = session_matrix(params, seed)
-    w_payload = encode_matrix(W)
-    for i in range(1, S):
-        messages.append(Message(verifiers[0], verifiers[i], 1, KIND_MATRIX, w_payload))
+    # round 1: matrix broadcast; W is the values of its payload
+    payload, W = matrix_slot(params.k, d)
+    W[...] = session_matrix(params, seed)
+    writer.send(0, np.arange(1, S), 1, KIND_MATRIX, writer.put(payload))
 
     # each client that reached a verifier draws one (S, k) block from its own
     # stream: row i is verifier i's reply noise, row 0 verifier 0's decision noise
     N = noise_rows((substream(seed, "verification-noise", cid) for cid in clients),
                    params.sigma_v, (len(clients), S, params.k))
 
-    # round 2: every verifier's replies from its decoded rows, one product each;
+    # round 2: every verifier's replies from its share rows, one product each;
     # its noise rows are a view of N if it heard from all
-    Y = [None] + [project_replies(decoded(received[i]), W, _rows(N[:, i], delivered[:, i]))
+    Y = [None] + [project_replies(shares(i), W, _rows(N[:, i], delivered[:, i]))
                   for i in range(1, S)]
 
     # verifier 0 decides for J on each verifier's rows of J; its noise rows are
@@ -251,11 +320,10 @@ def _verify(submissions, params: ProtocolParams, seed: int,
     noise = N[J, 0]
     del N
     for i in range(1, S):
-        messages.append(Message(verifiers[i], verifiers[0], 2, KIND_REPLY,
-                                encode_reply_batch(ids[i], Y[i])))
-    in_J = list(itertools.compress(received[0], J[delivered[:, 0]].tolist()))
-    v_norms = decide_norms(decoded(in_J), [_rows(Y[i], J[delivered[:, i]]) for i in range(1, S)],
-                           W, noise)
+        batch = reply_batch(list(itertools.compress(clients, delivered[:, i].tolist())), Y[i])
+        writer.send(i, 0, 2, KIND_REPLY, writer.put(batch))
+    v_norms = decide_norms(shares(0, J[delivered[:, 0]]),
+                           [_rows(Y[i], J[delivered[:, i]]) for i in range(1, S)], W, noise)
     accepted = J.copy()  # J*
     accepted[J] = v_norms < params.tau
     outcomes = dict(zip(itertools.compress(clients, J.tolist()),
@@ -263,9 +331,8 @@ def _verify(submissions, params: ProtocolParams, seed: int,
 
     # round 3: accepted-set broadcast
     set_payload = encode_id_set(itertools.compress(clients, accepted.tolist()))
-    for i in range(1, S):
-        messages.append(Message(verifiers[0], verifiers[i], 3, KIND_ACCEPTED_SET, set_payload))
-    return _Decided(len(table), received, decoded,
+    writer.send(0, np.arange(1, S), 3, KIND_ACCEPTED_SET, writer.put(set_payload))
+    return _Decided(n, SessionParties(S, clients), shares,
                     [accepted[delivered[:, i]] for i in range(S)], outcomes)
 
 
@@ -308,25 +375,23 @@ def run_aggregation(submissions, params: ProtocolParams,
     seed = integer(seed, "seed")
 
     S, d = params.S, params.d
-    messages: list[Message] = []
-    n, received, decoded, accepted, outcomes = _verify(submissions, params, seed, messages)
+    writer = TranscriptWriter()
+    n, parties, shares, accepted, outcomes = _verify(submissions, params, seed, writer)
 
-    # round 4, unless everyone aborts: partial sums of accepted rows in id order,
-    # each verifier decoding what it received again
+    # round 4, unless everyone aborts: partial sums of accepted rows in id order
     total = None
     if validity_threshold is None or validity_check(
             [cid for cid, o in outcomes.items() if o.accept], n, validity_threshold):
         total = np.zeros(d)
         for i in range(S):
-            s_i = _masked_sum(decoded(received[i]), accepted[i])
+            s_i = _masked_sum(shares(i), accepted[i])
             if sigma_out is not None:
                 s_i += substream(seed, "verifier", i, "sum-noise").normal(0.0, sigma_out, size=d)
             total = total + s_i
             if i >= 1:
-                messages.append(Message(verifier_party(i), verifier_party(0), 4,
-                                        KIND_PARTIAL_SUM, encode_vector(s_i)))
+                writer.send(i, 0, 4, KIND_PARTIAL_SUM, writer.put(encode_vector(s_i)))
     return (AggregateResult(sum=total, per_client_outcomes=outcomes),
-            Transcript(messages=tuple(messages), master_seed=seed))
+            writer.transcript(parties, seed))
 
 
 def run_norm_verification(shares, params: ProtocolParams, session_seed: int,
@@ -345,7 +410,7 @@ def run_norm_verification(shares, params: ProtocolParams, session_seed: int,
                                 f"params need ({params.S}, {params.d})")
     if params.trunc_b is not None:
         shares = truncate_share(shares, params.trunc_b, params.quant_step)
-    messages: list[Message] = []
-    outcome = _verify([ClientSubmission(client_id, dict(enumerate(shares)))], params,
-                      session_seed, messages).outcomes[client_id]
-    return outcome, Transcript(messages=tuple(messages), master_seed=session_seed)
+    writer = TranscriptWriter()
+    decided = _verify([ClientSubmission(client_id, dict(enumerate(shares)))], params,
+                      session_seed, writer)
+    return (decided.outcomes[client_id], writer.transcript(decided.parties, session_seed))

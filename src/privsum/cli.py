@@ -25,7 +25,7 @@ from . import audit as audit_mod
 from .aggregation import run_norm_verification
 from .core import CalibrationReport, ProtocolParams, calibrate, count, finite
 from .errors import ParameterError, ProtocolError, ScenarioError
-from .harness import Scenario, check_keys, measured_traffic, run_scenario
+from .harness import Scenario, bytes_by_round, check_keys, measured_traffic, run_scenario
 from .rng import substream
 from .sharing import scale_to_norm, share_vector
 
@@ -237,6 +237,7 @@ def cmd_aggregate(args) -> int:
         "sum_norm": None if result.sum is None else float(np.linalg.norm(result.sum)),
         "client_to_server_bytes": traffic.client_to_server,
         "server_to_server_bytes": traffic.server_to_server,
+        "bytes_by_round": bytes_by_round(transcript),
         "transcript_sha256": transcript.sha256(),
         "master_seed": args.seed,
     }

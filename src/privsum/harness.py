@@ -35,6 +35,7 @@ from .transcript import (
     KIND_PARTIAL_SUM,
     KIND_REPLY,
     KIND_SHARE,
+    KINDS,
     MAX_ID_BYTES,
     Transcript,
     id_set_bytes,
@@ -44,6 +45,7 @@ from .transcript import (
 )
 
 SCENARIO_SCHEMA_VERSION = 1
+ROUNDS = 5  # share delivery, matrix, replies, accepted set, partial sums
 NONCE_BYTES = 8  # 16 hex chars per client id
 
 
@@ -230,6 +232,27 @@ def build_submission(behavior: ClientBehavior, client_id: str, scenario: Scenari
     return build_submissions([behavior], [client_id], scenario, params, [rng])[0]
 
 
+@dataclass(frozen=True)
+class _Submissions:
+    """A scenario's submissions, realized a chunk of clients at a time as they
+    are consumed; their number lets the session size its store."""
+
+    scenario: Scenario
+    params: ProtocolParams
+    master_seed: int
+    ids: list[str]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        scenario = self.scenario
+        for chunk in client_chunks(zip(scenario.clients, self.ids), scenario.S, scenario.d):
+            behaviors, chunk_ids = zip(*chunk)
+            rngs = [substream(self.master_seed, "client", cid) for cid in chunk_ids]
+            yield from build_submissions(behaviors, chunk_ids, scenario, self.params, rngs)
+
+
 def run_scenario(scenario: Scenario, params: ProtocolParams,
                  master_seed: int) -> tuple[AggregateResult, Transcript]:
     """Execute one full aggregation for the scenario, deterministic in master_seed.
@@ -241,15 +264,9 @@ def run_scenario(scenario: Scenario, params: ProtocolParams,
             f"scenario (S={scenario.S}, d={scenario.d}) does not match params "
             f"(S={params.S}, d={params.d})"
         )
-    ids = scenario_client_ids(scenario, master_seed)
-
-    def submissions():
-        for chunk in client_chunks(zip(scenario.clients, ids), scenario.S, scenario.d):
-            behaviors, chunk_ids = zip(*chunk)
-            rngs = [substream(master_seed, "client", cid) for cid in chunk_ids]
-            yield from build_submissions(behaviors, chunk_ids, scenario, params, rngs)
-
-    return run_aggregation(submissions(), params,
+    submissions = _Submissions(scenario, params, master_seed,
+                               scenario_client_ids(scenario, master_seed))
+    return run_aggregation(submissions, params,
                            validity_threshold=scenario.validity_threshold,
                            seed=master_seed, sigma_out=scenario.sigma_out)
 
@@ -309,8 +326,16 @@ def predicted_traffic(scenario: Scenario, params: ProtocolParams,
 
 
 def measured_traffic(transcript: Transcript) -> TrafficBreakdown:
-    """Payload byte totals actually recorded in a transcript."""
-    by_kind: dict[str, int] = {}
-    for m in transcript.messages:
-        by_kind[m.kind] = by_kind.get(m.kind, 0) + len(m.payload)
-    return TrafficBreakdown(by_kind)
+    """Payload byte totals actually recorded in a transcript, by kind, listing
+    only the kinds that carry bytes."""
+    columns = transcript.columns
+    by_kind = np.bincount(columns["kind"], weights=columns["length"], minlength=len(KINDS))
+    return TrafficBreakdown({kind: int(size) for kind, size in zip(KINDS, by_kind.tolist())
+                             if size})
+
+
+def bytes_by_round(transcript: Transcript) -> list[int]:
+    """Payload bytes recorded in each protocol round, 0 to 4."""
+    columns = transcript.columns
+    return [int(size) for size in np.bincount(columns["round"], weights=columns["length"],
+                                              minlength=ROUNDS).tolist()]

@@ -1,7 +1,8 @@
 """Message and transcript fabric with byte-exact payload codecs.
 
-Every inter-party byte is recorded as a Message. Payload formats are
-fixed so traffic totals admit closed-form predictions:
+Every inter-party byte is recorded in a Transcript, and read back as
+Message records. Payload formats are fixed so traffic totals admit
+closed-form predictions:
 
   vector        u32 count, then count little-endian float64
   matrix        u32 rows, u32 cols, then rows*cols little-endian float64
@@ -24,9 +25,12 @@ of 0 to an empty vector.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -70,19 +74,29 @@ _HEADER, _BODY = itemgetter(slice(4)), itemgetter(slice(4, None))
 
 
 def _bodies(payloads, d: int) -> bytearray:
-    """The payloads' bodies joined, after checking each count header is d."""
+    """The payloads' bodies joined, after checking each count header is d;
+    a payload may be any bytes-like object."""
     header = struct.pack("<I", d) if d < 1 << 32 else None  # no u32 header is d
-    if set(map(_HEADER, payloads)) - {header}:
+    if any(h != header for h in map(_HEADER, map(memoryview, payloads))):
         raise ParameterError(f"a payload's count header is not {d}")
     return bytearray().join(map(_BODY, map(memoryview, payloads)))
+
+
+def write_vector_rows(out: np.ndarray, V) -> None:
+    """Lay the rows of the (m, d) array V out as m vector payloads in the
+    (m, d + 1) float64 array out: row r is 4 zero bytes, then payload r (its
+    u32 count d and its d values), so out[:, 1:] holds the values 8-byte
+    aligned and row r's payload is its bytes from 4 on."""
+    out[:, 1:] = V
+    out.view("<u4")[:, :2] = (0, out.shape[1] - 1)
 
 
 def encode_vector_block(V: np.ndarray) -> list[bytes]:
     """One vector payload per row of the (m, d) array V."""
     V = np.asarray(V, dtype="<f8")
-    m, d = V.shape
-    header, body = struct.pack("<I", d), V.tobytes()
-    return [header + body[8 * d * r:8 * d * (r + 1)] for r in range(m)]
+    out = np.empty((V.shape[0], V.shape[1] + 1), dtype="<f8")
+    write_vector_rows(out, V)
+    return [row[4:].tobytes() for row in out.view(np.uint8)]
 
 
 def decode_vector_block(payloads, d: int) -> np.ndarray:
@@ -108,10 +122,18 @@ def decode_vector(data: bytes) -> np.ndarray:
     return decode_vector_block([data], d)[0] if d else _empty(data)
 
 
+def matrix_slot(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A float64 array laid out as one (k, d) matrix payload, and the (k, d)
+    view of its values, 8-byte aligned, for the caller to fill."""
+    out = np.empty(1 + k * d, dtype="<f8")
+    out.view("<u4")[:2] = (k, d)
+    return out, out[1:].reshape(k, d)
+
+
 def encode_matrix(entries: np.ndarray) -> bytes:
-    entries = np.asarray(entries, dtype="<f8")
-    k, d = entries.shape
-    return struct.pack("<II", k, d) + entries.tobytes()
+    out, values = matrix_slot(*np.shape(entries))
+    values[...] = entries
+    return out.tobytes()
 
 
 def decode_matrix(data: bytes, k: int, d: int) -> np.ndarray:
@@ -124,19 +146,17 @@ def decode_matrix(data: bytes, k: int, d: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8", offset=8).reshape(k, d).copy()
 
 
-def encode_quantized_block(V: np.ndarray, step: float) -> list[bytes]:
-    """One quantized payload per row of the (m, d) array V."""
+def quantized_payloads(V: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """One quantized payload per row of the (m, d) array V, back to back in
+    one uint8 array, and their m + 1 bounds in it: payload r is
+    data[bounds[r]:bounds[r + 1]]."""
     q = np.round(np.asarray(V, dtype=np.float64) / step).astype(np.int64)
     m, d = q.shape
-    header = struct.pack("<I", d)
     z = ((q.view(np.uint64) << np.uint64(1)) ^ (q >> 63).view(np.uint64)).ravel()  # zigzag
     body = z.astype(np.uint8)  # a value below 0x80 is its own one byte
-    wide = np.flatnonzero(z >= 0x80)
-    if not wide.size:
-        data = body.tobytes()
-        return [header + data[d * r:d * (r + 1)] for r in range(m)]
     # a wider value takes one byte per 7-bit group up to its highest non-zero
     # one, least significant first; all of its bytes but the last carry 0x80
+    wide = np.flatnonzero(z >= 0x80)
     zw = z[wide]
     width = np.full(zw.shape, 2)
     for g in range(2, 10):
@@ -144,18 +164,31 @@ def encode_quantized_block(V: np.ndarray, step: float) -> list[bytes]:
         if not more.any():
             break
         width += more
-    groups = int(width.max())
+    groups = int(width.max(initial=1))
     byte = (zw[:, None] >> np.arange(0, 7 * groups, 7, dtype=np.uint64)).astype(np.uint8)
     byte &= 0x7F
     byte |= (np.arange(groups) < width[:, None] - 1).view(np.uint8) << 7
     body[wide] = byte[:, 0]
-    # splice each wide value's further bytes in after its first
-    data = np.insert(body, np.repeat(wide + 1, width - 1),
-                     byte[:, 1:][np.arange(1, groups) < width[:, None]]).tobytes()
-    row_ends = np.arange(d, m * d + 1, d)
-    row_ends += np.r_[0, np.cumsum(width - 1)][np.searchsorted(wide, row_ends)]
-    row_ends = row_ends.tolist()
-    return [header + data[a:b] for a, b in zip([0] + row_ends[:-1], row_ends)]
+    # splice each wide value's further bytes in after its first, then each
+    # row's count header before its first value; at one position the further
+    # bytes, which end the row before, go first
+    starts = np.arange(m) * d
+    header = np.frombuffer(struct.pack("<I", d), dtype=np.uint8)
+    at = np.concatenate([np.repeat(wide + 1, width - 1), np.repeat(starts, 4)])
+    data = np.insert(body, at, np.concatenate([byte[:, 1:][np.arange(1, groups) < width[:, None]],
+                                               np.tile(header, m)]))
+    # a row ends after every header so far and the further bytes of the wide values before it
+    further = np.concatenate([[0], np.cumsum(width - 1)])
+    bounds = np.zeros(m + 1, dtype=np.intp)
+    bounds[1:] = starts + d + 4 * np.arange(1, m + 1) + further[np.searchsorted(wide, starts + d)]
+    return data, bounds
+
+
+def encode_quantized_block(V: np.ndarray, step: float) -> list[bytes]:
+    """One quantized payload per row of the (m, d) array V."""
+    data, bounds = quantized_payloads(V, step)
+    data, bounds = data.tobytes(), bounds.tolist()
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
@@ -266,14 +299,33 @@ def decode_id_set(data: bytes) -> list[str]:
     return ids
 
 
+def reply_batch(ids, Y: np.ndarray) -> np.ndarray:
+    """The reply-batch payload of ids and the (m, k) array Y as one uint8
+    array, written in place: row r of Y is client ids[r]'s, ids strictly
+    increasing."""
+    _check_increasing(ids)
+    raw = [_encode_id(cid) for cid in ids]
+    Y = np.ascontiguousarray(Y, dtype="<f8")
+    if Y.ndim != 2 or len(Y) != len(raw):
+        raise ValueError(f"{len(raw)} ids need a reply matrix of {len(raw)} rows")
+    size = 8 * Y.shape[1]
+    out = np.empty(4 + sum(map(len, raw)) + len(raw) * (4 + size), dtype=np.uint8)
+    view, values = memoryview(out), memoryview(Y.reshape(-1).view(np.uint8))
+    header = struct.pack("<I", size // 8)
+    view[:4] = struct.pack("<I", len(raw))
+    pos = 4
+    for r, cid in enumerate(raw):
+        end = pos + len(cid)
+        view[pos:end], view[end:end + 4] = cid, header
+        view[end + 4:end + 4 + size] = values[size * r:size * (r + 1)]
+        pos = end + 4 + size
+    return out
+
+
 def encode_reply_batch(ids, Y: np.ndarray) -> bytes:
     """One batch of replies: row r of the (m, k) array Y is client ids[r]'s,
     ids strictly increasing."""
-    _check_increasing(ids)
-    parts = [struct.pack("<I", len(ids))]
-    for cid, payload in zip(ids, encode_vector_block(Y), strict=True):
-        parts += (_encode_id(cid), payload)
-    return b"".join(parts)
+    return reply_batch(ids, Y).tobytes()
 
 
 def decode_reply_batch(data: bytes, k: int) -> tuple[list[str], np.ndarray]:
@@ -311,6 +363,16 @@ def reply_batch_bytes(ids, k: int) -> int:
 # ---------------------------------------------------------------------------
 # messages and transcripts
 
+KINDS = (KIND_SHARE, KIND_MATRIX, KIND_REPLY, KIND_ACCEPTED_SET, KIND_PARTIAL_SUM)
+
+# per message: the sender's and receiver's indices in the party table, the
+# round, the kind's index in KINDS, and where its payload lies in the store
+# (a block, and its offset and length in it); sha256 hashes the first five
+COLUMNS = np.dtype([("sender", "<u4"), ("receiver", "<u4"), ("round", "<u4"), ("kind", "<u4"),
+                    ("length", "<u8"), ("block", "<u4"), ("offset", "<u8")])
+_HASHED = ("sender", "receiver", "round", "kind", "length")
+
+
 class Message(NamedTuple):
     """What one party sent another; nothing else, so equal messages compare equal."""
 
@@ -325,47 +387,200 @@ class Message(NamedTuple):
         return len(self.payload)
 
 
+class SessionParties(Sequence):
+    """A session's party table: verifier:0 .. verifier:S-1, then client:<id>
+    for each id in order; a name is made when it is read."""
+
+    def __init__(self, S: int, client_ids: list[str]):
+        self.S, self.client_ids = S, client_ids
+
+    def __len__(self) -> int:
+        return self.S + len(self.client_ids)
+
+    def __getitem__(self, p: int) -> str:
+        return verifier_party(p) if p < self.S else client_party(self.client_ids[p - self.S])
+
+
+class TranscriptWriter:
+    """Builds a transcript: its payloads go into a store of blocks, each block
+    added once however many messages carry it, and its messages into columns."""
+
+    def __init__(self):
+        self.blocks: list[np.ndarray] = []
+        self._columns: list[np.ndarray] = []
+
+    def put(self, data) -> int:
+        """Add a bytes-like block to the store (a contiguous array is not
+        copied); its index."""
+        self.blocks.append(np.frombuffer(data, dtype=np.uint8) if isinstance(data, bytes)
+                           else data.reshape(-1).view(np.uint8))
+        return len(self.blocks) - 1
+
+    def send(self, sender, receiver, round, kind, block, offset=0, length=None) -> None:
+        """Record messages in delivery order: each argument is one value, or an
+        array with one value per message (a kind is its name in KINDS); length
+        defaults to the rest of the block."""
+        if length is None:
+            length = self.blocks[block].size - offset
+        try:
+            kind = [KINDS.index(k) for k in ([kind] if isinstance(kind, str) else kind)]
+        except ValueError:
+            raise ParameterError(f"a message kind is not one of {KINDS}") from None
+        fields = np.broadcast_arrays(sender, receiver, round, kind, length, block, offset)
+        columns = np.empty(fields[0].shape, dtype=COLUMNS).reshape(-1)
+        for name, value in zip(COLUMNS.names, fields):
+            columns[name] = value.reshape(-1)
+        self._columns.append(columns)
+
+    def transcript(self, parties, master_seed: int) -> "Transcript":
+        return Transcript(np.concatenate([np.empty(0, dtype=COLUMNS), *self._columns]),
+                          parties, tuple(self.blocks), master_seed)
+
+
 @dataclass(frozen=True, eq=False)
 class Transcript:
     """Every inter-party message of one protocol run, in delivery order; a
-    message's sequence number is its index in messages."""
+    message's sequence number is its index in messages.
 
-    messages: tuple[Message, ...]
+    Messages are held as columns (COLUMNS): sender and receiver index
+    party_table, and message j's payload is its length bytes from its offset
+    in blocks[its block]; a payload sent to several parties lies there once.
+    messages, view_of and to_jsonl make their Message records and lines from
+    these when they are read.
+    """
+
+    columns: np.ndarray
+    party_table: Sequence[str]
+    blocks: tuple[np.ndarray, ...]
     master_seed: int
 
+    @classmethod
+    def from_messages(cls, messages, master_seed: int = 0) -> "Transcript":
+        """The transcript of Message records, in order."""
+        messages = list(messages)
+        names = list(dict.fromkeys(p for m in messages for p in (m.sender, m.receiver)))
+        index = {name: p for p, name in enumerate(names)}
+        writer = TranscriptWriter()
+        block = writer.put(b"".join(m.payload for m in messages))
+        lengths = np.array([len(m.payload) for m in messages], dtype=np.int64)
+        writer.send([index[m.sender] for m in messages], [index[m.receiver] for m in messages],
+                    [m.round for m in messages], [m.kind for m in messages], block,
+                    np.cumsum(lengths) - lengths, lengths)
+        return writer.transcript(names, master_seed)
+
+    def _records(self, rows=None):
+        """(sender, receiver, round, kind, payload) of each message, or of rows,
+        read 256 messages at a time; a payload is a view of its block, or the
+        block's own bytes object when it is all of one."""
+        rows = range(self.columns.size) if rows is None else rows
+        names = functools.lru_cache(maxsize=None)(self.party_table.__getitem__)
+        blocks = [b.base if isinstance(b.base, bytes) else memoryview(b) for b in self.blocks]
+        for start in range(0, len(rows), 256):
+            c = self.columns[rows[start:start + 256]]
+            for s, r, rnd, kind, block, offset, length in zip(
+                    *(c[name].tolist() for name in ("sender", "receiver", "round", "kind",
+                                                    "block", "offset", "length"))):
+                yield names(s), names(r), rnd, KINDS[kind], blocks[block][offset:offset + length]
+
+    @property
+    def messages(self) -> "Messages":
+        return Messages(self)
+
+    def _party_indices(self) -> np.ndarray:
+        """The indices of the parties that sent or received a message, in order of
+        first appearance (each message's sender, then its receiver)."""
+        both = np.stack([self.columns["sender"], self.columns["receiver"]], axis=1).reshape(-1)
+        _, first = np.unique(both, return_index=True)
+        return both[np.sort(first)]
+
     def parties(self) -> set[str]:
-        return {party for m in self.messages for party in (m.sender, m.receiver)}
+        return set(map(self.party_table.__getitem__, self._party_indices().tolist()))
 
     def sha256(self) -> str:
-        h = hashlib.sha256()
-        for seq, m in enumerate(self.messages):
-            h.update(f"{seq}|{m.sender}|{m.receiver}|{m.round}|{m.kind}|".encode())
-            h.update(m.payload)
-            h.update(b"\n")
+        """SHA-256 of the message sequence, injective by construction. It hashes
+        the party table, parties in order of first appearance: their count,
+        their UTF-8 byte lengths, then their names. Then the message count and
+        the columns sender, receiver, round, kind (its index in KINDS) and
+        payload length, one little-endian value per message each (u32, u32,
+        u32, u32, u64), parties numbered in table order; then the payloads in
+        order. Counts and lengths are u64."""
+        order = self._party_indices()
+        number = np.zeros(int(order.max(initial=0)) + 1, dtype="<u4")
+        number[order] = np.arange(order.size)
+        names = [self.party_table[p].encode() for p in order.tolist()]
+        h = hashlib.sha256(struct.pack("<Q", len(names)))
+        h.update(np.array(list(map(len, names)), dtype="<u8").tobytes())
+        h.update(b"".join(names))
+        h.update(struct.pack("<Q", self.columns.size))
+        for name in _HASHED:
+            column = self.columns[name]
+            h.update((number[column] if name in ("sender", "receiver") else column).tobytes())
+        if not self.columns.size:
+            return h.hexdigest()
+        # one update per run of payloads that lie back to back in a block
+        block, offset = self.columns["block"], self.columns["offset"]
+        end = offset + self.columns["length"]
+        last = np.flatnonzero((block[1:] != block[:-1]) | (offset[1:] != end[:-1]))
+        first, last = np.concatenate([[0], last + 1]), np.append(last, end.size - 1)
+        blocks = [memoryview(b) for b in self.blocks]
+        for b, a, z in zip(block[first].tolist(), offset[first].tolist(), end[last].tolist()):
+            h.update(blocks[b][a:z])
         return h.hexdigest()
 
     def to_jsonl(self, include_payload: bool = False) -> str:
         lines = []
-        for m in self.messages:
+        for sender, receiver, rnd, kind, payload in self._records():
             record = {
-                "sender": m.sender,
-                "receiver": m.receiver,
-                "round": m.round,
-                "kind": m.kind,
-                "byte_size": m.byte_size,
-                "payload_sha256": hashlib.sha256(m.payload).hexdigest(),
+                "sender": sender,
+                "receiver": receiver,
+                "round": rnd,
+                "kind": kind,
+                "byte_size": len(payload),
+                "payload_sha256": hashlib.sha256(payload).hexdigest(),
             }
             if include_payload:
-                record["payload_hex"] = m.payload.hex()
+                record["payload_hex"] = payload.hex()
             lines.append(json.dumps(record, sort_keys=True))
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+class Messages(Sequence):
+    """A transcript's messages as Message records, each made when it is read;
+    equal to the tuple of the same records."""
+
+    def __init__(self, transcript: Transcript):
+        self._transcript = transcript
+
+    def __len__(self) -> int:
+        return self._transcript.columns.size
+
+    def __getitem__(self, j):
+        rows = range(len(self))[j]
+        return tuple(self._make(rows)) if isinstance(j, slice) else next(self._make([rows]))
+
+    def __iter__(self):
+        return self._make()
+
+    def _make(self, rows=None):
+        for *fields, payload in self._transcript._records(rows):
+            yield Message(*fields, bytes(payload))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, Messages)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
 
 
 def view_of(transcript: Transcript, T) -> list[Message]:
     """The messages that parties in T received, in delivery order: exactly
     what they hold, with nothing about the messages sent to anyone else."""
     T = set(T)
-    unknown = T - transcript.parties()
+    indices = transcript._party_indices().tolist()
+    index = dict(zip(map(transcript.party_table.__getitem__, indices), indices))
+    unknown = T - index.keys()
     if unknown:
         raise UnknownParty(f"parties not in transcript: {sorted(unknown)}")
-    return [m for m in transcript.messages if m.receiver in T]
+    rows = np.isin(transcript.columns["receiver"], [index[t] for t in T])
+    return list(Messages(transcript)._make(np.flatnonzero(rows)))

@@ -77,7 +77,9 @@ def decide_norms(Z0: np.ndarray, replies, W: np.ndarray,
     """Row norms of v = Z0 W^T + sum_i Y_i + noise, replies in verifier order.
 
     Z0 holds verifier 0's share rows; every reply matrix, W stack and
-    noise row is aligned with them row by row.
+    noise row is aligned with them row by row. v is squared in place, so no
+    (m, k) temporary is made; on a real array np.linalg.norm(v, axis=1)
+    computes the same sqrt(add.reduce(v * v, axis=1)), bit for bit.
     """
     # shares above ~1e154 overflow v or its square; an inf or nan norm is
     # not below tau, so such a client is rejected, and needs no warning
@@ -86,7 +88,8 @@ def decide_norms(Z0: np.ndarray, replies, W: np.ndarray,
         for Y in replies:
             v += Y
         v += noise
-        return np.linalg.norm(v, axis=1)
+        v *= v
+        return np.sqrt(np.add.reduce(v, axis=1))
 
 
 def _share_row(z, W: ProjectionMatrix, name: str) -> np.ndarray:

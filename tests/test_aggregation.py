@@ -36,6 +36,7 @@ from privsum.transcript import (
     KIND_MATRIX,
     KIND_REPLY,
     KIND_SHARE,
+    KINDS,
     client_party,
     decode_id_set,
     decode_matrix,
@@ -232,6 +233,51 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < S * n * d * 8
+
+    def test_float64_shares_are_not_copied(self):
+        # a float64 session holds its share payloads, S n (8d + 8) bytes with
+        # their alignment pad, and per client a few k-vectors (replies, noise,
+        # the reply batch), but no decoded (n, d) copy of any verifier's rows
+        n, S, d = 2000, 2, 128
+        params = small_params(S=S, d=d)
+        scenario = honest_scenario(n, S, d)
+        tracemalloc.start()
+        try:
+            run_scenario(scenario, params, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < S * n * (8 * d + 8) + n * (64 * params.k + 4 * d)
+
+    def test_submissions_without_a_length(self, monkeypatch):
+        # with no length to size it, a verifier's store grows as round 0
+        # fills it, chunk by chunk; the session is the one run from a list
+        monkeypatch.setattr(aggregation, "_CHUNK_BYTES", 1)
+        params = small_params(S=3)
+        subs = [s for _, s in honest_submissions(7, params, 4)][::-1]  # ids out of order
+        subs = with_withholder(subs)
+        a, ta = run_aggregation(subs, params, seed=3)
+        b, tb = run_aggregation((s for s in subs), params, seed=3)
+        assert tb.messages == ta.messages and tb.sha256() == ta.sha256()
+        assert b.sum.tobytes() == a.sum.tobytes() and b.accepted == a.accepted
+
+    def test_verifiers_read_shares_and_w_where_they_lie(self, monkeypatch):
+        # round 2 projects rows that are an 8-aligned strided view of the
+        # round-0 payloads, with W the values of its round-1 payload
+        params = small_params(S=3, d=8)
+        seen, project = [], aggregation.project_replies
+        monkeypatch.setattr(aggregation, "project_replies",
+                            lambda Z, W, noise: seen.append((Z, W)) or project(Z, W, noise))
+        _, tr = run_scenario(honest_scenario(5, params.S, params.d), params, 3)
+        kind, block = tr.columns["kind"], tr.columns["block"]
+        shares = [tr.blocks[b] for b in set(block[kind == KINDS.index(KIND_SHARE)].tolist())]
+        matrix = tr.blocks[block[kind == KINDS.index(KIND_MATRIX)][0]]
+        assert len(seen) == params.S - 1
+        for Z, W in seen:
+            assert Z.shape == (5, params.d) and Z.strides == (8 * (params.d + 1), 8)
+            assert Z.ctypes.data % 8 == 0 and W.ctypes.data % 8 == 0
+            assert any(np.shares_memory(Z, b) for b in shares)
+            assert np.shares_memory(W, matrix)
 
 
 class TestPartialSum:

@@ -122,7 +122,7 @@ class TestVerifyNormCommand:
         )
         assert code == EXIT_OK
         assert out == ("accept=1 v_norm=48.7163 tau=82.6249 transcript_sha256="
-                       "25b127714fe09aae6cc7e31dde3f0b5b571f847a720256539bd331b353060f57\n")
+                       "d09d924ba846b8f1d684eac470fb404f0ccb26ec2bec9dcc0534a83b83a8f082\n")
 
     # a norm whose projection overflows is rejected without a numpy warning
     @pytest.mark.filterwarnings("error")
@@ -181,6 +181,23 @@ class TestAggregateCommand:
         code, out, _ = run_cli(capsys, "aggregate", "--config", str(config),
                                *self.flags(), "--seed", "5")
         assert code == EXIT_ABORT
+
+    @pytest.mark.parametrize("malicious, expected", [(0, EXIT_OK), (6, EXIT_ABORT)])
+    def test_summary_bytes_by_round_add_up(self, capsys, tmp_path, malicious, expected):
+        config = self.write_scenario(tmp_path, n=10, validity_threshold=0.5, clients=[
+            {"behavior": "honest", "count": 10 - malicious},
+            {"behavior": "norm-inflating", "norm": 1e5, "count": malicious}])
+        summary_file = tmp_path / "summary.json"
+        code, _, _ = run_cli(capsys, "aggregate", "--config", str(config), *self.flags(),
+                             "--seed", "5", "--summary", str(summary_file))
+        assert code == expected
+        summary = json.loads(summary_file.read_text())
+        by_round = summary["bytes_by_round"]
+        assert len(by_round) == 5 and all(by_round[:4])
+        assert (by_round[4] == 0) == summary["aborted"]
+        assert sum(by_round) == (summary["client_to_server_bytes"]
+                                 + summary["server_to_server_bytes"])
+        assert by_round[0] == summary["client_to_server_bytes"]
 
     def test_missing_config_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "aggregate", "--config",

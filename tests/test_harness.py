@@ -27,12 +27,15 @@ from privsum import (
     with_adversary,
 )
 from privsum import aggregation
-from privsum.harness import scenario_client_ids
+from privsum.harness import bytes_by_round, scenario_client_ids
 from privsum.rng import path_digest
 from privsum.transcript import (
     KIND_REPLY,
     KIND_SHARE,
+    KINDS,
     MAX_ID_BYTES,
+    Message,
+    Transcript,
     decode_id_set,
     decode_matrix,
     decode_quantized,
@@ -56,10 +59,10 @@ from privsum.transcript import (
 )
 
 
-GOLDEN_SHA256 = "c40596b1b8072ad72da3f25a021a5520208118b8eef3849174e6989e1ca50b93"
+GOLDEN_SHA256 = "493ca48aef01aa3025ab7319786e5a9868ea518bc1db04c2f14fa784c7c09635"
 # the quantized session of quantized_golden_run: its transcript and verifier
 # 0's released sum (whose own partial is not in the transcript)
-GOLDEN_QUANTIZED_SHA256 = "f0b778d25f5717202d2890421625fa02481e22d781a02bbf3c274716b9ad570f"
+GOLDEN_QUANTIZED_SHA256 = "21bfbad156a94105000973f72e177e2dca9bb8b4420fddb409a033c52eaaf70c"
 GOLDEN_QUANTIZED_SUM_SHA256 = "baf3f8e1fc969002b91cd0dc3bbf45681e8bb995e8f591d62e7292cc28f44d3e"
 
 
@@ -897,3 +900,72 @@ class TestTranscriptExport:
         # varint payloads are value-dependent and smaller than 8 bytes/coord
         assert all(size < vector_bytes(params.d) for size in share_sizes)
         assert not result.aborted
+
+    def test_messages_read_like_a_tuple(self):
+        params = small_params(S=3)
+        _, tr = run_scenario(honest_scenario(3, params.S, params.d), params, 19)
+        messages = tuple(tr.messages)
+        assert len(tr.messages) == len(messages) and tr.messages == messages
+        assert tr.messages[-1] == messages[-1] and tr.messages[2:5] == messages[2:5]
+        assert all(type(m.payload) is bytes for m in messages)
+        with pytest.raises(IndexError):
+            tr.messages[len(messages)]
+        # a transcript is a function of its messages: rebuilt from them, it
+        # holds the same records, lines and hash
+        again = Transcript.from_messages(messages, tr.master_seed)
+        assert again.messages == messages and again.sha256() == tr.sha256()
+        assert again.to_jsonl(include_payload=True) == tr.to_jsonl(include_payload=True)
+        assert bytes_by_round(again) == bytes_by_round(tr)
+
+
+def legacy_framing(messages):
+    """The hash before its columns carried lengths: i|sender|receiver|round|kind|
+    + payload + newline per message."""
+    return hashlib.sha256(b"".join(f"{i}|{m.sender}|{m.receiver}|{m.round}|{m.kind}|".encode()
+                                   + m.payload + b"\n"
+                                   for i, m in enumerate(messages))).hexdigest()
+
+
+MESSAGES = st.lists(st.builds(
+    Message, st.sampled_from(["client:a", "client:b", "client:", "verifier:0"]),
+    st.sampled_from(["verifier:0", "verifier:1", "verifier:10"]), st.integers(0, 4),
+    st.sampled_from(KINDS), st.binary(max_size=12)), min_size=1, max_size=6)
+
+
+class TestTranscriptHash:
+    def test_a_payload_that_spells_a_second_message_hashes_apart(self):
+        first = Message("client:p", "verifier:0", 0, KIND_SHARE, b"X")
+        second = Message("client:q", "verifier:0", 0, KIND_SHARE, b"Y")
+        spelled = first._replace(payload=b"X\n1|client:q|verifier:0|0|share|Y")
+        assert legacy_framing([first, second]) == legacy_framing([spelled])
+        assert (Transcript.from_messages([first, second]).sha256()
+                != Transcript.from_messages([spelled]).sha256())
+
+    @settings(max_examples=300, deadline=None)
+    @given(MESSAGES, st.data())
+    def test_one_edit_changes_the_hash(self, messages, data):
+        j = data.draw(st.integers(0, len(messages) - 1))
+        m = messages[j]
+        edit = data.draw(st.sampled_from(["sender", "receiver", "round", "kind", "split",
+                                          "merge"]))
+        if edit == "split":
+            cut = data.draw(st.integers(0, len(m.payload)))
+            edited = messages[:j] + [m._replace(payload=m.payload[:cut]),
+                                     m._replace(payload=m.payload[cut:])] + messages[j + 1:]
+        elif edit == "merge":
+            if j + 1 == len(messages):
+                j -= 1
+            if j < 0:
+                return
+            merged = messages[j]._replace(payload=messages[j].payload + messages[j + 1].payload)
+            edited = messages[:j] + [merged] + messages[j + 2:]
+        else:
+            value = data.draw({"sender": st.sampled_from(["client:a", "client:c", "verifier:1"]),
+                               "receiver": st.sampled_from(["verifier:0", "verifier:2"]),
+                               "round": st.integers(0, 4),
+                               "kind": st.sampled_from(KINDS)}[edit]
+                              .filter(lambda v: v != getattr(m, edit)))
+            edited = messages[:j] + [m._replace(**{edit: value})] + messages[j + 1:]
+        assert edited != messages
+        assert (Transcript.from_messages(edited).sha256()
+                != Transcript.from_messages(messages).sha256())

@@ -182,6 +182,27 @@ def reference_scenario(scenario, params, seed):
     return submissions
 
 
+def transcript_hash(messages):
+    """SHA-256 of the parties in order of first appearance (sender, then
+    receiver): their count, their UTF-8 byte lengths as u64, their names; then
+    the message count, the sender, receiver, round and kind-number columns as
+    u32 and the payload lengths as u64; then the payloads."""
+    parties = list(dict.fromkeys(p for a, b, *_ in messages for p in (a, b)))
+    number = {p: i for i, p in enumerate(parties)}
+    kinds = ("share", "matrix", "reply", "accepted-set", "partial-sum")
+    m = len(messages)
+    return hashlib.sha256(b"".join([
+        struct.pack(f"<Q{len(parties)}Q", len(parties), *(len(p.encode()) for p in parties)),
+        *(p.encode() for p in parties),
+        struct.pack("<Q", m),
+        struct.pack(f"<{m}I", *(number[a] for a, *_ in messages)),
+        struct.pack(f"<{m}I", *(number[b] for _, b, *_ in messages)),
+        struct.pack(f"<{m}I", *(r for _, _, r, *_ in messages)),
+        struct.pack(f"<{m}I", *(kinds.index(kind) for *_, kind, _ in messages)),
+        struct.pack(f"<{m}Q", *(len(payload) for *_, payload in messages)),
+        *(payload for *_, payload in messages)])).hexdigest()
+
+
 def run(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -195,9 +216,7 @@ def assert_same(engine, ref):
         return
     (result, transcript), (messages, outcomes, total) = engine, ref
     assert [tuple(m) for m in transcript.messages] == messages
-    assert transcript.sha256() == hashlib.sha256(b"".join(
-        f"{seq}|{a}|{b}|{r}|{kind}|".encode() + payload + b"\n"
-        for seq, (a, b, r, kind, payload) in enumerate(messages))).hexdigest()
+    assert transcript.sha256() == transcript_hash(messages)
     assert [(c, tuple(o)) for c, o in result.per_client_outcomes.items()] == outcomes
     assert result.accepted == {c for c, (accept, _) in outcomes if accept}
     assert result.aborted == (total is None)

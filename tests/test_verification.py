@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from privsum import (
@@ -184,8 +187,8 @@ class TestRunNormVerification:
     # a client's verification noise became one stream;
     # (S, trunc_b, quant_step) -> transcript sha256
     TRANSCRIPT_SHA256 = {
-        (3, None, 1.0): "c925493e12e608a6a216af18f62fdf07b83aa13ea8945d54d3b1266c0a91d2aa",
-        (3, 8.0, 0.25): "35f57662887ccf5a2a49af993bae643355f87284ff24b2e1063317ec5fabfe6b",
+        (3, None, 1.0): "574ea7368eeae0338cfff0a72ba5e7f23c337b640fd840fca8f0213cb13d2f99",
+        (3, 8.0, 0.25): "b0989479df0ba9036b2fc7e7cc20b483f2f262e6cbe091ffd1c77e1d30d68f19",
     }
 
     @pytest.mark.parametrize("S, trunc_b, quant_step", list(TRANSCRIPT_SHA256))
@@ -383,3 +386,32 @@ class TestSimulateNormVerification:
         eps, delta = params.eps, params.delta
         assert p_real <= math.exp(eps) * p_sim + delta + slack
         assert p_sim <= math.exp(eps) * p_real + delta + slack
+
+
+# finite values, zeros, and values whose projection or square overflows to inf
+# or meets an inf of the other sign (nan)
+VALUES = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e160, -1e160, 1e300, -1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 5), st.integers(1, 6), st.integers(0, 2), st.data())
+def test_decide_norms_keeps_the_bits_of_linalg_norm(m, k, d, replies, data):
+    # decide_norms squares v in place rather than calling np.linalg.norm, which
+    # makes an (m, k) temporary; every v_norm keeps its bits, inf and nan included
+    Z0 = data.draw(arrays(np.float64, (m, d), elements=VALUES))
+    W = data.draw(arrays(np.float64, (k, d), elements=VALUES))
+    Y = [data.draw(arrays(np.float64, (m, k), elements=VALUES)) for _ in range(replies)]
+    noise = data.draw(arrays(np.float64, (m, k), elements=VALUES | st.just(math.nan)))
+    zero = data.draw(arrays(bool, m))
+    Z0[zero], noise[zero] = 0.0, 0.0
+    for y in Y:
+        y[zero] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = Z0 @ W.T
+        for y in Y:
+            v += y
+        v += noise
+        expected = np.linalg.norm(v, axis=1)
+    got = decide_norms(Z0, Y, W, noise)
+    assert got.tobytes() == expected.tobytes()
+    assert (got[zero] == 0.0).all()
