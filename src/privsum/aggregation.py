@@ -14,13 +14,13 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import ProtocolParams, fraction, positive
 from .errors import AbortedInput, DimensionMismatch, DuplicateClientId
-from .rng import integer, substream
+from .rng import integer, substream, substreams
 from .sharing import check_shares, truncate_share
 from .transcript import (
     KIND_ACCEPTED_SET,
@@ -88,6 +88,15 @@ class ClientSubmission(NamedTuple):
     payloads: dict[int, np.ndarray | None]
 
 
+class ClientBlocks(NamedTuple):
+    """Clients as round 0 takes them: n of them (a size hint), a chunk at a
+    time; per chunk their ids, their (m, S, d) shares, row i of a client's
+    for verifier i, and the (m, S) mask of the shares each sent."""
+
+    n: int
+    chunks: Iterable[tuple[Sequence[str], np.ndarray, np.ndarray]]
+
+
 @dataclass(frozen=True, eq=False)
 class AggregateResult:
     """Output of one aggregation run at verifier 0; it aborted iff sum is None."""
@@ -134,25 +143,24 @@ def _masked_sum(M: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.add.reduce(M, axis=0, where=mask[:, None], initial=0.0)
 
 
-def _deliverable(shares: list, d: int) -> tuple[list[int], np.ndarray]:
-    """The positions and stacked rows of the shares that are finite real length-d
-    vectors; withheld (None) and malformed shares are left out, text, ragged
-    nestings and complex values (whose imaginary part a cast would drop) among them."""
-    rows, vectors = [], []
-    for row, share in enumerate(shares):
-        if share is None:
-            continue
-        try:
-            share = np.asarray(share)
-            if share.dtype.kind == "c" or share.shape != (d,):
+def _deliverable(chunk: list, S: int, d: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """A chunk of ClientSubmissions as a ClientBlocks chunk, a share sent if it is a
+    real length-d vector: not if withheld (None) or malformed, text, ragged nestings
+    and complex values (whose imaginary part a cast would drop) among them."""
+    shares, sent = np.zeros((len(chunk), S, d)), np.zeros((len(chunk), S), dtype=bool)
+    for row, sub in enumerate(chunk):
+        for i in range(S):
+            if (share := sub.payloads.get(i)) is None:
                 continue
-            vectors.append(share.astype(np.float64, copy=False))
-        except (TypeError, ValueError, OverflowError):
-            continue
-        rows.append(row)
-    block = np.array(vectors).reshape(len(vectors), d)
-    finite = np.isfinite(block).all(axis=1)
-    return list(itertools.compress(rows, finite.tolist())), _rows(block, finite)
+            try:
+                share = np.asarray(share)
+                if share.dtype.kind == "c" or share.shape != (d,):
+                    continue
+                shares[row, i] = share.astype(np.float64, copy=False)
+            except (TypeError, ValueError, OverflowError):
+                continue
+            sent[row, i] = True
+    return [sub.client_id for sub in chunk], shares, sent
 
 
 def _permute_rows(M: np.ndarray, src: np.ndarray) -> None:
@@ -191,52 +199,48 @@ def _quantized_shares(blocks: list[np.ndarray], where: list[np.ndarray], decode,
     return out[:start]
 
 
-def _deliver(submissions, params: ProtocolParams, writer: TranscriptWriter):
-    """Round 0, share delivery, a chunk of clients at a time, written into the
+def _deliver(blocks: ClientBlocks, params: ProtocolParams, writer: TranscriptWriter):
+    """Round 0, share delivery, a block of clients at a time, written into the
     store: (n, clients, delivered, shares).
 
-    n counts the submissions; clients are those that reached a verifier, in id
-    order, and delivered their (clients, S) mask: column i is verifier i's, J its
-    all-True rows. shares(i, mask=None) gives verifier i's share rows in id
-    order, or those where mask holds.
+    n counts the clients; clients are those that reached a verifier (with a sent
+    share of finite values), in id order, and delivered their (clients, S) mask:
+    column i is verifier i's, J its all-True rows. shares(i, mask=None) gives
+    verifier i's share rows in id order, or those where mask holds.
 
     A float64 verifier's payloads lie in one array of the store, each after 4 pad
     bytes so that its values are 8-byte aligned, and its rows are a strided view
-    of them. The array is sized from the submissions' length when they have one
-    (and doubles when it runs out), filled in delivery order, then put in id
-    order in place. A quantized payload stays in its chunk's block, and a
-    verifier decodes its rows into one matrix, allocated once so that its pages
-    are touched once however often it is refilled.
+    of them. The array is sized from blocks.n (and doubles when it runs out),
+    filled in delivery order, then put in id order in place. A quantized payload
+    stays in its chunk's block, and a verifier decodes its rows into one matrix,
+    allocated once so that its pages are touched once however often it is refilled.
     """
     S, d = params.S, params.d
     quantized = params.trunc_b is not None
-    size = 0 if quantized else operator.length_hint(submissions)
-    regions = [np.empty((size, d + 1)) for _ in range(S)]
+    regions = [np.empty((0 if quantized else blocks.n, d + 1)) for _ in range(S)]
     used = [0] * S
     # per verifier, per chunk: its block and payload bounds, after an entry of none
     encoded = [[(0, np.zeros(1, dtype=np.intp))] for _ in range(S)]
-    index: dict[str, int] = {}  # client id -> its submission's number
+    index: dict[str, int] = {}  # client id -> its number in delivery order
     sent = [np.zeros((0, S), dtype=bool)]  # per chunk, its clients' (m, S) delivery mask
-    for chunk in client_chunks(submissions, S, d):
-        sent.append(np.zeros((len(chunk), S), dtype=bool))
+    for ids, shares, mask in blocks.chunks:
+        sent.append(mask & np.isfinite(shares).all(axis=2))
         for i in range(S):
-            rows, block = _deliverable([sub.payloads.get(i) for sub in chunk], d)
-            sent[-1][rows, i] = True
+            block = _rows(shares[:, i], sent[-1][:, i])
             if quantized:
                 data, bounds = quantized_payloads(block, params.quant_step)
                 encoded[i].append((writer.put(data), bounds))
                 continue
-            a, b = used[i], used[i] + len(rows)
+            a, b = used[i], used[i] + len(block)
             if b > len(regions[i]):
                 grown = np.empty((max(2 * len(regions[i]), b), d + 1))
                 grown[:a] = regions[i][:a]
                 regions[i] = grown
             write_vector_rows(regions[i][a:b], block)
             used[i] = b
-        for sub in chunk:
-            number = len(index)
-            if index.setdefault(sub.client_id, number) != number:
-                raise DuplicateClientId(f"duplicate client id {sub.client_id!r}")
+        for number, cid in enumerate(ids, len(index)):
+            if index.setdefault(cid, number) != number:
+                raise DuplicateClientId(f"duplicate client id {cid!r}")
 
     # the clients that reached a verifier, in id order, and whom
     sent = np.concatenate(sent)
@@ -288,7 +292,7 @@ class _Decided(NamedTuple):
     outcomes: dict[str, VerificationOutcome]
 
 
-def _verify(submissions, params: ProtocolParams, seed: int,
+def _verify(blocks: ClientBlocks, params: ProtocolParams, seed: int,
             writer: TranscriptWriter) -> _Decided:
     """Rounds 0-3, written into writer: share delivery, the matrix broadcast,
     every verifier's reply batch, and verifier 0's accepted-set broadcast.
@@ -297,7 +301,7 @@ def _verify(submissions, params: ProtocolParams, seed: int,
     reached a verifier in id order.
     """
     S, d = params.S, params.d
-    n, clients, delivered, shares = _deliver(submissions, params, writer)
+    n, clients, delivered, shares = _deliver(blocks, params, writer)
 
     # round 1: matrix broadcast; W is the values of its payload
     payload, W = matrix_slot(params.k, d)
@@ -306,8 +310,8 @@ def _verify(submissions, params: ProtocolParams, seed: int,
 
     # each client that reached a verifier draws one (S, k) block from its own
     # stream: row i is verifier i's reply noise, row 0 verifier 0's decision noise
-    N = noise_rows((substream(seed, "verification-noise", cid) for cid in clients),
-                   params.sigma_v, (len(clients), S, params.k))
+    N = noise_rows(substreams(seed, ("verification-noise",), clients), params.sigma_v,
+                   (len(clients), S, params.k))
 
     # round 2: every verifier's replies from its share rows, one product each;
     # its noise rows are a view of N if it heard from all
@@ -357,10 +361,10 @@ def run_aggregation(submissions, params: ProtocolParams,
     adding or removing one client, or withholding one of its shares, never
     perturbs the randomness applied to the others.
 
-    submissions may be any iterable and is consumed once, in order, a
-    bounded chunk of clients at a time; verifiers keep only the payloads
-    they received, so a lazy iterable lets each chunk's own arrays go
-    once that chunk is delivered.
+    submissions may be any iterable of ClientSubmissions, or ClientBlocks,
+    and is consumed once, in order, a bounded chunk of clients at a time;
+    verifiers keep only the payloads they received, so a lazy iterable lets
+    each chunk's own arrays go once that chunk is delivered.
 
     A share that is not a finite real length-d vector (text, a ragged
     nesting or complex values included), or that is addressed to no
@@ -375,6 +379,9 @@ def run_aggregation(submissions, params: ProtocolParams,
     seed = integer(seed, "seed")
 
     S, d = params.S, params.d
+    if not isinstance(submissions, ClientBlocks):
+        submissions = ClientBlocks(operator.length_hint(submissions), map(
+            partial(_deliverable, S=S, d=d), client_chunks(submissions, S, d)))
     writer = TranscriptWriter()
     n, parties, shares, accepted, outcomes = _verify(submissions, params, seed, writer)
 
@@ -411,6 +418,6 @@ def run_norm_verification(shares, params: ProtocolParams, session_seed: int,
     if params.trunc_b is not None:
         shares = truncate_share(shares, params.trunc_b, params.quant_step)
     writer = TranscriptWriter()
-    decided = _verify([ClientSubmission(client_id, dict(enumerate(shares)))], params,
-                      session_seed, writer)
+    block = ([client_id], shares[None], np.ones((1, params.S), dtype=bool))
+    decided = _verify(ClientBlocks(1, [block]), params, session_seed, writer)
     return (decided.outcomes[client_id], writer.transcript(decided.parties, session_seed))

@@ -19,15 +19,17 @@ from .aggregation import (
     BEHAVIOR_PARTIAL_SEND,
     CLIENT_BEHAVIORS,
     AggregateResult,
+    ClientBlocks,
     ClientSubmission,
     client_chunks,
     run_aggregation,
 )
 from .core import ProtocolParams, count, finite, fraction, positive
 from .errors import ScenarioError
-from .rng import path_digest, substream
+from .rng import path_digest, path_digests, substreams
 from .sharing import check_shares, scale_to_norm, split_shares, truncate_share
-# stays bound here, where perfbench/tracing.py counts its calls
+# stay bound here, where perfbench/tracing.py counts their calls
+from .rng import substream  # noqa: F401
 from .sharing import share_vector  # noqa: F401
 from .transcript import (
     KIND_ACCEPTED_SET,
@@ -166,14 +168,15 @@ def scenario_client_ids(scenario: Scenario, master_seed: int) -> list[str]:
     attempt 0, 1, ... whose id no other client holds yet."""
     ids: list[str] = []
     seen = set(c.client_id for c in scenario.clients if c.client_id is not None)
+    first = path_digests(master_seed, ("nonce",), range(len(scenario.clients)), (0,)).hex()
     for index, client in enumerate(scenario.clients):
         if client.client_id is not None:
             cid = client.client_id
         else:
-            attempt = 0
-            while (cid := path_digest(master_seed, "nonce", index,
-                                      attempt)[:NONCE_BYTES].hex()) in seen:
+            cid, attempt = first[64 * index:64 * index + 2 * NONCE_BYTES], 0
+            while cid in seen:
                 attempt += 1
+                cid = path_digest(master_seed, "nonce", index, attempt)[:NONCE_BYTES].hex()
             seen.add(cid)
         ids.append(cid)
     if len(set(ids)) != len(ids):
@@ -189,9 +192,10 @@ def _shares_of(g: np.ndarray, norms, sigma_ss: float) -> np.ndarray:
     return shares
 
 
-def build_submissions(behaviors, client_ids, scenario: Scenario, params: ProtocolParams,
-                      rngs) -> list[ClientSubmission]:
-    """Realize a block of clients' payloads, each from its own private stream.
+def _client_block(behaviors, scenario: Scenario, params: ProtocolParams,
+                  rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Realize a block of clients from their private streams: their (m, S, d)
+    shares and the (m, S) mask of the shares each sends.
 
     Every client draws and gets exactly what it would alone: its stream
     fills its (S, d) row of the block in one call, which equals its
@@ -199,15 +203,17 @@ def build_submissions(behaviors, client_ids, scenario: Scenario, params: Protoco
     client, its S unrelated shares), and the rest is row-wise arithmetic.
     """
     S, d = scenario.S, scenario.d
-    block = np.empty((len(behaviors), S, d))
+    block, sent = np.empty((len(behaviors), S, d)), np.ones((len(behaviors), S), dtype=bool)
     sharing, norms = [], []
     for row, (behavior, rng) in enumerate(zip(behaviors, rngs)):
         if behavior.kind == BEHAVIOR_INCONSISTENT:
             block[row] = rng.normal(0.0, params.sigma_ss * behavior.scale, size=(S, d))
-        else:
-            rng.standard_normal(out=block[row])
-            sharing.append(row)
-            norms.append(behavior.norm)
+            continue
+        rng.standard_normal(out=block[row])
+        sharing.append(row)
+        norms.append(behavior.norm)
+        if behavior.kind == BEHAVIOR_PARTIAL_SEND:
+            sent[row, list(behavior.skip)] = False
     # rebinding rather than copying frees the raw normals before truncation
     if len(sharing) == len(behaviors):
         block = _shares_of(block, norms, params.sigma_ss)
@@ -215,42 +221,16 @@ def build_submissions(behaviors, client_ids, scenario: Scenario, params: Protoco
         block[sharing] = _shares_of(block[sharing], norms, params.sigma_ss)
     if params.trunc_b is not None:
         block = truncate_share(block, params.trunc_b, params.quant_step)
-    submissions = []
-    for behavior, client_id, z in zip(behaviors, client_ids, block):
-        payloads = dict(enumerate(z))
-        if behavior.kind == BEHAVIOR_PARTIAL_SEND:
-            for i in behavior.skip:
-                payloads[i] = None
-        submissions.append(ClientSubmission(client_id, payloads))
-    return submissions
+    return block, sent
 
 
 def build_submission(behavior: ClientBehavior, client_id: str, scenario: Scenario,
                      params: ProtocolParams,
                      rng: np.random.Generator) -> ClientSubmission:
-    """Realize one client's payloads from its behavior and private stream."""
-    return build_submissions([behavior], [client_id], scenario, params, [rng])[0]
-
-
-@dataclass(frozen=True)
-class _Submissions:
-    """A scenario's submissions, realized a chunk of clients at a time as they
-    are consumed; their number lets the session size its store."""
-
-    scenario: Scenario
-    params: ProtocolParams
-    master_seed: int
-    ids: list[str]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self):
-        scenario = self.scenario
-        for chunk in client_chunks(zip(scenario.clients, self.ids), scenario.S, scenario.d):
-            behaviors, chunk_ids = zip(*chunk)
-            rngs = [substream(self.master_seed, "client", cid) for cid in chunk_ids]
-            yield from build_submissions(behaviors, chunk_ids, scenario, self.params, rngs)
+    """One client's payloads from its behavior and stream: _client_block's one row."""
+    (shares,), (sent,) = _client_block([behavior], scenario, params, [rng])
+    return ClientSubmission(client_id, {i: z if s else None
+                                        for i, (z, s) in enumerate(zip(shares, sent.tolist()))})
 
 
 def run_scenario(scenario: Scenario, params: ProtocolParams,
@@ -264,9 +244,13 @@ def run_scenario(scenario: Scenario, params: ProtocolParams,
             f"scenario (S={scenario.S}, d={scenario.d}) does not match params "
             f"(S={params.S}, d={params.d})"
         )
-    submissions = _Submissions(scenario, params, master_seed,
-                               scenario_client_ids(scenario, master_seed))
-    return run_aggregation(submissions, params,
+    ids = scenario_client_ids(scenario, master_seed)
+    chunks = (zip(*chunk) for chunk in client_chunks(zip(scenario.clients, ids),
+                                                     scenario.S, scenario.d))
+    blocks = ((chunk_ids, *_client_block(behaviors, scenario, params,
+                                        substreams(master_seed, ("client",), chunk_ids)))
+              for behaviors, chunk_ids in chunks)
+    return run_aggregation(ClientBlocks(len(ids), blocks), params,
                            validity_threshold=scenario.validity_threshold,
                            seed=master_seed, sigma_out=scenario.sigma_out)
 

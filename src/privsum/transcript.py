@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import operator
 import struct
@@ -191,15 +192,15 @@ def encode_quantized_block(V: np.ndarray, step: float) -> list[bytes]:
     return [data[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
+def decode_quantized_block(payloads, d: int, step: float, bound: float = 2 ** 53) -> np.ndarray:
     """The (m, d) array of m quantized payloads, each of exactly d >= 1 values.
 
     The bodies are decoded joined, so each must end exactly at its d-th
     value: a payload that is short, runs on, or has another count raises
     ParameterError rather than shifting the payloads after it. So does a
     grid value q with |q| > 2^53, where float64 would give two payloads one
-    decoding; ProtocolParams keeps honest shares within trunc_b / quant_step
-    <= 2^53 steps.
+    decoding, and one with |q| above bound, the grid's largest value in steps
+    (a share truncated to trunc_b holds at most trunc_b / quant_step).
     """
     m, d = len(payloads), count(d, "d")
     raw = np.frombuffer(_bodies(payloads, d), dtype=np.uint8)
@@ -211,7 +212,10 @@ def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
             or (raw[ends - 1] >= 0x80).any()):
         raise ParameterError(f"a quantized payload does not hold exactly {d} values")
     byte = (np.delete(raw, more) if more.size else raw).view(np.int8)  # each value's last
-    out = (byte >> 1 ^ -(byte & 1)) * float(step)  # the one-byte values, unzigzagged
+    q = byte >> 1 ^ -(byte & 1)  # the one-byte values, unzigzagged: |q| <= 64
+    if bound < 64 and (np.abs(q) > bound).any():
+        raise ParameterError(f"quantized payload holds a grid value past {bound} steps")
+    out = q * float(step)
     if more.size:
         # a wider value's bytes are a run of continuation bytes and the byte after it
         first = np.flatnonzero(np.diff(more, prepend=-2) != 1)
@@ -234,6 +238,8 @@ def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
         if groups == 8 and (z > np.uint64(1 << 54)).any():
             raise ParameterError("quantized payload holds a grid value past 2^53")
         q = (z >> np.uint64(1)).view(np.int64) ^ -(z & np.uint64(1)).view(np.int64)  # inverse zigzag
+        if (np.abs(q) > bound).any():
+            raise ParameterError(f"quantized payload holds a grid value past {bound} steps")
         # a value's index is its first byte's position less the continuation bytes before it
         out[more[first] - first] = q * float(step)
     return out.reshape(m, d)
@@ -244,9 +250,9 @@ def encode_quantized(v: np.ndarray, step: float) -> bytes:
     return encode_quantized_block(np.asarray(v)[None], step)[0]
 
 
-def decode_quantized(data: bytes, step: float) -> np.ndarray:
+def decode_quantized(data: bytes, step: float, bound: float = 2 ** 53) -> np.ndarray:
     (d,) = _unpack("<I", data, 0)
-    return decode_quantized_block([data], d, step)[0] if d else _empty(data)
+    return decode_quantized_block([data], d, step, bound)[0] if d else _empty(data)
 
 
 def encode_accept(accept: bool) -> bytes:
@@ -310,15 +316,15 @@ def reply_batch(ids, Y: np.ndarray) -> np.ndarray:
         raise ValueError(f"{len(raw)} ids need a reply matrix of {len(raw)} rows")
     size = 8 * Y.shape[1]
     out = np.empty(4 + sum(map(len, raw)) + len(raw) * (4 + size), dtype=np.uint8)
-    view, values = memoryview(out), memoryview(Y.reshape(-1).view(np.uint8))
-    header = struct.pack("<I", size // 8)
-    view[:4] = struct.pack("<I", len(raw))
-    pos = 4
-    for r, cid in enumerate(raw):
-        end = pos + len(cid)
-        view[pos:end], view[end:end + 4] = cid, header
-        view[end + 4:end + 4 + size] = values[size * r:size * (r + 1)]
-        pos = end + 4 + size
+    out[:4] = np.frombuffer(struct.pack("<I", len(raw)), dtype=np.uint8)
+    header, values = np.frombuffer(struct.pack("<I", size // 8), dtype=np.uint8), Y.view(np.uint8)
+    pos, r = 4, 0
+    for w, run in itertools.groupby(raw, len):  # a run of ids of one width: rows of entries
+        run = list(run)
+        entries = out[pos:pos + len(run) * (w + 4 + size)].reshape(len(run), -1)
+        entries[:, :w] = np.frombuffer(b"".join(run), dtype=np.uint8).reshape(len(run), w)
+        entries[:, w:w + 4], entries[:, w + 4:] = header, values[r:r + len(run)]
+        pos, r = pos + entries.size, r + len(run)
     return out
 
 
@@ -407,7 +413,7 @@ class TranscriptWriter:
 
     def __init__(self):
         self.blocks: list[np.ndarray] = []
-        self._columns: list[np.ndarray] = []
+        self._sent: list[tuple] = []  # per send, its seven fields in COLUMNS order
 
     def put(self, data) -> int:
         """Add a bytes-like block to the store (a contiguous array is not
@@ -417,24 +423,27 @@ class TranscriptWriter:
         return len(self.blocks) - 1
 
     def send(self, sender, receiver, round, kind, block, offset=0, length=None) -> None:
-        """Record messages in delivery order: each argument is one value, or an
-        array with one value per message (a kind is its name in KINDS); length
-        defaults to the rest of the block."""
+        """Record messages in delivery order: each argument is one value, or a
+        1-d array with one value per message (a kind is its name in KINDS, or
+        a list of names); length defaults to the rest of the block."""
         if length is None:
             length = self.blocks[block].size - offset
         try:
-            kind = [KINDS.index(k) for k in ([kind] if isinstance(kind, str) else kind)]
+            kind = KINDS.index(kind) if isinstance(kind, str) else [KINDS.index(k) for k in kind]
         except ValueError:
             raise ParameterError(f"a message kind is not one of {KINDS}") from None
-        fields = np.broadcast_arrays(sender, receiver, round, kind, length, block, offset)
-        columns = np.empty(fields[0].shape, dtype=COLUMNS).reshape(-1)
-        for name, value in zip(COLUMNS.names, fields):
-            columns[name] = value.reshape(-1)
-        self._columns.append(columns)
+        self._sent.append((sender, receiver, round, kind, length, block, offset))
 
     def transcript(self, parties, master_seed: int) -> "Transcript":
-        return Transcript(np.concatenate([np.empty(0, dtype=COLUMNS), *self._columns]),
-                          parties, tuple(self.blocks), master_seed)
+        sizes = [next((len(f) for f in fields if hasattr(f, "__len__")), 1)
+                 for fields in self._sent]
+        columns = np.empty(sum(sizes), dtype=COLUMNS)
+        for name, values in zip(COLUMNS.names, zip(*self._sent)):
+            column, start = columns[name], 0
+            for value, size in zip(values, sizes):
+                column[start:start + size] = value
+                start += size
+        return Transcript(columns, parties, tuple(self.blocks), master_seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,7 @@ from privsum import (
 from privsum.cli import ExperimentConfig
 from privsum.core import completeness_tau, min_sigma_ss, min_sigma_v, soundness_rho
 from privsum.harness import ClientBehavior, Scenario
-from privsum.rng import as_generator, path_digest, seed_int, substream
+from privsum.rng import as_generator, path_digest, path_digests, seed_int, substream, substreams
 from privsum.transcript import (
     decode_matrix,
     decode_quantized_block,
@@ -156,6 +156,10 @@ TABLE = {
     # the master seed of every keyed stream, and a seed where a Generator may stand
     "path_digest": (path_digest, dict(master_seed=0), {"master_seed": "seed"}, ParameterError),
     "substream": (substream, dict(master_seed=0), {"master_seed": "seed"}, ParameterError),
+    "path_digests": (path_digests, dict(master_seed=0, labels=("x",), keys=["a"]), {
+        "master_seed": "seed"}, ParameterError),
+    "substreams": (substreams, dict(master_seed=0, labels=("x",), keys=["a"]), {
+        "master_seed": "seed"}, ParameterError),
     "as_generator": (as_generator, dict(seed=0), {"seed": "seed"}, ParameterError),
     "seed_int": (seed_int, dict(seed=0), {"seed": "seed"}, ParameterError),
     # a block decoder's length, checked before any payload is read

@@ -26,9 +26,10 @@ from privsum import (
     view_of,
     with_adversary,
 )
-from privsum import aggregation
-from privsum.harness import bytes_by_round, scenario_client_ids
-from privsum.rng import path_digest
+from privsum import aggregation, harness
+from privsum.aggregation import run_aggregation
+from privsum.harness import build_submission, bytes_by_round, scenario_client_ids
+from privsum.rng import _DigestSeed, path_digest, path_digests, substreams
 from privsum.transcript import (
     KIND_REPLY,
     KIND_SHARE,
@@ -240,27 +241,50 @@ class TestCodecs:
     @given(st.integers(0, 4), st.integers(1, 6), st.sampled_from([1.0, 0.25]), st.data())
     def test_decoders_accept_only_canonical_bytes(self, m, d, step, data):
         # any bytes either raise ParameterError or decode to values that
-        # re-encode to exactly those bytes, block by block and payload by payload
-        def canonical(decode, encode, payloads):
+        # re-encode to exactly those bytes, block by block and payload by
+        # payload; a quantized decode under a grid's bound holds no |q| above it
+        bound = data.draw(st.sampled_from((2 ** 53, 2 ** 20, 64, 63, 3)))
+
+        def canonical(decode, encode, payloads, limit=math.inf):
             try:
                 values = decode()
             except ParameterError:
                 return
             assert encode(values) == payloads
+            assert np.all(np.abs(values) <= limit)
 
         for quantized in (True, False):
             payloads = data.draw(st.lists(near_payloads(d, quantized), min_size=m, max_size=m))
             if quantized:
-                canonical(partial(decode_quantized_block, payloads, d, step),
-                          partial(encode_quantized_block, step=step), payloads)
+                canonical(partial(decode_quantized_block, payloads, d, step, bound),
+                          partial(encode_quantized_block, step=step), payloads, bound * step)
                 for p in payloads:
-                    canonical(partial(decode_quantized, p, step),
-                              partial(encode_quantized, step=step), p)
+                    canonical(partial(decode_quantized, p, step, bound),
+                              partial(encode_quantized, step=step), p, bound * step)
             else:
                 canonical(partial(decode_vector_block, payloads, d),
                           encode_vector_block, payloads)
                 for p in payloads:
                     canonical(partial(decode_vector, p), encode_vector, p)
+
+    @pytest.mark.parametrize("bound, kept, refused", [
+        (2 ** 20, [1e6, -2 ** 20], [2 ** 20 + 1]),
+        (64, [64, -64, 63], [65, -65]),  # +-64: the widest one-byte value and the narrowest two
+        (63, [63, -63], [-64, 64]),
+        (3, [3, -3, 0], [4, -4, 70]),
+        (2.5, [2, -2], [3, -3]),
+    ])
+    def test_decoders_refuse_values_past_the_grids_bound(self, bound, kept, refused):
+        data = encode_quantized(np.array(kept, dtype=np.float64), 1.0)
+        assert decode_quantized(data, 1.0, bound).tolist() == kept
+        assert decode_quantized_block([data], len(kept), 1.0, bound).tolist() == [kept]
+        for q in refused:
+            data = encode_quantized(np.array(kept + [q], dtype=np.float64), 1.0)
+            assert decode_quantized(data, 1.0).tolist() == kept + [q]  # under 2^53 alone
+            with pytest.raises(ParameterError, match=f"past {bound} steps"):
+                decode_quantized(data, 1.0, bound)
+            with pytest.raises(ParameterError, match=f"past {bound} steps"):
+                decode_quantized_block([data], len(kept) + 1, 1.0, bound)
 
     def test_grid_values_past_2_53_share_a_value(self):
         # canonical varints of q = 2^53 and 2^53 + 1 decode to one float64;
@@ -691,6 +715,52 @@ class TestDeterminism:
         if quantized:
             assert t1.sha256() == GOLDEN_QUANTIZED_SHA256
 
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_blocks_and_submissions_run_one_session(self, quantized):
+        # run_scenario hands round 0 its clients as blocks; the same clients as
+        # ClientSubmissions give the same session, down to the transcript's
+        # bytes; unquantized, an inconsistent client whose shares overflow to
+        # inf reaches no verifier on either path (truncation refuses them)
+        params = (small_params(S=3, trunc_b=8.0, quant_step=0.25) if quantized
+                  else small_params(S=3))
+        scenario = honest_scenario(5, params.S, params.d, validity_threshold=0.5)
+        for behavior in (ClientBehavior(kind="partial-send", skip=(0,)),
+                         ClientBehavior(kind="partial-send", skip=(1, 2)),
+                         ClientBehavior(kind="inconsistent-shares", scale=3.0),
+                         ClientBehavior(kind="norm-inflating", norm=50.0),
+                         ClientBehavior(kind="inconsistent-shares",
+                                        scale=10.0 if quantized else 1e308)):
+            scenario = with_adversary(scenario, behavior)
+        seed = 31
+        ids = scenario_client_ids(scenario, seed)
+        submissions = [build_submission(c, cid, scenario, params, substream(seed, "client", cid))
+                       for c, cid in zip(scenario.clients, ids)]
+        r1, t1 = run_scenario(scenario, params, seed)
+        r2, t2 = run_aggregation(submissions, params, seed=seed,
+                                 validity_threshold=scenario.validity_threshold)
+        assert t1.to_jsonl(include_payload=True) == t2.to_jsonl(include_payload=True)
+        assert t1.sha256() == t2.sha256()
+        assert r1.sum.tobytes() == r2.sum.tobytes()
+        assert r1.per_client_outcomes == r2.per_client_outcomes
+        assert len(r1.per_client_outcomes) == 7 + quantized
+        assert (ids[-1] in t1.party_table.client_ids) == quantized
+
+    def test_a_non_finite_draw_is_refused_on_the_harness_path(self, monkeypatch):
+        # a sharing client whose shares are not finite is a ParameterError from
+        # check_shares, whether it is realized alone or in a session's block
+        class Infinite:
+            def standard_normal(self, out):
+                out[...] = np.nan
+
+        params = small_params()
+        scenario = honest_scenario(3, params.S, params.d)
+        with pytest.raises(ParameterError, match="finite"):
+            build_submission(ClientBehavior(), "c", scenario, params, Infinite())
+        monkeypatch.setattr(harness, "substreams", lambda seed, labels, keys: [
+            Infinite() for _ in keys])
+        with pytest.raises(ParameterError, match="finite"):
+            run_scenario(scenario, params, 1)
+
     def test_substream_draws_are_pinned(self):
         assert substream(0, "pin").integers(0, 2 ** 32, size=4).tolist() == [
             1145484931, 947896885, 1072200758, 2354250787]
@@ -703,6 +773,37 @@ class TestDeterminism:
         # the master seed enters modulo 2^128
         assert np.array_equal(substream(2 ** 128 + 3, "x").standard_normal(4),
                               substream(3, "x").standard_normal(4))
+
+    @settings(max_examples=200)
+    @given(st.integers(-2 ** 130, 2 ** 130) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+           st.lists(st.integers() | st.text(max_size=4), max_size=2).map(tuple),
+           st.lists(st.integers(-2 ** 130, 2 ** 130) | st.text(max_size=6)
+                    | st.sampled_from(["a'b", 'a"b', "a\\b", "'\"\\", "é☃\x00", "\udcff"]),
+                    min_size=1, max_size=4),
+           st.lists(st.integers() | st.text(max_size=4), max_size=2).map(tuple))
+    def test_chunked_streams_and_digests_are_each_keys(self, seed, labels, keys, after):
+        # a chunk's streams and digests are substream's and path_digest's, key by
+        # key, draw for draw and byte for byte; a one-key chunk included
+        for chunk in (keys, keys[:1]):
+            streams = list(substreams(seed, labels, chunk))
+            assert len(streams) == len(chunk)
+            for key, rng in zip(chunk, streams):
+                alone = substream(seed, *labels, key)
+                assert rng.bit_generator.state == alone.bit_generator.state
+                assert rng.standard_normal(3).tobytes() == alone.standard_normal(3).tobytes()
+            assert path_digests(seed, labels, chunk, after) == b"".join(
+                path_digest(seed, *labels, key, *after) for key in chunk)
+
+    def test_digest_seed_reads_little_endian_words_of_any_width(self):
+        digest = path_digest(3, "words")
+        seed = _DigestSeed(np.frombuffer(digest, dtype="<u8"))
+        for n_words, dtype in ((4, np.uint64), (2, np.uint64), (8, np.uint32), (3, np.uint32)):
+            words = seed.generate_state(n_words, dtype)
+            assert words.dtype == dtype
+            assert words.tolist() == np.frombuffer(digest, dtype=np.dtype(dtype).newbyteorder("<"),
+                                                   count=n_words).tolist()
+        with pytest.raises(ValueError):
+            seed.generate_state(5, np.uint64)
 
     def test_different_seed_different_transcript(self):
         params = small_params()
