@@ -200,7 +200,7 @@ def decode_quantized_block(payloads, d: int, step: float, bound: float = 2 ** 53
     ParameterError rather than shifting the payloads after it. So does a
     grid value q with |q| > 2^53, where float64 would give two payloads one
     decoding, and one with |q| above bound, the grid's largest value in steps
-    (a share truncated to trunc_b holds at most trunc_b / quant_step).
+    (for truncate_share(v, B, step), the largest n with n * step <= B).
     """
     m, d = len(payloads), count(d, "d")
     raw = np.frombuffer(_bodies(payloads, d), dtype=np.uint8)
