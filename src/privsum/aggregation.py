@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import ProtocolParams, fraction, positive
-from .errors import AbortedInput, DimensionMismatch, DuplicateClientId
+from .errors import AbortedInput, DimensionMismatch, DuplicateClientId, ParameterError
 from .rng import integer, substream, substreams
 from .sharing import check_shares, truncate_share
 from .transcript import (
@@ -89,9 +89,10 @@ class ClientSubmission(NamedTuple):
 
 
 class ClientBlocks(NamedTuple):
-    """Clients as round 0 takes them: n of them (a size hint), a chunk at a
-    time; per chunk their ids, their (m, S, d) shares, row i of a client's
-    for verifier i, and the (m, S) mask of the shares each sent."""
+    """Clients as round 0 takes them: n of them (a size hint), a chunk at a time;
+    per chunk their ids, their real float (m, S, d) shares, row i of a client's for
+    verifier i, and the bool (m, S) mask of the shares each sent (else ParameterError
+    or DimensionMismatch); a sent share of non-finite values is not delivered."""
 
     n: int
     chunks: Iterable[tuple[Sequence[str], np.ndarray, np.ndarray]]
@@ -224,6 +225,12 @@ def _deliver(blocks: ClientBlocks, params: ProtocolParams, writer: TranscriptWri
     index: dict[str, int] = {}  # client id -> its number in delivery order
     sent = [np.zeros((0, S), dtype=bool)]  # per chunk, its clients' (m, S) delivery mask
     for ids, shares, mask in blocks.chunks:
+        if not (isinstance(shares, np.ndarray) and shares.dtype.kind == "f"
+                and isinstance(mask, np.ndarray) and mask.dtype == bool):
+            raise ParameterError("a client block needs real float shares and a bool mask")
+        if shares.shape != (len(ids), S, d) or mask.shape != (len(ids), S):
+            raise DimensionMismatch(f"a block of {len(ids)} clients has shares {shares.shape} and "
+                                    f"mask {mask.shape}, not {(len(ids), S, d)} and {(len(ids), S)}")
         sent.append(mask & np.isfinite(shares).all(axis=2))
         for i in range(S):
             block = _rows(shares[:, i], sent[-1][:, i])
@@ -366,8 +373,8 @@ def run_aggregation(submissions, params: ProtocolParams,
     verifiers keep only the payloads they received, so a lazy iterable lets
     each chunk's own arrays go once that chunk is delivered.
 
-    A share that is not a finite real length-d vector (text, a ragged
-    nesting or complex values included), or that is addressed to no
+    A ClientSubmission's share that is not a finite real length-d vector (text,
+    a ragged nesting or complex values included), or that is addressed to no
     verifier in 0..S-1, is not delivered: its client misses that
     verifier and is left out of J, as a client that withheld the share
     would be. A repeated client id raises DuplicateClientId.

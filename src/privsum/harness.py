@@ -168,12 +168,13 @@ def scenario_client_ids(scenario: Scenario, master_seed: int) -> list[str]:
     attempt 0, 1, ... whose id no other client holds yet."""
     ids: list[str] = []
     seen = set(c.client_id for c in scenario.clients if c.client_id is not None)
-    first = path_digests(master_seed, ("nonce",), range(len(scenario.clients)), (0,)).hex()
+    missing = (index for index, c in enumerate(scenario.clients) if c.client_id is None)
+    first = path_digests(master_seed, ("nonce",), missing, (0,))  # attempt 0's, as consumed
     for index, client in enumerate(scenario.clients):
         if client.client_id is not None:
             cid = client.client_id
         else:
-            cid, attempt = first[64 * index:64 * index + 2 * NONCE_BYTES], 0
+            cid, attempt = next(first)[:NONCE_BYTES].hex(), 0
             while cid in seen:
                 attempt += 1
                 cid = path_digest(master_seed, "nonce", index, attempt)[:NONCE_BYTES].hex()

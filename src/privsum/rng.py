@@ -14,7 +14,7 @@ A session keys W by ("shared-randomness",), client c's shares by ("client", c)
 and its (S, k) verification noise by ("verification-noise", c): row i is
 verifier i's reply noise, row 0 verifier 0's decision noise. An id not given
 is path_digest(seed, "nonce", index, attempt)[:8], from no generator. substreams and
-path_digests make a chunk of keys' streams and digests, each key's bit for bit.
+path_digests make many keys' streams and digests, each key's bit for bit.
 
 Gaussian variates use numpy's ziggurat sampler (Generator.standard_normal),
 bit-reproducible for a fixed numpy version on a given platform.
@@ -73,12 +73,12 @@ def path_digest(master_seed: int, *path: Label) -> bytes:
     return hashlib.sha256(_key(master_seed, *path).encode("utf-8")).digest()
 
 
-def path_digests(master_seed: int, labels: tuple, keys, after: tuple = ()) -> bytes:
-    """path_digest(master_seed, *labels, key, *after) of each key, back to back:
-    each key's repr goes between the text before and after its place in _key's."""
+def path_digests(master_seed: int, labels: tuple, keys, after: tuple = ()) -> Iterator[bytes]:
+    """path_digest(master_seed, *labels, key, *after) of each key, made as it is
+    consumed: each key's repr goes between the text before and after its place
+    in _key's; master_seed is checked at the call."""
     head, tail = _key(master_seed, *labels, 0)[:-2], _key(0, 0, *after)[5:]
-    return b"".join([hashlib.sha256(f"{head}{key!r}{tail}".encode("utf-8")).digest()
-                     for key in keys])
+    return (hashlib.sha256(f"{head}{key!r}{tail}".encode("utf-8")).digest() for key in keys)
 
 
 def substream(master_seed: int, *path: Label) -> np.random.Generator:
@@ -90,10 +90,10 @@ def substream(master_seed: int, *path: Label) -> np.random.Generator:
 def substreams(master_seed: int, labels: tuple, keys) -> Iterator[np.random.Generator]:
     """substream(master_seed, *labels, key) of each key, made as it is consumed,
     the digests of 64 keys read at a time; master_seed is checked at the call."""
-    master_seed, keys = integer(master_seed, "master_seed"), iter(keys)
-    chunks = iter(lambda: list(itertools.islice(keys, 64)), [])
+    digests = path_digests(integer(master_seed, "master_seed"), labels, keys)
+    chunks = iter(lambda: b"".join(itertools.islice(digests, 64)), b"")
     return (np.random.Generator(np.random.PCG64(_DigestSeed(w))) for chunk in chunks
-            for w in np.frombuffer(path_digests(master_seed, labels, chunk), "<u8").reshape(-1, 4))
+            for w in np.frombuffer(chunk, "<u8").reshape(-1, 4))
 
 
 def as_generator(seed: int | np.random.Generator) -> np.random.Generator:

@@ -192,15 +192,15 @@ def encode_quantized_block(V: np.ndarray, step: float) -> list[bytes]:
     return [data[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def decode_quantized_block(payloads, d: int, step: float, bound: float = 2 ** 53) -> np.ndarray:
+def decode_quantized_block(payloads, d: int, step: float) -> np.ndarray:
     """The (m, d) array of m quantized payloads, each of exactly d >= 1 values.
 
     The bodies are decoded joined, so each must end exactly at its d-th
     value: a payload that is short, runs on, or has another count raises
     ParameterError rather than shifting the payloads after it. So does a
     grid value q with |q| > 2^53, where float64 would give two payloads one
-    decoding, and one with |q| above bound, the grid's largest value in steps
-    (for truncate_share(v, B, step), the largest n with n * step <= B).
+    decoding; ProtocolParams keeps honest shares within trunc_b / quant_step
+    <= 2^53 steps.
     """
     m, d = len(payloads), count(d, "d")
     raw = np.frombuffer(_bodies(payloads, d), dtype=np.uint8)
@@ -212,10 +212,7 @@ def decode_quantized_block(payloads, d: int, step: float, bound: float = 2 ** 53
             or (raw[ends - 1] >= 0x80).any()):
         raise ParameterError(f"a quantized payload does not hold exactly {d} values")
     byte = (np.delete(raw, more) if more.size else raw).view(np.int8)  # each value's last
-    q = byte >> 1 ^ -(byte & 1)  # the one-byte values, unzigzagged: |q| <= 64
-    if bound < 64 and (np.abs(q) > bound).any():
-        raise ParameterError(f"quantized payload holds a grid value past {bound} steps")
-    out = q * float(step)
+    out = (byte >> 1 ^ -(byte & 1)) * float(step)  # the one-byte values, unzigzagged
     if more.size:
         # a wider value's bytes are a run of continuation bytes and the byte after it
         first = np.flatnonzero(np.diff(more, prepend=-2) != 1)
@@ -238,8 +235,6 @@ def decode_quantized_block(payloads, d: int, step: float, bound: float = 2 ** 53
         if groups == 8 and (z > np.uint64(1 << 54)).any():
             raise ParameterError("quantized payload holds a grid value past 2^53")
         q = (z >> np.uint64(1)).view(np.int64) ^ -(z & np.uint64(1)).view(np.int64)  # inverse zigzag
-        if (np.abs(q) > bound).any():
-            raise ParameterError(f"quantized payload holds a grid value past {bound} steps")
         # a value's index is its first byte's position less the continuation bytes before it
         out[more[first] - first] = q * float(step)
     return out.reshape(m, d)
@@ -250,9 +245,9 @@ def encode_quantized(v: np.ndarray, step: float) -> bytes:
     return encode_quantized_block(np.asarray(v)[None], step)[0]
 
 
-def decode_quantized(data: bytes, step: float, bound: float = 2 ** 53) -> np.ndarray:
+def decode_quantized(data: bytes, step: float) -> np.ndarray:
     (d,) = _unpack("<I", data, 0)
-    return decode_quantized_block([data], d, step, bound)[0] if d else _empty(data)
+    return decode_quantized_block([data], d, step)[0] if d else _empty(data)
 
 
 def encode_accept(accept: bool) -> bytes:

@@ -10,6 +10,7 @@ from privsum import (
     AbortedInput,
     ClientBehavior,
     ClientSubmission,
+    DimensionMismatch,
     DuplicateClientId,
     ParameterError,
     Scenario,
@@ -29,6 +30,7 @@ from privsum.aggregation import (
     BEHAVIOR_INCONSISTENT,
     BEHAVIOR_NORM_INFLATING,
     BEHAVIOR_PARTIAL_SEND,
+    ClientBlocks,
 )
 from privsum.audit import binomial_se
 from privsum.transcript import (
@@ -151,6 +153,43 @@ class TestRunAggregation:
         assert delivered == {verifier_party(0), verifier_party(2)}
         with pytest.raises(DuplicateClientId):
             run_aggregation([bad, subs[2]], params, seed=12)
+
+    @pytest.mark.parametrize("fault, error", [
+        ("complex", ParameterError), ("list", ParameterError), ("int-mask", ParameterError),
+        ("width-1", DimensionMismatch), ("rows", DimensionMismatch),
+        ("mask-width", DimensionMismatch)])
+    def test_a_malformed_client_block_raises(self, fault, error):
+        # a ClientBlocks chunk is checked whole: a complex or list share array
+        # is not cast, a width-1 one not broadcast, and an int mask not used as
+        # an index; each raises before anything is delivered
+        params = small_params(S=2, d=8)
+        shares, mask = np.ones((2, 2, 8)), np.ones((2, 2), dtype=bool)
+        shares, mask = {"complex": (shares + 0.5j, mask),
+                        "list": (shares.tolist(), mask),
+                        "int-mask": (shares, mask.astype(int)),
+                        "width-1": (shares[:, :, :1], mask),
+                        "rows": (np.ones((3, 2, 8)), mask),
+                        "mask-width": (shares, np.ones((2, 3), dtype=bool))}[fault]
+        with pytest.raises(error):
+            run_aggregation(ClientBlocks(2, [(["a", "b"], shares, mask)]), params)
+
+    def test_a_client_blocks_non_finite_share_is_not_delivered(self):
+        # a well-formed block's nan share is left undelivered, as the same
+        # share is in a ClientSubmission: the two sessions are byte-identical
+        params = small_params(S=3)
+        subs = [s for _, s in honest_submissions(4, params, 41)]
+        shares = np.array([[s.payloads[i] for i in range(3)] for s in subs])
+        shares[2, 1, 3] = np.nan
+        subs[2] = ClientSubmission(subs[2].client_id, dict(enumerate(shares[2])))
+        blocks = ClientBlocks(4, [([s.client_id for s in subs], shares,
+                                   np.ones((4, 3), dtype=bool))])
+        r1, t1 = run_aggregation(blocks, params, seed=12)
+        r2, t2 = run_aggregation(subs, params, seed=12)
+        assert t1.sha256() == t2.sha256()
+        assert r1.sum.tobytes() == r2.sum.tobytes()
+        assert r1.per_client_outcomes == r2.per_client_outcomes
+        assert subs[2].client_id not in r1.per_client_outcomes
+        assert len(r1.per_client_outcomes) == 3
 
     def test_validity_abort_produces_no_sum(self):
         params = small_params()
